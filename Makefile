@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 race faults bench bench-smoke sample-smoke bpred-smoke explore-smoke golden fuzz fmt lint store-coherence serve-smoke docs-check
+.PHONY: all build test tier1 race faults bench bench-smoke sample-smoke bpred-smoke explore-smoke golden fuzz fmt lint store-coherence serve-smoke docs-check perfbench-check
 
 all: build test
 
@@ -84,6 +84,13 @@ bpred-smoke:
 explore-smoke:
 	$(GO) test -count=1 -run 'TestExplore|TestIPUBreakdown' ./internal/harness/ ./internal/rbe/ ./cmd/aurora-serve/
 	sh scripts/explore-smoke.sh
+
+# perfbench-check vets and tests the benchmark module. perfbench/ is its
+# own Go module (replace aurora => ../), so the root `go test ./...` never
+# compiles it; this is the gate that keeps an API change in the simulator
+# from breaking the benchmark unnoticed (see perfbench/README.md).
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # docs-check verifies every relative markdown link in the repo resolves and
 # every page under docs/ is reachable from the docs/README.md index.

@@ -1,6 +1,7 @@
 package aurora
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -81,11 +82,11 @@ func TestRunScheduledSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(Baseline(), w, 150_000)
+	base, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 150_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := RunScheduled(Baseline(), w, 150_000)
+	sched, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 150_000, Scheduled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestRunUnknownWorkloadPath(t *testing.T) {
 
 func TestReportExtras(t *testing.T) {
 	w, _ := GetWorkload("espresso")
-	rep, err := Run(Baseline(), w, 200_000)
+	rep, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,5 +119,43 @@ func TestReportExtras(t *testing.T) {
 	}
 	if rep.DualIssueRate() <= 0 || rep.DualIssueRate() > 1 {
 		t.Errorf("dual issue rate %f", rep.DualIssueRate())
+	}
+}
+
+// unalignedWorkload is a kernel whose second instruction is an unaligned
+// lw, the canonical VM fault.
+func unalignedWorkload() *Workload {
+	return &Workload{
+		Name:          "unaligned",
+		DefaultBudget: 1_000,
+		Description:   "test kernel: faults on an unaligned word load",
+		Source: `
+		.text
+main:
+		li $t0, 3
+		lw $t1, 0($t0)
+		li $v0, 10
+		syscall
+`,
+	}
+}
+
+// TestSimulationErrReportsVMFault: a stepped simulation whose VM faults
+// must not read as a natural end. Run fails on the truncated trace, and
+// Step + Err has to agree with it.
+func TestSimulationErrReportsVMFault(t *testing.T) {
+	ctx := context.Background()
+	if _, err := Run(ctx, Baseline(), unalignedWorkload(), RunOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "unaligned lw") {
+		t.Fatalf("Run error = %v, want the unaligned lw fault", err)
+	}
+	sim, err := NewSimulation(ctx, Baseline(), unalignedWorkload(), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sim.Step() {
+	}
+	if err := sim.Err(); err == nil || !strings.Contains(err.Error(), "unaligned lw") {
+		t.Fatalf("Err() after stepping a faulted run = %v, want the unaligned lw fault", err)
 	}
 }

@@ -11,7 +11,7 @@
 // # Quick start
 //
 //	w, _ := aurora.GetWorkload("espresso")
-//	rep, _ := aurora.Run(aurora.Baseline(), w, 0)
+//	rep, _ := aurora.Run(context.Background(), aurora.Baseline(), w, aurora.RunOptions{})
 //	fmt.Printf("CPI %.3f, icache hit %.1f%%\n", rep.CPI(), 100*rep.ICacheHitRate())
 //
 // Workloads are MIPS R3000 assembly kernels modelled after the SPEC92
@@ -22,14 +22,11 @@ package aurora
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 
 	"aurora/internal/bpred"
 	"aurora/internal/core"
 	"aurora/internal/fpu"
 	"aurora/internal/harness"
-	"aurora/internal/isa"
 	"aurora/internal/mem"
 	"aurora/internal/mmu"
 	"aurora/internal/obs"
@@ -37,7 +34,6 @@ import (
 	"aurora/internal/sample"
 	"aurora/internal/simfault"
 	"aurora/internal/trace"
-	"aurora/internal/vm"
 	"aurora/internal/workloads"
 )
 
@@ -135,19 +131,7 @@ func DefaultFPU() FPUConfig { return fpu.DefaultConfig() }
 
 // ModelByName resolves a Table 1 model name ("small", "baseline", "large")
 // or the §5.6 recommendation ("pointE").
-func ModelByName(name string) (Config, error) {
-	switch name {
-	case "small":
-		return Small(), nil
-	case "baseline", "base":
-		return Baseline(), nil
-	case "large":
-		return Large(), nil
-	case "pointE", "pointe", "e":
-		return RecommendedE(), nil
-	}
-	return Config{}, fmt.Errorf("aurora: unknown model %q (small, baseline, large, pointE)", name)
-}
+func ModelByName(name string) (Config, error) { return harness.ModelByName(name) }
 
 // GetWorkload returns a workload by its SPEC name ("espresso", "alvinn", ...).
 func GetWorkload(name string) (*Workload, error) { return workloads.Get(name) }
@@ -161,238 +145,46 @@ func IntegerSuite() []*Workload { return workloads.Integer() }
 // FPSuite returns the nine SPECfp92 stand-ins in the paper's order.
 func FPSuite() []*Workload { return workloads.FP() }
 
-// machineStream adapts a running functional VM to a trace stream, so the
-// timing simulator replays execution without materialising the whole trace.
-type machineStream struct {
-	m      *vm.Machine
-	budget uint64
-	n      uint64
-	err    error
+// RunOptions selects how Run and NewSimulation simulate a workload.
+type RunOptions struct {
+	// Budget bounds the dynamic instruction count; 0 uses the workload's
+	// default budget, which covers the kernel's full natural run.
+	Budget uint64
+	// Scheduled applies the §6 "better compiler scheduling" pass: each
+	// basic block of the dynamic trace is list-scheduled (loads hoisted
+	// away from their consumers) before it reaches the timing model —
+	// modelling a recompiled binary.
+	Scheduled bool
+	// Sink, when non-nil, receives the run's observability stream (see
+	// internal/obs): timeline events and, at the sink's sampling interval,
+	// per-interval metric batches. A nil sink keeps the timing model on
+	// its zero-cost path, so the Report is identical.
+	Sink obs.Sink
 }
 
-func (s *machineStream) Next() (trace.Record, bool) {
-	if s.err != nil || s.m.Halted() || (s.budget > 0 && s.n >= s.budget) {
-		return trace.Record{}, false
-	}
-	rec, err := s.m.Step()
-	if err != nil {
-		// A fault or clean halt ends the stream; faults are reported.
-		// (Step marks the machine halted on faults too, so the clean end
-		// must be identified by the error, not by Halted().)
-		if !vm.IsHalt(err) {
-			s.err = err
-		}
-		return trace.Record{}, false
-	}
-	s.n++
-	return rec, true
-}
-
-func (s *machineStream) Err() error { return s.err }
-
-// NextBatch implements trace.BatchStream: it fills buf with up to len(buf)
-// records in one call, keeping the VM's step loop on concrete types and
-// amortising the stream interface dispatch across the batch.
-func (s *machineStream) NextBatch(buf []trace.Record) int {
-	n := 0
-	for n < len(buf) {
-		if s.err != nil || s.m.Halted() || (s.budget > 0 && s.n >= s.budget) {
-			break
-		}
-		rec, err := s.m.Step()
-		if err != nil {
-			if !vm.IsHalt(err) {
-				s.err = err
-			}
-			break
-		}
-		s.n++
-		buf[n] = rec
-		n++
-	}
-	return n
-}
-
-// cyclesOf reports how far a processor got, tolerating the nil processor of
-// a construction-time panic.
-func cyclesOf(p *core.Processor) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.Cycles()
-}
-
-// simJob builds the fault identity for a root-API run.
-func simJob(cfg Config, w *Workload, scheduled bool) simfault.Job {
-	return simfault.Job{
-		Config:      cfg.Name,
-		Fingerprint: cfg.Fingerprint(),
-		Workload:    w.Name,
-		Scheduled:   scheduled,
-	}
-}
-
-// Run executes a workload on the given machine configuration. maxInstr
-// bounds the dynamic instruction count (0 uses the workload's default
-// budget, which covers the kernel's full natural run).
-func Run(cfg Config, w *Workload, maxInstr uint64) (*Report, error) {
-	return RunContext(context.Background(), cfg, w, maxInstr)
-}
-
-// RunContext is Run under a context: cancellation stops the simulation
-// within a few thousand cycles and returns ctx.Err().
-func RunContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64) (*Report, error) {
-	return RunObservedContext(ctx, cfg, w, maxInstr, nil)
-}
-
-// RunObserved is Run with an observability sink attached (see internal/obs):
-// the simulator streams timeline events and, at the sink's sampling
-// interval, per-interval metric batches. A nil sink is exactly Run — the
-// timing model stays on its zero-cost path, so the Report is identical.
-func RunObserved(cfg Config, w *Workload, maxInstr uint64, sink obs.Sink) (*Report, error) {
-	return RunObservedContext(context.Background(), cfg, w, maxInstr, sink)
-}
-
-// RunObservedContext is RunObserved under a context. It is also the root
-// API's fault boundary: a panic inside machine construction or the timing
+// Run executes a workload on the given machine configuration.
+// Cancelling ctx stops the simulation within a few thousand cycles and
+// returns ctx.Err(). A panic inside machine construction or the timing
 // core comes back as a *SimFault instead of unwinding the caller.
-func RunObservedContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64, sink obs.Sink) (rep *Report, err error) {
-	var p *core.Processor
-	defer func() {
-		if rec := recover(); rec != nil {
-			rep, err = nil, simfault.FromPanic(rec, simJob(cfg, w, false), cyclesOf(p), debug.Stack())
-		}
-	}()
-	m, err := w.NewMachine()
+func Run(ctx context.Context, cfg Config, w *Workload, opts RunOptions) (*Report, error) {
+	sim, err := NewSimulation(ctx, cfg, w, opts)
 	if err != nil {
 		return nil, err
 	}
-	if maxInstr == 0 {
-		maxInstr = w.DefaultBudget * 4 // headroom: kernels halt on their own
-	}
-	stream := &machineStream{m: m, budget: maxInstr}
-	p, err = core.NewProcessor(cfg, stream)
-	if err != nil {
-		return nil, err
-	}
-	if sink != nil {
-		p.Attach(sink)
-	}
-	rep, err = p.RunContext(ctx, 0)
-	if err != nil {
-		return nil, fmt.Errorf("aurora: %s on %s: %w", w.Name, cfg.Name, err)
-	}
-	if serr := stream.Err(); serr != nil {
-		return nil, fmt.Errorf("aurora: %s execution fault: %w", w.Name, serr)
-	}
-	return rep, nil
+	return sim.Run()
 }
 
 // Simulation is an incrementally-stepped timing run: the same machine Run
-// drives, exposed one cycle at a time. Benchmarks use it to warm a
-// processor up and then time the steady-state cycle loop in isolation.
-type Simulation struct {
-	p      *core.Processor
-	stream *machineStream
-	done   <-chan struct{} // nil without a cancellable context
-	ctx    context.Context
-	err    error
-}
+// drives, exposed one cycle at a time (Step, Cycles, Instructions, Err,
+// FastForward). Benchmarks use it to warm a processor up and then time the
+// steady-state cycle loop in isolation.
+type Simulation = harness.Simulation
 
-// simCancelMask matches the core cycle loop's cancellation-poll interval.
-const simCancelMask = 1<<12 - 1
-
-// NewSimulation prepares a workload run for cycle-by-cycle stepping.
-// maxInstr bounds the dynamic instruction count (0 uses the workload's
-// default budget).
-func NewSimulation(cfg Config, w *Workload, maxInstr uint64) (*Simulation, error) {
-	return NewSimulationContext(context.Background(), cfg, w, maxInstr)
-}
-
-// NewSimulationContext is NewSimulation under a context: once ctx is
-// cancelled, Step returns false within a few thousand cycles and Err
-// reports ctx.Err().
-func NewSimulationContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64) (*Simulation, error) {
-	m, err := w.NewMachine()
-	if err != nil {
-		return nil, err
-	}
-	if maxInstr == 0 {
-		maxInstr = w.DefaultBudget * 4
-	}
-	stream := &machineStream{m: m, budget: maxInstr}
-	p, err := core.NewProcessor(cfg, stream)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{p: p, stream: stream, done: ctx.Done(), ctx: ctx}, nil
-}
-
-// Step advances the machine one cycle, reporting whether work remains.
-func (s *Simulation) Step() bool {
-	if s.done != nil && s.p.Cycles()&simCancelMask == 0 {
-		select {
-		case <-s.done:
-			s.err = s.ctx.Err()
-			return false
-		default:
-		}
-	}
-	return s.p.Step()
-}
-
-// Err reports why stepping stopped early: the context's error after a
-// cancellation, nil for a natural end of the run.
-func (s *Simulation) Err() error { return s.err }
-
-// Cycles returns the cycles simulated so far.
-func (s *Simulation) Cycles() uint64 { return s.p.Cycles() }
-
-// Instructions returns the instructions retired so far.
-func (s *Simulation) Instructions() uint64 { return s.p.Instructions() }
-
-// FastForward advances the simulation n dynamic instructions at functional
-// (VM) speed, warming only the machine's cache contents — no cycles pass,
-// no statistics are counted. Detailed stepping picks up from the warmed
-// state: this is the fast-forward mode, for skipping initialisation phases
-// a study does not want to pay cycle-accurate time for. The skipped
-// instructions count against the simulation's instruction budget.
-// It returns the number of instructions actually skipped (the kernel may
-// halt or exhaust the budget first).
-func (s *Simulation) FastForward(n uint64) (uint64, error) {
-	var skipped uint64
-	for skipped < n {
-		if s.stream.m.Halted() || (s.stream.budget > 0 && s.stream.n >= s.stream.budget) {
-			break
-		}
-		rec, err := s.stream.m.Step()
-		if err != nil {
-			if vm.IsHalt(err) {
-				break
-			}
-			return skipped, fmt.Errorf("aurora: fast-forward execution fault: %w", err)
-		}
-		s.stream.n++
-		skipped++
-		s.p.WarmAccess(core.WarmFetch, rec.PC)
-		if rec.SI.Class.IsMem() {
-			k := core.WarmLoad
-			if rec.SI.Class == isa.ClassStore || rec.SI.Class == isa.ClassFPStore {
-				k = core.WarmStore
-			}
-			s.p.WarmAccess(k, rec.MemAddr)
-		}
-		if skipped&simCancelMask == 0 && s.done != nil {
-			select {
-			case <-s.done:
-				s.err = s.ctx.Err()
-				return skipped, s.err
-			default:
-			}
-		}
-	}
-	s.p.Reopen()
-	return skipped, nil
+// NewSimulation prepares a workload run for cycle-by-cycle stepping. Once
+// ctx is cancelled, Step returns false within a few thousand cycles and
+// Err reports ctx.Err().
+func NewSimulation(ctx context.Context, cfg Config, w *Workload, opts RunOptions) (*Simulation, error) {
+	return harness.NewSimulation(ctx, cfg, w, harness.Options{Budget: opts.Budget, Scheduled: opts.Scheduled}, opts.Sink)
 }
 
 // SampleParams configures the sampled simulation mode (see internal/sample);
@@ -409,86 +201,16 @@ type SampledReport = sample.Report
 // (Report.CPIError). On the pinned benchmark sweep this is 5-8× faster than
 // Run with |CPI error| within the bound on every kernel — see
 // docs/SIMULATION-MODES.md for the algorithm and the error model.
-// maxInstr follows Run's convention (0 = the workload's default budget).
-func RunSampled(cfg Config, w *Workload, maxInstr uint64, p SampleParams) (*SampledReport, error) {
-	return RunSampledContext(context.Background(), cfg, w, maxInstr, p)
-}
-
-// RunSampledContext is RunSampled under a context, with the same fault
-// boundary as RunObservedContext.
-func RunSampledContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64, p SampleParams) (rep *SampledReport, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			rep, err = nil, simfault.FromPanic(rec, simJob(cfg, w, false), 0, debug.Stack())
-		}
-	}()
-	if maxInstr == 0 {
-		maxInstr = w.DefaultBudget * 4
-	}
-	rep, err = sample.Run(ctx, cfg, w, maxInstr, p)
-	if err != nil {
-		return nil, fmt.Errorf("aurora: %s on %s (sampled): %w", w.Name, cfg.Name, err)
-	}
-	return rep, nil
-}
-
-// RunScheduled is Run with the §6 "better compiler scheduling" pass: each
-// basic block of the dynamic trace is list-scheduled (loads hoisted away
-// from their consumers) before it reaches the timing model — modelling a
-// recompiled binary.
-func RunScheduled(cfg Config, w *Workload, maxInstr uint64) (*Report, error) {
-	return RunScheduledContext(context.Background(), cfg, w, maxInstr)
-}
-
-// RunScheduledContext is RunScheduled under a context, with the same fault
-// boundary as RunObservedContext.
-func RunScheduledContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64) (rep *Report, err error) {
-	var p *core.Processor
-	defer func() {
-		if rec := recover(); rec != nil {
-			rep, err = nil, simfault.FromPanic(rec, simJob(cfg, w, true), cyclesOf(p), debug.Stack())
-		}
-	}()
-	m, err := w.NewMachine()
-	if err != nil {
-		return nil, err
-	}
-	if maxInstr == 0 {
-		maxInstr = w.DefaultBudget * 4
-	}
-	stream := &machineStream{m: m, budget: maxInstr}
-	p, err = core.NewProcessor(cfg, trace.NewReschedule(stream))
-	if err != nil {
-		return nil, err
-	}
-	rep, err = p.RunContext(ctx, 0)
-	if err != nil {
-		return nil, fmt.Errorf("aurora: %s on %s (scheduled): %w", w.Name, cfg.Name, err)
-	}
-	return rep, nil
+// maxInstr follows RunOptions.Budget's convention (0 = the workload's
+// default budget).
+func RunSampled(ctx context.Context, cfg Config, w *Workload, maxInstr uint64, p SampleParams) (*SampledReport, error) {
+	return harness.NewRunner(1).RunSampled(ctx, cfg, w, harness.Options{Budget: maxInstr}, p)
 }
 
 // RunTrace executes the timing model over an arbitrary trace stream
 // (for pre-recorded traces or synthetic streams).
-func RunTrace(cfg Config, stream trace.Stream) (*Report, error) {
-	return RunTraceContext(context.Background(), cfg, stream)
-}
-
-// RunTraceContext is RunTrace under a context, with the panic fault boundary
-// (the trace has no workload name; the fault identifies the configuration).
-func RunTraceContext(ctx context.Context, cfg Config, stream trace.Stream) (rep *Report, err error) {
-	var p *core.Processor
-	defer func() {
-		if rec := recover(); rec != nil {
-			job := simfault.Job{Config: cfg.Name, Fingerprint: cfg.Fingerprint(), Workload: "trace"}
-			rep, err = nil, simfault.FromPanic(rec, job, cyclesOf(p), debug.Stack())
-		}
-	}()
-	p, err = core.NewProcessor(cfg, stream)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunContext(ctx, 0)
+func RunTrace(ctx context.Context, cfg Config, stream trace.Stream) (*Report, error) {
+	return harness.RunTrace(ctx, cfg, stream)
 }
 
 // Runner is the parallel experiment engine: it schedules simulation jobs
@@ -498,8 +220,12 @@ func RunTraceContext(ctx context.Context, cfg Config, stream trace.Stream) (rep 
 // for memo hits are shared and must be treated as read-only.
 //
 //	r := aurora.NewRunner(0) // 0 = GOMAXPROCS workers
-//	rep, err := r.RunWorkload(aurora.Baseline(), w, 600_000)
+//	rep, err := r.Run(ctx, aurora.Baseline(), w, aurora.RunnerOptions{Budget: 600_000})
 type Runner = harness.Runner
+
+// RunnerOptions are the per-request options of a Runner: instruction
+// budget, the §6 scheduling pass, failure policy and predictor override.
+type RunnerOptions = harness.Options
 
 // RunnerStats reports a Runner's memo-table behaviour.
 type RunnerStats = harness.RunnerStats

@@ -250,7 +250,7 @@ func BenchmarkRecommendedFPU(b *testing.B) {
 		cfg.FPU = DefaultFPU()
 		var sum float64
 		for _, w := range FPSuite() {
-			rep, err := Run(cfg, w, benchOpts().Budget)
+			rep, err := Run(context.Background(), cfg, w, RunOptions{Budget: benchOpts().Budget})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -276,7 +276,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(Baseline(), w, 300_000)
+		rep, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 300_000})
 		if err != nil {
 			b.Fatal(err)
 		}

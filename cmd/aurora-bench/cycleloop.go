@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -24,7 +25,7 @@ func runCycleLoop() *CycleLoop {
 	if err != nil {
 		return nil
 	}
-	sim, err := aurora.NewSimulation(aurora.Baseline().WithBPred(benchBPred), w, budget)
+	sim, err := aurora.NewSimulation(context.Background(), aurora.Baseline().WithBPred(benchBPred), w, aurora.RunOptions{Budget: budget})
 	if err != nil {
 		return nil
 	}

@@ -261,7 +261,7 @@ func runSweep(ctx context.Context, f *File) (err error) {
 				return err
 			}
 			start := time.Now()
-			rep, err := aurora.RunContext(ctx, cfg, w, f.Budget)
+			rep, err := aurora.Run(ctx, cfg, w, aurora.RunOptions{Budget: f.Budget})
 			if err != nil {
 				return fmt.Errorf("%s on %s: %w", wn, mn, err)
 			}

@@ -121,20 +121,17 @@ func run() int {
 
 	runner := harness.NewRunner(*workers)
 	runner.JobTimeout = *jobTimeout
-	var store *resultstore.Store
 	if *storeDir != "" {
 		var err error
 		if *storeReadOnly {
-			store, err = resultstore.OpenReadOnly(*storeDir)
+			runner.Store, err = resultstore.OpenReadOnly(*storeDir)
 		} else {
-			store, err = resultstore.Open(*storeDir)
+			runner.Store, err = resultstore.Open(*storeDir)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aurora-experiments: store:", err)
 			return 1
 		}
-		runner.Store = store
-		runner.StoreReadOnly = store.ReadOnly()
 	}
 	if *pprofAddr != "" {
 		addr, err := harness.ServeDebug(*pprofAddr, runner)
@@ -222,14 +219,7 @@ func run() int {
 				}
 			}
 		}
-		st := runner.Stats()
-		if store != nil {
-			fmt.Printf("\nexploration in %s (%d workers; %d simulated, %d store hits, %d memo hits)\n",
-				time.Since(start).Round(time.Millisecond), runner.Workers(), st.Simulated, st.StoreHits, st.Hits)
-		} else {
-			fmt.Printf("\nexploration in %s (%d workers; %d simulations, %d memo hits)\n",
-				time.Since(start).Round(time.Millisecond), runner.Workers(), st.Misses, st.Hits)
-		}
+		printSummary(runner, "exploration", time.Since(start).Round(time.Millisecond), "simulations")
 		return exit
 	}
 	if *bpredSweep {
@@ -289,14 +279,7 @@ func run() int {
 		} else {
 			harness.PrintSampledSweep(os.Stdout, res)
 		}
-		st := runner.Stats()
-		if store != nil {
-			fmt.Printf("\nsampled sweep in %s (%d workers; %d simulated, %d store hits, %d memo hits)\n",
-				time.Since(start).Round(time.Millisecond), runner.Workers(), st.Simulated, st.StoreHits, st.Hits)
-		} else {
-			fmt.Printf("\nsampled sweep in %s (%d workers; %d estimates, %d memo hits)\n",
-				time.Since(start).Round(time.Millisecond), runner.Workers(), st.Misses, st.Hits)
-		}
+		printSummary(runner, "sampled sweep", time.Since(start).Round(time.Millisecond), "estimates")
 		return exit
 	}
 	if err := harness.Render(ctx, os.Stdout, runner, opts); err != nil {
@@ -346,15 +329,22 @@ func run() int {
 			}
 		}
 	}
-	st := runner.Stats()
-	if store != nil {
-		fmt.Printf("\nregenerated all tables and figures in %s (%d workers; %d simulated, %d store hits, %d memo hits)\n",
-			time.Since(start).Round(time.Second), runner.Workers(), st.Simulated, st.StoreHits, st.Hits)
-	} else {
-		fmt.Printf("\nregenerated all tables and figures in %s (%d workers; %d simulations, %d memo hits)\n",
-			time.Since(start).Round(time.Second), runner.Workers(), st.Misses, st.Hits)
-	}
+	printSummary(runner, "regenerated all tables and figures", time.Since(start).Round(time.Second), "simulations")
 	return exit
+}
+
+// printSummary prints the closing line every mode ends with. With a store
+// it splits the jobs into simulated and served from disk; without one,
+// every memo miss was computed and is counted as noun.
+func printSummary(runner *harness.Runner, what string, elapsed time.Duration, noun string) {
+	st := runner.Stats()
+	if runner.Store != nil {
+		fmt.Printf("\n%s in %s (%d workers; %d simulated, %d store hits, %d memo hits)\n",
+			what, elapsed, runner.Workers(), st.Simulated, st.StoreHits, st.Hits)
+		return
+	}
+	fmt.Printf("\n%s in %s (%d workers; %d %s, %d memo hits)\n",
+		what, elapsed, runner.Workers(), st.Misses, noun, st.Hits)
 }
 
 // exploreSpec resolves the -explore-grid preset.

@@ -57,20 +57,18 @@ func main() {
 	runner := harness.NewRunner(*workers)
 	runner.JobTimeout = *jobTimeout
 
-	var store *resultstore.Store
 	if *storeDir != "" {
 		var err error
 		if *storeReadOnly {
-			store, err = resultstore.OpenReadOnly(*storeDir)
+			runner.Store, err = resultstore.OpenReadOnly(*storeDir)
 		} else {
-			store, err = resultstore.Open(*storeDir)
+			runner.Store, err = resultstore.Open(*storeDir)
 		}
 		if err != nil {
 			log.Fatalf("aurora-serve: open store: %v", err)
 		}
-		runner.Store = store
-		runner.StoreReadOnly = store.ReadOnly()
-		log.Printf("store %s (version %s, read-only %v)", store.Dir(), store.Version(), store.ReadOnly())
+		st := runner.Store
+		log.Printf("store %s (version %s, read-only %v)", st.Dir(), st.Version(), st.ReadOnly())
 	}
 
 	figureOpts := harness.Options{}
@@ -96,7 +94,7 @@ func main() {
 		log.Printf("debug surface on http://%s/debug/pprof (vars: /debug/vars)", dbg)
 	}
 
-	srv := newServer(runner, store, *budget, figureOpts)
+	srv := newServer(runner, *budget, figureOpts)
 	srv.defaultBPred = defaultBPred
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -20,13 +20,13 @@ import (
 )
 
 // server is the aurora-serve request surface: one shared Runner (worker
-// pool + memo table) optionally backed by one shared result store, so
+// pool + memo table) optionally backed by one shared result store
+// (runner.Store, nil when serving without persistence), so
 // every request — sweep submission or figure fetch — resolves memory →
 // disk → simulate. Under heavy repeated traffic almost everything becomes
 // a store or memo hit, which is the point.
 type server struct {
 	runner *harness.Runner
-	store  *resultstore.Store // nil when serving without persistence
 
 	// defaultBudget bounds a sweep cell whose submission leaves the
 	// budget unset; figure endpoints use figureOpts wholesale.
@@ -39,10 +39,9 @@ type server struct {
 	defaultBPred bpred.Config
 }
 
-func newServer(runner *harness.Runner, store *resultstore.Store, defaultBudget uint64, figureOpts harness.Options) *server {
+func newServer(runner *harness.Runner, defaultBudget uint64, figureOpts harness.Options) *server {
 	return &server{
 		runner:        runner,
-		store:         store,
 		defaultBudget: defaultBudget,
 		figureOpts:    figureOpts,
 	}
@@ -78,26 +77,23 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"code_version": resultstore.CodeVersion(),
 		"workers":      s.runner.Workers(),
 	}
-	if s.store != nil {
-		h["store"] = s.store.Dir()
-		h["store_read_only"] = s.store.ReadOnly()
+	if st := s.runner.Store; st != nil {
+		h["store"] = st.Dir()
+		h["store_read_only"] = st.ReadOnly()
 	}
 	writeJSON(w, http.StatusOK, h)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := map[string]any{"runner": s.runner.Stats()}
-	if s.store != nil {
-		st["store"] = s.store.Stats()
+	if s.runner.Store != nil {
+		st["store"] = s.runner.Store.Stats()
 	}
 	writeJSON(w, http.StatusOK, st)
 }
 
-// modelNames are the resolvable machine models, in the paper's order.
-var modelNames = []string{"small", "baseline", "large", "pointE"}
-
 func (s *server) handleModels(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"models": modelNames})
+	writeJSON(w, http.StatusOK, map[string]any{"models": harness.ModelNames})
 }
 
 func (s *server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
@@ -174,7 +170,7 @@ func resolveSweep(req *sweepRequest, defaultBudget uint64) ([]core.Config, []*wo
 	}
 	cfgs := make([]core.Config, 0, len(req.Models))
 	for _, name := range req.Models {
-		cfg, err := modelByName(name)
+		cfg, err := harness.ModelByName(name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -196,22 +192,6 @@ func resolveSweep(req *sweepRequest, defaultBudget uint64) ([]core.Config, []*wo
 		req.Budget = defaultBudget
 	}
 	return cfgs, ws, nil
-}
-
-// modelByName mirrors the aurorasim model registry (the root package's
-// ModelByName) without pulling the whole public API into the daemon.
-func modelByName(name string) (core.Config, error) {
-	switch name {
-	case "small":
-		return core.Small(), nil
-	case "baseline", "base":
-		return core.Baseline(), nil
-	case "large":
-		return core.Large(), nil
-	case "pointE", "pointe", "e":
-		return core.RecommendedE(), nil
-	}
-	return core.Config{}, fmt.Errorf("unknown model %q (%s)", name, strings.Join(modelNames, ", "))
 }
 
 // handleSweep runs the submitted grid on the shared runner and streams one

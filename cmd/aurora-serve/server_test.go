@@ -21,16 +21,14 @@ import (
 func newTestServer(t *testing.T, dir string) (*server, *httptest.Server) {
 	t.Helper()
 	runner := harness.NewRunner(2)
-	var store *resultstore.Store
 	if dir != "" {
 		var err error
-		store, err = resultstore.Open(dir)
+		runner.Store, err = resultstore.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner.Store = store
 	}
-	s := newServer(runner, store, 5_000, harness.Options{Budget: 2_000, SweepBudget: 1_000})
+	s := newServer(runner, 5_000, harness.Options{Budget: 2_000, SweepBudget: 1_000})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	return s, ts

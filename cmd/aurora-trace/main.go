@@ -165,7 +165,7 @@ func doReplay(ctx context.Context, path, modelName string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := aurora.RunTraceContext(ctx, cfg, tr)
+	rep, err := aurora.RunTrace(ctx, cfg, tr)
 	if err != nil {
 		return err
 	}

@@ -135,32 +135,34 @@ func run() int {
 		return fail(err)
 	}
 
+	// The run goes through a one-worker harness runner, so the result key
+	// (config fingerprint, workload, effective budget) matches what
+	// aurora-experiments and aurora-serve persist: with -store, a cell
+	// simulated by any of the three is a disk hit for the rest.
+	runner := harness.NewRunner(1)
+	if *storeDir != "" {
+		if *storeReadOnly {
+			runner.Store, err = resultstore.OpenReadOnly(*storeDir)
+		} else {
+			runner.Store, err = resultstore.Open(*storeDir)
+		}
+		if err != nil {
+			return fail(err)
+		}
+	}
+	servedFromStore := func() {
+		if runner.Stats().StoreHits > 0 {
+			fmt.Fprintf(os.Stderr, "aurorasim: result served from store %s\n", runner.Store.Dir())
+		}
+	}
+
 	if *sampled {
 		if *metricsOut != "" || *traceOut != "" {
 			return fail(fmt.Errorf("-sample estimates CPI from periodic windows; it cannot capture -metrics-out/-trace-out time series (run without -sample for those)"))
 		}
 		p := aurora.SampleParams{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
-		var srep *aurora.SampledReport
-		if *storeDir != "" {
-			var store *resultstore.Store
-			if *storeReadOnly {
-				store, err = resultstore.OpenReadOnly(*storeDir)
-			} else {
-				store, err = resultstore.Open(*storeDir)
-			}
-			if err != nil {
-				return fail(err)
-			}
-			runner := harness.NewRunner(1)
-			runner.Store = store
-			runner.StoreReadOnly = store.ReadOnly()
-			srep, err = runner.RunSampled(ctx, cfg, w, harness.Options{Budget: *instr}, p)
-			if st := runner.Stats(); st.StoreHits > 0 {
-				fmt.Fprintf(os.Stderr, "aurorasim: result served from store %s\n", store.Dir())
-			}
-		} else {
-			srep, err = aurora.RunSampled(cfg, w, *instr, p)
-		}
+		srep, err := runner.RunSampled(ctx, cfg, w, harness.Options{Budget: *instr}, p)
+		servedFromStore()
 		if err != nil {
 			return fail(err)
 		}
@@ -191,34 +193,11 @@ func run() int {
 		sinks = append(sinks, tracer)
 	}
 
-	var rep *aurora.Report
-	if *storeDir != "" {
-		// With a store, the run goes through the harness runner so the
-		// result key (config fingerprint, workload, effective budget)
-		// matches what aurora-experiments and aurora-serve persist: a
-		// cell simulated by any of the three is a disk hit for the rest.
-		var store *resultstore.Store
-		if *storeReadOnly {
-			store, err = resultstore.OpenReadOnly(*storeDir)
-		} else {
-			store, err = resultstore.Open(*storeDir)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		runner := harness.NewRunner(1)
-		runner.Store = store
-		runner.StoreReadOnly = store.ReadOnly()
-		if len(sinks) > 0 {
-			runner.Observe = func(harness.JobInfo) obs.Sink { return obs.Multi(sinks...) }
-		}
-		rep, err = runner.Run(ctx, cfg, w, harness.Options{Budget: *instr})
-		if st := runner.Stats(); st.StoreHits > 0 {
-			fmt.Fprintf(os.Stderr, "aurorasim: result served from store %s\n", store.Dir())
-		}
-	} else {
-		rep, err = aurora.RunObservedContext(ctx, cfg, w, *instr, obs.Multi(sinks...))
+	if len(sinks) > 0 {
+		runner.Observe = func(harness.JobInfo) obs.Sink { return obs.Multi(sinks...) }
 	}
+	rep, err := runner.Run(ctx, cfg, w, harness.Options{Budget: *instr})
+	servedFromStore()
 	exit := 0
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aurorasim:", err)

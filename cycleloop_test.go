@@ -1,6 +1,7 @@
 package aurora
 
 import (
+	"context"
 	"testing"
 
 	"aurora/internal/core"
@@ -81,11 +82,11 @@ func TestSimulationStepMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 40_000
-	rep, err := Run(Baseline(), w, budget)
+	rep, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulation(Baseline(), w, budget)
+	sim, err := NewSimulation(context.Background(), Baseline(), w, RunOptions{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package aurora
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -60,7 +61,7 @@ func goldenCorpus(t *testing.T) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := Run(cfg, w, goldenBudget)
+			rep, err := Run(context.Background(), cfg, w, RunOptions{Budget: goldenBudget})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", name, cfg.Name, err)
 			}

@@ -2,6 +2,7 @@ package aurora
 
 import (
 	"bufio"
+	"context"
 	"os"
 	"strconv"
 	"strings"
@@ -151,7 +152,7 @@ func TestLiveHeadlineShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cpi := func(cfg Config) float64 {
-		rep, err := Run(cfg, w, budget)
+		rep, err := Run(context.Background(), cfg, w, RunOptions{Budget: budget})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}

@@ -1,6 +1,7 @@
 package aurora
 
 import (
+	"context"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func runIT(t *testing.T, cfg Config, name string) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(cfg, w, itBudget)
+	rep, err := Run(context.Background(), cfg, w, RunOptions{Budget: itBudget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func avgIntCPI(t *testing.T, cfg Config) float64 {
 	t.Helper()
 	var sum float64
 	for _, w := range IntegerSuite() {
-		rep, err := Run(cfg, w, itBudget)
+		rep, err := Run(context.Background(), cfg, w, RunOptions{Budget: itBudget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestPrefetchIStreamBeatsDStream(t *testing.T) {
 	var iSum, dSum float64
 	n := 0
 	for _, w := range IntegerSuite() {
-		rep, err := Run(Baseline(), w, itBudget)
+		rep, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: itBudget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,13 +162,13 @@ func TestPrefetchRemovalEffect(t *testing.T) {
 func TestSmallModelLSUDominated(t *testing.T) {
 	var smallLSU, smallIC, largeLSU float64
 	for _, w := range IntegerSuite() {
-		rs, err := Run(Small(), w, itBudget)
+		rs, err := Run(context.Background(), Small(), w, RunOptions{Budget: itBudget})
 		if err != nil {
 			t.Fatal(err)
 		}
 		smallLSU += rs.StallCPI(StallLSUBusy)
 		smallIC += rs.StallCPI(StallICache)
-		rl, err := Run(Large(), w, itBudget)
+		rl, err := Run(context.Background(), Large(), w, RunOptions{Budget: itBudget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +203,7 @@ func TestWriteCacheScaling(t *testing.T) {
 	rate := func(cfg Config) (hit, traffic float64) {
 		var h, a, tr, st uint64
 		for _, w := range IntegerSuite() {
-			rep, err := Run(cfg, w, itBudget)
+			rep, err := Run(context.Background(), cfg, w, RunOptions{Budget: itBudget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +251,7 @@ func TestFPUPolicyOrdering(t *testing.T) {
 		f.Policy = p
 		cfg.FPU = f
 		for _, w := range FPSuite() {
-			rep, err := Run(cfg, w, itBudget)
+			rep, err := Run(context.Background(), cfg, w, RunOptions{Budget: itBudget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +275,7 @@ func TestFPUPolicyOrdering(t *testing.T) {
 func TestBaselineHitRates(t *testing.T) {
 	var iAcc, iMiss, dAcc, dMiss uint64
 	for _, w := range IntegerSuite() {
-		rep, err := Run(Baseline(), w, 0) // natural completion
+		rep, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 0}) // natural completion
 		if err != nil {
 			t.Fatal(err)
 		}

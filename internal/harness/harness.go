@@ -9,15 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime/debug"
+	"strings"
 
 	"aurora/internal/bpred"
 	"aurora/internal/core"
 	"aurora/internal/fpu"
-	"aurora/internal/obs"
 	"aurora/internal/simfault"
-	"aurora/internal/trace"
-	"aurora/internal/vm"
 	"aurora/internal/workloads"
 )
 
@@ -72,6 +69,26 @@ func applyBPred(cfg core.Config, opts Options) core.Config {
 	return cfg.WithBPred(opts.BPred)
 }
 
+// ModelNames are the machine models ModelByName resolves, in the paper's
+// order.
+var ModelNames = []string{"small", "baseline", "large", "pointE"}
+
+// ModelByName resolves a Table 1 model name ("small", "baseline",
+// "large") or the §5.6 recommendation ("pointE").
+func ModelByName(name string) (core.Config, error) {
+	switch name {
+	case "small":
+		return core.Small(), nil
+	case "baseline", "base":
+		return core.Baseline(), nil
+	case "large":
+		return core.Large(), nil
+	case "pointE", "pointe", "e":
+		return core.RecommendedE(), nil
+	}
+	return core.Config{}, fmt.Errorf("unknown model %q (%s)", name, strings.Join(ModelNames, ", "))
+}
+
 // effectiveBudget resolves Options.Budget to the per-workload instruction
 // budget actually simulated (0 selects the workload's default with headroom:
 // kernels halt on their own). Runner keys memo entries by this value so
@@ -82,72 +99,6 @@ func effectiveBudget(w *workloads.Workload, opts Options) uint64 {
 	}
 	return w.DefaultBudget * 4
 }
-
-// run executes one workload on one configuration, optionally streaming
-// observability data to sink (nil keeps the zero-cost path). It is the
-// fault boundary: a panic anywhere in machine construction or the timing
-// core is recovered into a typed *simfault.Fault carrying the job identity,
-// the simulated cycle it fired at, and the stack — the job fails, the
-// process and every other job survive. cycles reports how far the
-// simulation got, for deadline-fault annotation.
-func run(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, sink obs.Sink, job simfault.Job) (rep *core.Report, cycles uint64, err error) {
-	var p *core.Processor
-	defer func() {
-		if p != nil {
-			cycles = p.Cycles()
-		}
-		if rec := recover(); rec != nil {
-			rep, err = nil, simfault.FromPanic(rec, job, cycles, debug.Stack())
-		}
-	}()
-	m, err := w.NewMachine()
-	if err != nil {
-		return nil, 0, err
-	}
-	stream := &machineStream{m: m, budget: effectiveBudget(w, opts)}
-	var src trace.Stream = stream
-	if opts.Scheduled {
-		src = trace.NewReschedule(stream)
-	}
-	p, err = core.NewProcessor(cfg, src)
-	if err != nil {
-		return nil, 0, err
-	}
-	if sink != nil {
-		p.Attach(sink)
-	}
-	rep, err = p.RunContext(ctx, 0)
-	if err != nil {
-		return nil, p.Cycles(), fmt.Errorf("harness: %s on %s: %w", w.Name, cfg.Name, err)
-	}
-	return rep, p.Cycles(), nil
-}
-
-type machineStream struct {
-	m      *vm.Machine
-	budget uint64
-	n      uint64
-	err    error
-}
-
-func (s *machineStream) Next() (trace.Record, bool) {
-	if s.err != nil || s.m.Halted() || s.n >= s.budget {
-		return trace.Record{}, false
-	}
-	rec, err := s.m.Step()
-	if err != nil {
-		// A clean halt ends the stream; a fault is recorded so the run
-		// fails instead of reporting a truncated trace's CPI as success.
-		if !vm.IsHalt(err) {
-			s.err = err
-		}
-		return trace.Record{}, false
-	}
-	s.n++
-	return rec, true
-}
-
-func (s *machineStream) Err() error { return s.err }
 
 // faultCell classifies a job error under the sweep policy: in keep-going
 // mode (the default) a *simfault.Fault is data — the caller marks that cell

@@ -9,6 +9,7 @@ import (
 
 	"aurora/internal/core"
 	"aurora/internal/obs"
+	"aurora/internal/resultstore"
 	"aurora/internal/sample"
 	"aurora/internal/simfault"
 	"aurora/internal/workloads"
@@ -46,17 +47,14 @@ type Runner struct {
 	// Store, when non-nil, is the persistent result layer (see
 	// internal/resultstore). Lookups and writes happen only on memo
 	// misses, outside the worker-pool semaphore (they are cheap file
-	// I/O, not simulation). Set it before submitting jobs.
-	Store Store
-
-	// StoreReadOnly serves hits from Store but never writes back —
-	// for sharing a populated store with runs that must not mutate it.
-	StoreReadOnly bool
+	// I/O, not simulation); a read-only store serves hits but is never
+	// written back. Set it before submitting jobs.
+	Store *resultstore.Store
 
 	// Observe, when non-nil, supplies a per-job observability sink (see
-	// internal/obs) for every distinct job the runner simulates. It is
-	// called exactly once per memo entry — on the miss, never on hits — so
-	// a sweep that revisits a job yields one time series per distinct
+	// internal/obs) for every distinct exact job the runner simulates. It
+	// is called exactly once per memo entry — on the miss, never on hits —
+	// so a sweep that revisits a job yields one time series per distinct
 	// simulation no matter how many experiments requested it or how many
 	// workers ran them. A nil return leaves that job unobserved. Set it
 	// before submitting jobs; it must be safe for concurrent calls.
@@ -69,26 +67,13 @@ type Runner struct {
 	JobTimeout time.Duration
 
 	mu          sync.Mutex
-	memo        map[jobKey]*memoEntry
-	sampledMemo map[jobKey]*sampledEntry
-	cpCache     *sample.CheckpointCache
+	memo        map[resultstore.Key]*memoEntry
+	checkpoints *sample.CheckpointCache // shared by every sampled job
 	hits        uint64
 	misses      uint64
 	simulated   uint64
 	storeHits   uint64
 	storeMisses uint64
-}
-
-// Store is the persistent result layer a Runner can sit on top of:
-// fingerprint-keyed, shared between processes, consulted on memo misses.
-// resultstore.Store implements it. Lookup reports the stored report or
-// typed fault for the job coordinates (ok false on any miss); Save
-// persists a finished job and must refuse results that are not
-// deterministic properties of the job (see simfault.Fault.Persistable).
-// Implementations must be safe for concurrent use.
-type Store interface {
-	Lookup(fingerprint, workload string, budget uint64, scheduled bool) (rep *core.Report, fault *simfault.Fault, ok bool)
-	Save(fingerprint, workload string, budget uint64, scheduled bool, rep *core.Report, fault *simfault.Fault) error
 }
 
 // JobInfo describes one distinct simulation job to an Observe factory.
@@ -100,31 +85,17 @@ type JobInfo struct {
 	Scheduled   bool
 }
 
-// jobKey canonically identifies one simulation. Budget is the effective
-// per-workload budget (an Options.Budget of 0 resolves to the workload's
-// default before keying, so explicit and defaulted budgets collapse).
-// sample is empty for exact runs and sample.Params.Key() for sampled
-// estimates, so the two kinds can never share a key even at identical
-// (config, workload, budget) coordinates.
-type jobKey struct {
-	config    string // core.Config.Fingerprint()
-	workload  string
-	budget    uint64
-	scheduled bool
-	sample    string
-}
-
-// memoEntry holds one job's result. The goroutine that inserts the entry
-// computes it and closes done; later requesters wait on done (or their own
-// cancellation) and share the result. A panicking job completes its entry
-// with the recovered *simfault.Fault — the earlier sync.Once design counted
-// a panicking computation as returned, so every later hit of that key read
-// a poisoned nil, nil entry. A computation aborted by its own caller's
-// cancellation is withdrawn from the table instead, so the next requester
-// retries under a live context.
+// memoEntry holds one job's result, exact or sampled. The goroutine that
+// inserts the entry computes it and closes done; later requesters wait on
+// done (or their own cancellation) and share the result. A panicking job
+// completes its entry with the recovered *simfault.Fault — the earlier
+// sync.Once design counted a panicking computation as returned, so every
+// later hit of that key read a poisoned nil, nil entry. A computation
+// aborted by its own caller's cancellation is withdrawn from the table
+// instead, so the next requester retries under a live context.
 type memoEntry struct {
 	done chan struct{}
-	rep  *core.Report
+	res  resultstore.Result // Report or Sampled; never Fault (that is err)
 	err  error
 }
 
@@ -135,8 +106,9 @@ func NewRunner(workers int) *Runner {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{
-		sem:  make(chan struct{}, workers),
-		memo: map[jobKey]*memoEntry{},
+		sem:         make(chan struct{}, workers),
+		memo:        map[resultstore.Key]*memoEntry{},
+		checkpoints: sample.NewCheckpointCache(),
 	}
 }
 
@@ -145,10 +117,11 @@ func (r *Runner) Workers() int { return cap(r.sem) }
 
 // RunnerStats reports memo-table and store behaviour. Hits counts requests
 // answered from (or coalesced onto) an existing memo entry; Misses counts
-// memo entries created. Each Run call increments at most one of the two —
-// a request that waits on an entry later withdrawn by cancellation and then
-// retries counts only its final disposition — so for any set of completed,
-// uncancelled requests Hits+Misses equals the request count.
+// memo entries created. Each Run or RunSampled call increments at most one
+// of the two — a request that waits on an entry later withdrawn by
+// cancellation and then retries counts only its final disposition — so for
+// any set of completed, uncancelled requests Hits+Misses equals the
+// request count.
 //
 // With a Store attached, a memo miss resolves against the disk before
 // simulating: StoreHits counts entries served from disk, StoreMisses the
@@ -193,35 +166,96 @@ func canceled(err error) bool {
 func (r *Runner) Run(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options) (*core.Report, error) {
 	cfg = applyBPred(cfg, opts)
 	opts.Budget = effectiveBudget(w, opts)
-	key := jobKey{
-		config:    cfg.Fingerprint(),
-		workload:  w.Name,
-		budget:    opts.Budget,
-		scheduled: opts.Scheduled,
+	j := job{key: r.key(cfg, w, opts, ""), config: cfg.Name}
+	j.compute = func(ctx context.Context) (resultstore.Result, uint64, error) {
+		var sink obs.Sink
+		if r.Observe != nil {
+			sink = r.Observe(JobInfo{
+				ConfigName:  cfg.Name,
+				Fingerprint: j.key.Fingerprint,
+				Workload:    w.Name,
+				Budget:      opts.Budget,
+				Scheduled:   opts.Scheduled,
+			})
+		}
+		sim, err := NewSimulation(ctx, cfg, w, opts, sink)
+		if err != nil {
+			return resultstore.Result{}, 0, err
+		}
+		rep, err := sim.Run()
+		return resultstore.Result{Report: rep}, sim.Cycles(), err
 	}
+	res, err := r.do(ctx, j)
+	return res.Report, err
+}
+
+// job is one request on the shared path, whatever its mode: the identity
+// it is memoized and stored under, the configuration name its faults
+// carry, and the computation that answers it when neither layer can.
+// compute runs under the job's own context (pool slot held, deadline
+// armed) and reports how many cycles it got through, for deadline-fault
+// annotation.
+type job struct {
+	key     resultstore.Key
+	config  string
+	compute func(ctx context.Context) (resultstore.Result, uint64, error)
+}
+
+// fault is the identity the job's faults carry.
+func (j job) fault() simfault.Job {
+	return simfault.Job{
+		Config:      j.config,
+		Fingerprint: j.key.Fingerprint,
+		Workload:    j.key.Workload,
+		Scheduled:   j.key.Scheduled,
+	}
+}
+
+// key is the one identity a job has, in memory and on disk: the memo is
+// keyed by exactly the resultstore.Key the store would address, so the two
+// layers can never disagree about what a job is. sampleKey is empty for
+// exact runs and sample.Params.Key() for sampled estimates.
+func (r *Runner) key(cfg core.Config, w *workloads.Workload, opts Options, sampleKey string) resultstore.Key {
+	k := resultstore.Key{
+		Fingerprint: cfg.Fingerprint(),
+		Workload:    w.Name,
+		Budget:      opts.Budget,
+		Scheduled:   opts.Scheduled,
+		Sample:      sampleKey,
+	}
+	if r.Store != nil {
+		k.CodeVersion = r.Store.Version()
+	}
+	return k
+}
+
+// do is the single-flight memo loop every job goes through, exact or
+// sampled.
+func (r *Runner) do(ctx context.Context, j job) (resultstore.Result, error) {
+	k := j.key
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return resultstore.Result{}, err
 		}
 		r.mu.Lock()
-		e, ok := r.memo[key]
+		e, ok := r.memo[k]
 		if !ok {
 			e = &memoEntry{done: make(chan struct{})}
-			r.memo[key] = e
+			r.memo[k] = e
 			r.misses++
 			r.mu.Unlock()
-			e.rep, e.err = r.resolve(ctx, cfg, w, opts, key)
+			e.res, e.err = r.resolve(ctx, j)
 			if canceled(e.err) {
 				// The attempt died with its caller, not on its own merits:
 				// withdraw the entry so the next requester retries.
 				r.mu.Lock()
-				if r.memo[key] == e {
-					delete(r.memo, key)
+				if r.memo[k] == e {
+					delete(r.memo, k)
 				}
 				r.mu.Unlock()
 			}
 			close(e.done)
-			return e.rep, e.err
+			return e.res, e.err
 		}
 		r.mu.Unlock()
 		select {
@@ -235,12 +269,12 @@ func (r *Runner) Run(ctx context.Context, cfg core.Config, w *workloads.Workload
 				r.mu.Lock()
 				r.hits++
 				r.mu.Unlock()
-				return e.rep, e.err
+				return e.res, e.err
 			}
 			// The computing caller was cancelled; loop and retry under our
 			// own context (the withdrawn entry no longer blocks the key).
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return resultstore.Result{}, ctx.Err()
 		}
 	}
 }
@@ -248,57 +282,58 @@ func (r *Runner) Run(ctx context.Context, cfg core.Config, w *workloads.Workload
 // resolve answers one memo miss: disk first when a store is attached, then
 // simulation, writing persistable results back. It runs inside the key's
 // memo entry, so both layers inherit the memo's single-flight guarantee.
-func (r *Runner) resolve(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, key jobKey) (*core.Report, error) {
+func (r *Runner) resolve(ctx context.Context, j job) (resultstore.Result, error) {
 	if r.Store != nil {
-		if rep, f, ok := r.Store.Lookup(key.config, key.workload, key.budget, key.scheduled); ok {
-			r.mu.Lock()
-			r.storeHits++
-			r.mu.Unlock()
-			if f != nil {
-				return nil, f
-			}
-			return rep, nil
-		}
+		res, ok := r.Store.Read(j.key)
 		r.mu.Lock()
-		r.storeMisses++
+		if ok {
+			r.storeHits++
+		} else {
+			r.storeMisses++
+		}
 		r.mu.Unlock()
+		if ok {
+			if res.Fault != nil {
+				return resultstore.Result{}, res.Fault
+			}
+			return res, nil
+		}
 	}
-	rep, err := r.compute(ctx, cfg, w, opts, key)
-	if r.Store != nil && !r.StoreReadOnly {
-		r.persist(key, rep, err)
+	res, err := r.simulate(ctx, j)
+	if r.Store != nil && !r.Store.ReadOnly() {
+		r.persist(j.key, res, err)
 	}
-	return rep, err
+	return res, err
 }
 
 // persist writes a finished job back to the store when its outcome is a
-// deterministic property of the job: a healthy report, or an invariant-
+// deterministic property of the job: a healthy result, or an invariant-
 // panic fault. Deadline faults depend on host load and plain errors
 // (VM faults, I/O, cancellation) have no canonical serialized form, so
 // neither is written — they are recomputed by each process instead. A
 // failed write never fails the job; the store's own counters record it.
-func (r *Runner) persist(key jobKey, rep *core.Report, err error) {
-	if err == nil {
-		//aurora:allow(fault, a failed persist must fail neither job nor sweep; the store counts it in Stats.PutErrors)
-		_ = r.Store.Save(key.config, key.workload, key.budget, key.scheduled, rep, nil)
-		return
+func (r *Runner) persist(k resultstore.Key, res resultstore.Result, err error) {
+	if err != nil {
+		var f *simfault.Fault
+		if !errors.As(err, &f) || !f.Persistable() {
+			return
+		}
+		res = resultstore.Result{Fault: f}
 	}
-	var f *simfault.Fault
-	if errors.As(err, &f) && f.Persistable() {
-		//aurora:allow(fault, a failed persist must fail neither job nor sweep; the store counts it in Stats.PutErrors)
-		_ = r.Store.Save(key.config, key.workload, key.budget, key.scheduled, nil, f)
-	}
+	//aurora:allow(fault, a failed persist must fail neither job nor sweep; the store counts it in Stats.PutErrors)
+	_ = r.Store.Write(k, res)
 }
 
-// compute simulates one distinct job: pool admission, per-job deadline,
-// observability sink, and the fault boundary (via run's recover).
-func (r *Runner) compute(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, key jobKey) (*core.Report, error) {
+// simulate computes one distinct job: pool admission, the per-job
+// deadline, and the Simulated count around the mode's own computation.
+func (r *Runner) simulate(ctx context.Context, j job) (resultstore.Result, error) {
 	// Admission: a queued job waits for a pool slot unless the sweep is
 	// cancelled first — this is where fail-fast studies stop scheduling
 	// work that has not started yet.
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return resultstore.Result{}, ctx.Err()
 	}
 	defer func() { <-r.sem }()
 
@@ -308,45 +343,17 @@ func (r *Runner) compute(ctx context.Context, cfg core.Config, w *workloads.Work
 		jctx, cancel = context.WithTimeout(ctx, r.JobTimeout)
 		defer cancel()
 	}
-	var sink obs.Sink
-	if r.Observe != nil {
-		sink = r.Observe(JobInfo{
-			ConfigName:  cfg.Name,
-			Fingerprint: key.config,
-			Workload:    key.workload,
-			Budget:      key.budget,
-			Scheduled:   key.scheduled,
-		})
-	}
-	job := simfault.Job{
-		Config:      cfg.Name,
-		Fingerprint: key.config,
-		Workload:    key.workload,
-		Scheduled:   key.scheduled,
-	}
 	r.mu.Lock()
 	r.simulated++
 	r.mu.Unlock()
-	rep, cycles, err := run(jctx, cfg, w, opts, sink, job)
+	res, cycles, err := j.compute(jctx)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 		// The job's own wall-clock budget expired while the surrounding
 		// sweep is still live: a property of the job, recorded as a typed
 		// fault and memoized like any other bad design point.
-		err = simfault.Deadline(job, cycles, r.JobTimeout)
+		return resultstore.Result{}, simfault.Deadline(j.fault(), cycles, r.JobTimeout)
 	}
-	return rep, err
-}
-
-// RunWorkload is Run with the root-package budget convention:
-// maxInstr = 0 selects the workload's default budget.
-func (r *Runner) RunWorkload(ctx context.Context, cfg core.Config, w *workloads.Workload, maxInstr uint64) (*core.Report, error) {
-	return r.Run(ctx, cfg, w, Options{Budget: maxInstr})
-}
-
-// RunScheduledWorkload is RunWorkload with the §6 compiler-scheduling trace
-// pass applied; scheduled and unscheduled runs memoize separately.
-func (r *Runner) RunScheduledWorkload(ctx context.Context, cfg core.Config, w *workloads.Workload, maxInstr uint64) (*core.Report, error) {
-	return r.Run(ctx, cfg, w, Options{Budget: maxInstr, Scheduled: true})
+	return res, err
 }
 
 // each runs fn(0) .. fn(n-1) concurrently and collects the results in input

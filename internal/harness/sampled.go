@@ -7,41 +7,22 @@ import (
 	"runtime/debug"
 
 	"aurora/internal/core"
+	"aurora/internal/resultstore"
 	"aurora/internal/sample"
 	"aurora/internal/simfault"
 	"aurora/internal/workloads"
 )
 
-// Sampled-mode scheduling. A sampled estimate flows through the same
-// machinery as an exact run — worker pool, single-flight memo, persistent
-// store, fault boundary, per-job deadline — but under a key extended with
-// the sampling discriminator (sample.Params.Key()), so a sampled estimate
-// can never be served where an exact result was asked for, or vice versa.
-// The runner also owns a checkpoint cache: all configurations of a sweep
-// share one captured functional pass per (workload, layout, budget).
-
-// SampledStore is the optional persistent layer for sampled estimates. A
-// Runner whose Store also implements SampledStore (resultstore.Store does)
-// persists and serves sampled results exactly like exact ones; any other
-// Store simply leaves sampled jobs memory-memoized.
-type SampledStore interface {
-	LookupSampled(fingerprint, workload string, budget uint64, sampleKey string) (rep *sample.Report, fault *simfault.Fault, ok bool)
-	SaveSampled(fingerprint, workload string, budget uint64, sampleKey string, rep *sample.Report, fault *simfault.Fault) error
-}
-
-// sampledEntry is the sampled twin of memoEntry, with the same
-// single-flight and withdraw-on-cancellation protocol.
-type sampledEntry struct {
-	done chan struct{}
-	rep  *sample.Report
-	err  error
-}
-
 // RunSampled executes one sampled estimate of a workload on one
-// configuration under the worker pool, memoized like Run. The §6
-// scheduling pass is incompatible with sampling (the reschedule operates on
-// the live trace the sampled mode never materialises end-to-end) and is
-// rejected, never silently ignored.
+// configuration under the worker pool: the same single-flight memo,
+// persistent store, per-job deadline and fault handling as Run, under a
+// key whose Sample field carries sample.Params.Key(), so a sampled
+// estimate can never be served where an exact result was asked for, or
+// vice versa. All configurations of a sweep share one captured functional
+// pass per (workload, layout, budget) through the runner's checkpoint
+// cache. The §6 scheduling pass is incompatible with sampling (the
+// reschedule operates on the live trace the sampled mode never
+// materialises end-to-end) and is rejected, never silently ignored.
 //
 // Estimates are shared between hits and must be treated as read-only.
 func (r *Runner) RunSampled(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, p sample.Params) (*sample.Report, error) {
@@ -51,124 +32,13 @@ func (r *Runner) RunSampled(ctx context.Context, cfg core.Config, w *workloads.W
 	cfg = applyBPred(cfg, opts)
 	p = p.Normalize()
 	opts.Budget = effectiveBudget(w, opts)
-	key := jobKey{
-		config:   cfg.Fingerprint(),
-		workload: w.Name,
-		budget:   opts.Budget,
-		sample:   p.Key(),
+	j := job{key: r.key(cfg, w, opts, p.Key()), config: cfg.Name}
+	j.compute = func(ctx context.Context) (resultstore.Result, uint64, error) {
+		rep, err := runSampled(ctx, r.checkpoints, cfg, w, opts.Budget, p, j.fault())
+		return resultstore.Result{Sampled: rep}, 0, err
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		if r.sampledMemo == nil {
-			r.sampledMemo = map[jobKey]*sampledEntry{}
-		}
-		e, ok := r.sampledMemo[key]
-		if !ok {
-			e = &sampledEntry{done: make(chan struct{})}
-			r.sampledMemo[key] = e
-			r.misses++
-			r.mu.Unlock()
-			e.rep, e.err = r.resolveSampled(ctx, cfg, w, opts, p, key)
-			if canceled(e.err) {
-				r.mu.Lock()
-				if r.sampledMemo[key] == e {
-					delete(r.sampledMemo, key)
-				}
-				r.mu.Unlock()
-			}
-			close(e.done)
-			return e.rep, e.err
-		}
-		r.mu.Unlock()
-		select {
-		case <-e.done:
-			if !canceled(e.err) {
-				r.mu.Lock()
-				r.hits++
-				r.mu.Unlock()
-				return e.rep, e.err
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// resolveSampled answers one sampled memo miss: disk first when the store
-// speaks sampled, then computation, writing persistable results back.
-func (r *Runner) resolveSampled(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, p sample.Params, key jobKey) (*sample.Report, error) {
-	ss, _ := r.Store.(SampledStore)
-	if ss != nil {
-		if rep, f, ok := ss.LookupSampled(key.config, key.workload, key.budget, key.sample); ok {
-			r.mu.Lock()
-			r.storeHits++
-			r.mu.Unlock()
-			if f != nil {
-				return nil, f
-			}
-			return rep, nil
-		}
-		r.mu.Lock()
-		r.storeMisses++
-		r.mu.Unlock()
-	}
-	rep, err := r.computeSampled(ctx, cfg, w, opts, p, key)
-	if ss != nil && !r.StoreReadOnly {
-		r.persistSampled(ss, key, rep, err)
-	}
-	return rep, err
-}
-
-// persistSampled mirrors persist for sampled estimates.
-func (r *Runner) persistSampled(ss SampledStore, key jobKey, rep *sample.Report, err error) {
-	if err == nil {
-		//aurora:allow(fault, a failed persist must fail neither job nor sweep; the store counts it in Stats.PutErrors)
-		_ = ss.SaveSampled(key.config, key.workload, key.budget, key.sample, rep, nil)
-		return
-	}
-	var f *simfault.Fault
-	if errors.As(err, &f) && f.Persistable() {
-		//aurora:allow(fault, a failed persist must fail neither job nor sweep; the store counts it in Stats.PutErrors)
-		_ = ss.SaveSampled(key.config, key.workload, key.budget, key.sample, nil, f)
-	}
-}
-
-// computeSampled computes one distinct sampled job: pool admission, per-job
-// deadline, checkpoint sharing, and the fault boundary.
-func (r *Runner) computeSampled(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, p sample.Params, key jobKey) (*sample.Report, error) {
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-r.sem }()
-
-	jctx := ctx
-	if r.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, r.JobTimeout)
-		defer cancel()
-	}
-	job := simfault.Job{
-		Config:      cfg.Name,
-		Fingerprint: key.config,
-		Workload:    key.workload,
-	}
-	r.mu.Lock()
-	r.simulated++
-	if r.cpCache == nil {
-		r.cpCache = sample.NewCheckpointCache()
-	}
-	cache := r.cpCache
-	r.mu.Unlock()
-	rep, err := runSampled(jctx, cache, cfg, w, opts.Budget, p, job)
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-		err = simfault.Deadline(job, 0, r.JobTimeout)
-	}
-	return rep, err
+	res, err := r.do(ctx, j)
+	return res.Sampled, err
 }
 
 // runSampled is the sampled fault boundary: a panic inside the VM capture

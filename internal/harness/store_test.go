@@ -6,13 +6,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	"aurora/internal/core"
 	"aurora/internal/faultinject"
-	"aurora/internal/obs"
 	"aurora/internal/resultstore"
 	"aurora/internal/simfault"
 	"aurora/internal/workloads"
@@ -217,8 +215,9 @@ func TestCorruptEntryRecomputedWithoutCrash(t *testing.T) {
 	}
 }
 
-// TestReadOnlyStoreRunner: StoreReadOnly serves hits but writes nothing,
-// and a read-only store directory cannot be mutated even on a miss.
+// TestReadOnlyStoreRunner: a runner over a read-only store serves hits but
+// writes nothing back, so the store directory is not mutated even on a
+// miss.
 func TestReadOnlyStoreRunner(t *testing.T) {
 	dir := t.TempDir()
 	w := tinyWorkload("store-ro")
@@ -236,7 +235,6 @@ func TestReadOnlyStoreRunner(t *testing.T) {
 	}
 	r := NewRunner(1)
 	r.Store = ro
-	r.StoreReadOnly = true
 	// Hit: served from the read-only store.
 	if _, err := r.Run(context.Background(), core.Baseline(), w, Options{Budget: 500}); err != nil {
 		t.Fatal(err)
@@ -251,77 +249,5 @@ func TestReadOnlyStoreRunner(t *testing.T) {
 	after := entryFiles(t, dir)
 	if len(after) != len(before) {
 		t.Errorf("read-only runner grew the store: %d -> %d entries", len(before), len(after))
-	}
-}
-
-// TestHitsCountedOncePerRequest is the regression test for the
-// withdraw/retry double count: a requester that waits on an entry, sees it
-// withdrawn by the computing caller's cancellation, and retries used to be
-// counted as a hit and then as a hit-or-miss again, so Stats() could
-// report hits+misses > requests. Each request now counts once, by the
-// branch that finally answers it.
-func TestHitsCountedOncePerRequest(t *testing.T) {
-	r := NewRunner(2)
-	w := workloads.Integer()[0]
-	opts := Options{Budget: 200_000}
-
-	// The Observe hook is the rendezvous: it runs inside A's memo entry,
-	// after the entry is published, so while it blocks, the key is held
-	// and every other requester must wait on A's entry.
-	aCtx, aCancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	r.Observe = func(JobInfo) obs.Sink {
-		once.Do(func() {
-			close(started)
-			<-release
-		})
-		return nil
-	}
-
-	aDone := make(chan error, 1)
-	go func() {
-		_, err := r.Run(aCtx, core.Baseline(), w, opts)
-		aDone <- err
-	}()
-	<-started
-
-	bDone := make(chan error, 1)
-	go func() {
-		_, err := r.Run(context.Background(), core.Baseline(), w, opts)
-		bDone <- err
-	}()
-	// Give B time to park on A's entry before the entry is withdrawn (if
-	// it loses the race it computes directly, which the assertions below
-	// still accept — they just no longer exercise the retry path).
-	time.Sleep(100 * time.Millisecond)
-
-	aCancel()
-	close(release)
-
-	if err := <-aDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled computing caller returned %v", err)
-	}
-	if err := <-bDone; err != nil {
-		t.Fatalf("retrying waiter failed: %v", err)
-	}
-
-	// A was cancelled (counts nothing); B was answered by its own retry
-	// computation (one miss). The buggy accounting reported hits=1 here.
-	st := r.Stats()
-	if st.Hits != 0 {
-		t.Errorf("hits = %d, want 0: the withdrawn wait must not count as a hit", st.Hits)
-	}
-	if st.Hits+st.Misses > 2 {
-		t.Errorf("hits+misses = %d for 2 requests: a request was counted twice (%+v)", st.Hits+st.Misses, st)
-	}
-
-	// A later request is a plain hit on B's completed entry.
-	if _, err := r.Run(context.Background(), core.Baseline(), w, opts); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.Hits != 1 {
-		t.Errorf("hits = %d after a straightforward memo hit, want 1", st.Hits)
 	}
 }

@@ -18,9 +18,9 @@ import (
 //     cycle and subsystem the fault taxonomy (docs/ROBUSTNESS.md) and the
 //     store's persistable-fault split depend on;
 //   - errors returned by the persistence and artifact writers — the
-//     resultstore Save*/Put* family, csv.Writer Write/WriteAll, and the obs
+//     resultstore Write/Put pair, csv.Writer Write/WriteAll, and the obs
 //     metric exporters WriteCSV/WriteJSONL/WriteChromeTrace — must not be
-//     discarded with `_ =` or an ignored return. A swallowed Save error
+//     discarded with `_ =` or an ignored return. A swallowed Write error
 //     turns "quarantine and recompute" into "silently never persisted";
 //     a swallowed CSV error publishes a truncated artifact as complete.
 //
@@ -46,12 +46,7 @@ type checkedMethod struct {
 
 var checkedMethods = []checkedMethod{
 	{pkg: "resultstore", methods: map[string]bool{
-		"Save": true, "SaveSampled": true, "Put": true, "PutSampled": true,
-	}},
-	// The harness Store interface mirrors the resultstore methods; calls
-	// through the interface resolve to the harness-declared method object.
-	{pkg: "harness", methods: map[string]bool{
-		"Save": true, "SaveSampled": true,
+		"Write": true, "Put": true,
 	}},
 	{pkg: "encoding/csv", methods: map[string]bool{
 		"Write": true, "WriteAll": true,
@@ -209,7 +204,7 @@ func checkDiscardedError(pass *analysis.Pass, w waivers, call *ast.CallExpr, how
 		"faultpath: error from "+name+" is discarded ("+how+"); handle it or waive with //aurora:allow(fault, reason)")
 }
 
-// checkBlankAssign flags `_ = store.Save(...)` and multi-assigns that park
+// checkBlankAssign flags `_ = store.Write(...)` and multi-assigns that park
 // the error result on the blank identifier.
 func checkBlankAssign(pass *analysis.Pass, w waivers, as *ast.AssignStmt) {
 	// Single call on the RHS (covers both `_ = f()` and `a, _ = f()`).

@@ -12,8 +12,8 @@
 //     math/rand, and no output path may iterate a map straight into an
 //     io.Writer, CSV row or metric name.
 //   - panicsite: every panic in a simulation package must sit behind the
-//     faultinject.Fires gating pattern, so harness.run's recovery contract
-//     holds.
+//     faultinject.Fires gating pattern, so the harness fault boundary's
+//     recovery contract holds.
 //   - probeguard: obs.Probe method calls outside package obs must sit
 //     behind the `if p != nil` idiom that keeps the disabled probe cost at
 //     one branch and zero allocations.

@@ -11,8 +11,8 @@ import (
 // PanicSite enforces the fault-isolation contract: every panic in a
 // timing-model package must be one of the faultinject-registered invariant
 // sites, i.e. sit in the body of an if whose condition ORs the real
-// invariant check with faultinject.Fires(<site>). harness.run recovers
-// such panics at the job boundary and turns them into per-cell faults; a
+// invariant check with faultinject.Fires(<site>). The harness fault
+// boundary recovers such panics and turns them into per-cell faults; a
 // raw panic at an unregistered site would still be recovered, but could
 // never be exercised by the fault-injection test sweep, so its recovery
 // path would ship untested. Construction-time validation panics that run

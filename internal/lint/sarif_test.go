@@ -18,11 +18,11 @@ const vetStream = "# aurora/internal/harness\n" +
 		"faultpath": [
 			{
 				"posn": "/repo/internal/harness/runner.go:281:2",
-				"message": "faultpath: error from Save is discarded (assigned to _)"
+				"message": "faultpath: error from Write is discarded (assigned to _)"
 			},
 			{
 				"posn": "/repo/internal/harness/runner.go:286:2",
-				"message": "faultpath: error from SaveSampled is discarded (assigned to _)"
+				"message": "faultpath: error from Put is discarded (assigned to _)"
 			}
 		]
 	}

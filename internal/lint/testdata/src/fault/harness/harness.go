@@ -38,38 +38,33 @@ func runRaw(job func()) (err error) {
 // persist exercises the discard checks against the fixture store.
 func persist(st *resultstore.Store, key string) error {
 	// Handled: compliant.
-	if err := st.Save(key); err != nil {
+	if err := st.Write(key); err != nil {
 		return err
 	}
 
 	// Ignored return on an expression statement.
-	st.Put(key) // want `faultpath: error from Put is discarded \(return value is ignored\)`
+	st.Write(key) // want `faultpath: error from Write is discarded \(return value is ignored\)`
+	st.Put(key)   // want `faultpath: error from Put is discarded \(return value is ignored\)`
 
 	// Parked on the blank identifier.
-	_ = st.Save(key) // want `faultpath: error from Save is discarded \(assigned to _\)`
+	_ = st.Write(key) // want `faultpath: error from Write is discarded \(assigned to _\)`
 
 	// Multi-result call with the error blanked at index 1.
-	n, _ := st.SaveSampled(key) // want `faultpath: error from SaveSampled is discarded \(assigned to _\)`
+	n, _ := st.Put(key) // want `faultpath: error from Put is discarded \(assigned to _\)`
 	_ = n
 
 	// Waived with a reason: the store counts the failure itself.
 	//aurora:allow(fault, fixture: failure is counted in Stats.PutErrors)
-	_ = st.Save(key)
+	_ = st.Write(key)
 
 	// No error result: never flagged.
 	st.Hint(key)
 	return nil
 }
 
-// Store mirrors the real harness interface; calls through it resolve to
-// this interface method object, not a static callee.
-type Store interface {
-	Save(key string) error
-}
-
 // persistIface discards through the interface.
-func persistIface(st Store, key string) {
-	_ = st.Save(key) // want `faultpath: error from Save is discarded \(assigned to _\)`
+func persistIface(st resultstore.Writer, key string) {
+	_ = st.Write(key) // want `faultpath: error from Write is discarded \(assigned to _\)`
 }
 
 // export drops a csv.Writer error, publishing a truncated artifact.

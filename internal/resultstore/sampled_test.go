@@ -30,23 +30,29 @@ func testSampledReport() *sample.Report {
 	}
 }
 
+// sampledKey is the store key of a sampled estimate at these coordinates.
+func sampledKey(fp string, budget uint64, sampleKey, version string) Key {
+	return Key{Fingerprint: fp, Workload: "espresso", Budget: budget, Sample: sampleKey, CodeVersion: version}
+}
+
 func TestSampledRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, "v-test")
 	want := testSampledReport()
-	fp := core.Baseline().Fingerprint()
+	k := sampledKey(core.Baseline().Fingerprint(), 250_000, want.SampleKey, "v-test")
 
-	if _, _, ok := s.LookupSampled(fp, "espresso", 250_000, want.SampleKey); ok {
+	if _, ok := s.Read(k); ok {
 		t.Fatal("empty store reported a sampled hit")
 	}
-	if err := s.SaveSampled(fp, "espresso", 250_000, want.SampleKey, want, nil); err != nil {
+	if err := s.Write(k, Result{Sampled: want}); err != nil {
 		t.Fatal(err)
 	}
 
-	got, f, ok := mustOpen(t, dir, "v-test").LookupSampled(fp, "espresso", 250_000, want.SampleKey)
-	if !ok || f != nil {
-		t.Fatalf("LookupSampled after SaveSampled: ok=%v fault=%v", ok, f)
+	res, ok := mustOpen(t, dir, "v-test").Read(k)
+	if !ok || res.Fault != nil || res.Report != nil {
+		t.Fatalf("Read after Write: ok=%v result=%+v", ok, res)
 	}
+	got := res.Sampled
 	if got.CPI != want.CPI || got.CPIError != want.CPIError || got.Windows != want.Windows ||
 		got.SampleKey != want.SampleKey || len(got.WindowCPI) != len(want.WindowCPI) {
 		t.Errorf("round-tripped sampled report differs:\ngot  %+v\nwant %+v", got, want)
@@ -55,19 +61,23 @@ func TestSampledRoundTrip(t *testing.T) {
 
 // TestSampledNeverAliasesExact is the key-separation contract: the same
 // (config, workload, budget) stored both exactly and sampled stays two
-// distinct entries, and each read path only ever returns its own kind.
+// distinct entries, and each read only ever returns its own kind.
 func TestSampledNeverAliasesExact(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), "v-test")
 	fp := core.Baseline().Fingerprint()
 	exactKey := Key{Fingerprint: fp, Workload: "espresso", Budget: 250_000, CodeVersion: "v-test"}
 	srep := testSampledReport()
+	sk := sampledKey(fp, 250_000, srep.SampleKey, "v-test")
 
 	// Only the sampled entry exists: the exact lookup must miss.
-	if err := s.SaveSampled(fp, "espresso", 250_000, srep.SampleKey, srep, nil); err != nil {
+	if err := s.Write(sk, Result{Sampled: srep}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := s.Get(exactKey); ok {
 		t.Fatal("exact Get returned a sampled entry")
+	}
+	if _, ok := s.Read(exactKey); ok {
+		t.Fatal("exact Read returned a sampled entry")
 	}
 
 	// Both exist: each lookup returns its own kind.
@@ -78,44 +88,52 @@ func TestSampledNeverAliasesExact(t *testing.T) {
 	if !ok || rep == nil || rep.Instructions != testReport().Instructions {
 		t.Fatalf("exact Get after both writes: ok=%v rep=%+v", ok, rep)
 	}
-	got, _, ok := s.LookupSampled(fp, "espresso", 250_000, srep.SampleKey)
-	if !ok || got.CPI != srep.CPI {
-		t.Fatalf("sampled lookup after both writes: ok=%v rep=%+v", ok, got)
+	res, ok := s.Read(sk)
+	if !ok || res.Report != nil || res.Sampled == nil || res.Sampled.CPI != srep.CPI {
+		t.Fatalf("sampled Read after both writes: ok=%v result=%+v", ok, res)
+	}
+	if _, _, ok := s.Get(sk); ok {
+		t.Fatal("exact Get answered a sampled key")
 	}
 
 	// Distinct sampling parameters are distinct entries too.
 	other := sample.Params{WarmUp: 30_000, Interval: 10_000, Window: 2_000}.Normalize()
-	if _, _, ok := s.LookupSampled(fp, "espresso", 250_000, other.Key()); ok {
+	if _, ok := s.Read(sampledKey(fp, 250_000, other.Key(), "v-test")); ok {
 		t.Fatal("different sampling parameters hit the same entry")
 	}
 }
 
-// TestSampledKeyRequiredOnBothPaths: the exact write path refuses sampled
-// keys and the sampled write path refuses exact keys, so a coding mistake
-// cannot cross the streams silently.
+// TestSampledKeyRequiredOnBothPaths: an exact report is refused under a
+// sampled key and a sampled estimate under an exact key, so a coding
+// mistake cannot cross the streams silently.
 func TestSampledKeyRequiredOnBothPaths(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), "v-test")
 	srep := testSampledReport()
 
-	sampledKey := Key{
-		Fingerprint: "fp", Workload: "espresso", Budget: 1,
-		Sample: srep.SampleKey, CodeVersion: "v-test",
-	}
-	if err := s.Put(sampledKey, testReport(), nil); err == nil {
+	sk := sampledKey("fp", 1, srep.SampleKey, "v-test")
+	if err := s.Put(sk, testReport(), nil); err == nil {
 		t.Error("Put accepted a key with a Sample discriminator")
-	} else if !strings.Contains(err.Error(), "PutSampled") {
-		t.Errorf("Put error %q does not point at PutSampled", err)
+	} else if !strings.Contains(err.Error(), "sampled key") {
+		t.Errorf("Put error %q does not explain the key kind", err)
 	}
 
 	exactKey := Key{Fingerprint: "fp", Workload: "espresso", Budget: 1, CodeVersion: "v-test"}
-	if err := s.PutSampled(exactKey, srep, nil); err == nil {
-		t.Error("PutSampled accepted a key without a Sample discriminator")
+	for name, res := range map[string]Result{
+		"sampled under an exact key": {Sampled: srep},
+		"sampled and a fault":        {Sampled: srep, Fault: panicFault()},
+		"report and sampled":         {Report: testReport(), Sampled: srep},
+		"no payload":                 {},
+	} {
+		k := sk
+		if name == "sampled under an exact key" {
+			k = exactKey
+		}
+		if err := s.Write(k, res); err == nil {
+			t.Errorf("Write accepted %s", name)
+		}
 	}
-	if err := s.PutSampled(sampledKey, srep, panicFault()); err == nil {
-		t.Error("PutSampled accepted both a report and a fault")
-	}
-	if err := s.PutSampled(sampledKey, nil, nil); err == nil {
-		t.Error("PutSampled accepted neither report nor fault")
+	if st := s.Stats(); st.Puts != 0 || st.PutErrors != 5 {
+		t.Errorf("stats %+v, want every refused write counted", st)
 	}
 }
 
@@ -125,16 +143,16 @@ func TestSampledFaultRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, "v-test")
 	f := panicFault()
-	key := testSampledReport().SampleKey
+	k := sampledKey("fp", 1_000, testSampledReport().SampleKey, "v-test")
 
-	if err := s.SaveSampled("fp", "espresso", 1_000, key, nil, f); err != nil {
+	if err := s.Write(k, Result{Fault: f}); err != nil {
 		t.Fatal(err)
 	}
-	rep, got, ok := mustOpen(t, dir, "v-test").LookupSampled("fp", "espresso", 1_000, key)
-	if !ok || rep != nil || got == nil {
-		t.Fatalf("fault lookup: ok=%v rep=%v fault=%v", ok, rep, got)
+	res, ok := mustOpen(t, dir, "v-test").Read(k)
+	if !ok || res.Sampled != nil || res.Fault == nil {
+		t.Fatalf("fault lookup: ok=%v result=%+v", ok, res)
 	}
-	if got.Subsystem != f.Subsystem || got.Cycle != f.Cycle {
+	if got := res.Fault; got.Subsystem != f.Subsystem || got.Cycle != f.Cycle {
 		t.Errorf("round-tripped fault differs: %+v vs %+v", got, f)
 	}
 }
@@ -145,10 +163,10 @@ func TestSampledCodeVersionInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	old := mustOpen(t, dir, "v-old")
 	srep := testSampledReport()
-	if err := old.SaveSampled("fp", "espresso", 1_000, srep.SampleKey, srep, nil); err != nil {
+	if err := old.Write(sampledKey("fp", 1_000, srep.SampleKey, "v-old"), Result{Sampled: srep}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := mustOpen(t, dir, "v-new").LookupSampled("fp", "espresso", 1_000, srep.SampleKey); ok {
+	if _, ok := mustOpen(t, dir, "v-new").Read(sampledKey("fp", 1_000, srep.SampleKey, "v-new")); ok {
 		t.Fatal("sampled entry survived a code-version change")
 	}
 }

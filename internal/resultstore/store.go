@@ -220,17 +220,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// key builds the full store key for the runner-facing job coordinates.
-func (s *Store) key(fingerprint, workload string, budget uint64, scheduled bool) Key {
-	return Key{
-		Fingerprint: fingerprint,
-		Workload:    workload,
-		Budget:      budget,
-		Scheduled:   scheduled,
-		CodeVersion: s.version,
-	}
-}
-
 // path returns the entry file for a key: two-level fan-out on the leading
 // hash byte keeps directories small on big grids.
 func (s *Store) path(k Key) string {
@@ -238,69 +227,78 @@ func (s *Store) path(k Key) string {
 	return filepath.Join(s.dir, "v1", h[:2], h+".json")
 }
 
-// Lookup implements the harness Store contract: it returns the stored
-// report or typed fault for the job coordinates, keyed under this
-// process's code version. ok is false on any miss — absent entry, stale
-// code version, or an entry that failed verification (which is quarantined
-// on the way out).
-func (s *Store) Lookup(fingerprint, workload string, budget uint64, scheduled bool) (*core.Report, *simfault.Fault, bool) {
-	return s.Get(s.key(fingerprint, workload, budget, scheduled))
+// Result is one job's outcome as the store holds it: exactly one of an
+// exact Report (under a key with an empty Sample), a Sampled estimate
+// (under a key carrying sample.Params.Key()), or a persistable Fault
+// (under either kind of key).
+type Result struct {
+	Report  *core.Report
+	Sampled *sample.Report
+	Fault   *simfault.Fault
 }
 
-// Get returns the exact-run entry stored under k, verifying the checksum
-// and the embedded key before trusting it. k must be an exact key
-// (Sample empty); sampled entries are served by GetSampled.
-func (s *Store) Get(k Key) (*core.Report, *simfault.Fault, bool) {
-	if k.Sample != "" {
-		s.misses.Add(1)
-		return nil, nil, false
-	}
-	e, ok := s.read(k)
-	if !ok {
-		return nil, nil, false
-	}
+// validFor reports whether res is a payload k may hold: exactly one of the
+// three, of the kind the key names, and never an environment-dependent
+// fault. It is the single check both Read and Write apply.
+func (res Result) validFor(k Key) bool {
 	switch {
-	case e.Report != nil && e.Fault == nil && e.Sampled == nil:
-		s.hits.Add(1)
-		return e.Report, nil, true
-	case e.Fault != nil && e.Report == nil && e.Sampled == nil && e.Fault.Fault().Persistable():
-		s.hits.Add(1)
-		return nil, e.Fault.Fault(), true
-	default:
-		// Exactly one payload of the kind the key names, and never an
-		// environment-dependent fault: anything else is a malformed write.
-		s.quarantine(s.path(k), "invalid payload")
-		return nil, nil, false
+	case res.Report != nil:
+		return res.Sampled == nil && res.Fault == nil && k.Sample == ""
+	case res.Sampled != nil:
+		return res.Fault == nil && k.Sample != ""
+	case res.Fault != nil:
+		return res.Fault.Persistable()
 	}
+	return false
 }
 
-// read loads and verifies the entry stored under k: checksum first, then
-// the embedded key. Anything that fails verification is quarantined and
-// reported as a miss.
-func (s *Store) read(k Key) (*entry, bool) {
+// Read returns the result stored under k, verifying the checksum, the
+// embedded key and the payload before trusting it. ok is false on any
+// miss — absent entry, stale code version, or an entry that failed
+// verification (which is quarantined on the way out).
+func (s *Store) Read(k Key) (Result, bool) {
 	path := s.path(k)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		s.misses.Add(1)
-		return nil, false
+		return Result{}, false
 	}
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil {
 		s.quarantine(path, "undecodable entry")
-		return nil, false
+		return Result{}, false
 	}
-	want, err := e.sum()
-	if err != nil || e.Sum != want {
+	if want, err := e.sum(); err != nil || e.Sum != want {
 		s.quarantine(path, "checksum mismatch")
-		return nil, false
+		return Result{}, false
 	}
 	if e.Key != k {
 		// The file answers a different question than its name claims —
 		// a tampered or misplaced entry, never trusted.
 		s.quarantine(path, "key mismatch")
-		return nil, false
+		return Result{}, false
 	}
-	return &e, true
+	res := Result{Report: e.Report, Sampled: e.Sampled}
+	if e.Fault != nil {
+		res.Fault = e.Fault.Fault()
+	}
+	if !res.validFor(k) {
+		s.quarantine(path, "invalid payload")
+		return Result{}, false
+	}
+	s.hits.Add(1)
+	return res, true
+}
+
+// Get is Read for callers that only ever ask for exact reports. A sampled
+// key is a miss.
+func (s *Store) Get(k Key) (*core.Report, *simfault.Fault, bool) {
+	if k.Sample != "" {
+		s.misses.Add(1)
+		return nil, nil, false
+	}
+	res, ok := s.Read(k)
+	return res.Report, res.Fault, ok
 }
 
 // quarantine moves a failed entry aside (best-effort: on a read-only
@@ -312,17 +310,12 @@ func (s *Store) quarantine(path, _ string) {
 	os.Rename(path, path+".corrupt") //nolint:errcheck // best-effort; read-only stores keep the file
 }
 
-// Save implements the harness Store contract: persist one finished job.
-// Environment-dependent faults are refused (ErrNotPersistable); see
-// simfault.Fault.Persistable.
-func (s *Store) Save(fingerprint, workload string, budget uint64, scheduled bool, rep *core.Report, f *simfault.Fault) error {
-	return s.Put(s.key(fingerprint, workload, budget, scheduled), rep, f)
-}
-
-// Put writes one entry atomically: marshal, temp file in the final
-// directory, rename. Exactly one of rep and f must be non-nil.
-func (s *Store) Put(k Key, rep *core.Report, f *simfault.Fault) error {
-	err := s.put(k, rep, f)
+// Write lands one result atomically: marshal, temp file in the final
+// directory, rename. res must be valid for k (see Result); an
+// environment-dependent fault is refused with ErrNotPersistable (see
+// simfault.Fault.Persistable).
+func (s *Store) Write(k Key, res Result) error {
+	err := s.write(k, res)
 	if err != nil {
 		s.putErrors.Add(1)
 	} else {
@@ -331,27 +324,24 @@ func (s *Store) Put(k Key, rep *core.Report, f *simfault.Fault) error {
 	return err
 }
 
-func (s *Store) put(k Key, rep *core.Report, f *simfault.Fault) error {
-	if k.Sample != "" {
-		return errors.New("resultstore: sampled key requires PutSampled")
-	}
-	if (rep == nil) == (f == nil) {
-		return errors.New("resultstore: exactly one of report and fault must be set")
-	}
-	e := entry{Key: k, Report: rep}
-	if f != nil {
-		e.Fault = recordFault(f)
-	}
-	return s.write(k, e, f)
+// Put is Write for an exact report or its fault.
+func (s *Store) Put(k Key, rep *core.Report, f *simfault.Fault) error {
+	return s.Write(k, Result{Report: rep, Fault: f})
 }
 
-// write validates the shared put invariants and lands e atomically.
-func (s *Store) write(k Key, e entry, f *simfault.Fault) error {
+func (s *Store) write(k Key, res Result) error {
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	if f != nil && !f.Persistable() {
+	if res.Fault != nil && !res.Fault.Persistable() {
 		return ErrNotPersistable
+	}
+	if !res.validFor(k) {
+		return errors.New("resultstore: a result must be exactly one of report (exact key), sampled (sampled key) or fault")
+	}
+	e := entry{Key: k, Report: res.Report, Sampled: res.Sampled}
+	if res.Fault != nil {
+		e.Fault = recordFault(res.Fault)
 	}
 	sum, err := e.sum()
 	if err != nil {

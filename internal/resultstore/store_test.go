@@ -89,12 +89,15 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestCodeVersionInvalidatesEntries(t *testing.T) {
 	dir := t.TempDir()
 	old := mustOpen(t, dir, "v-old")
-	if err := old.Save("fp", "espresso", 1000, false, testReport(), nil); err != nil {
+	key := func(version string) Key {
+		return Key{Fingerprint: "fp", Workload: "espresso", Budget: 1000, CodeVersion: version}
+	}
+	if err := old.Put(key(old.Version()), testReport(), nil); err != nil {
 		t.Fatal(err)
 	}
 
 	cur := mustOpen(t, dir, "v-new")
-	if _, _, ok := cur.Lookup("fp", "espresso", 1000, false); ok {
+	if _, _, ok := cur.Get(key(cur.Version())); ok {
 		t.Fatal("entry written under an old code version served to a new build")
 	}
 	// The stale entry is a plain miss, not corruption: the old build's file
@@ -102,7 +105,7 @@ func TestCodeVersionInvalidatesEntries(t *testing.T) {
 	if st := cur.Stats(); st.Corrupt != 0 {
 		t.Errorf("stale version counted as corruption: %+v", st)
 	}
-	if _, _, ok := old.Lookup("fp", "espresso", 1000, false); !ok {
+	if _, _, ok := old.Get(key(old.Version())); !ok {
 		t.Error("old-version handle lost its own entry")
 	}
 }

@@ -1,8 +1,10 @@
 package aurora
 
 import (
+	"context"
 	"testing"
 
+	"aurora/internal/harness"
 	"aurora/internal/obs"
 )
 
@@ -31,7 +33,7 @@ func TestMetricsReconcileWithReport(t *testing.T) {
 	// A non-divisor interval forces a final partial interval; the flush
 	// re-emit must still land in the last row.
 	s := obs.NewIntervalSampler(9_973)
-	rep, err := RunObserved(Baseline(), w, 120_000, s)
+	rep, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 120_000, Sink: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestMetricsReconcileFPWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := obs.NewIntervalSampler(10_000)
-	rep, err := RunObserved(Baseline(), w, 100_000, s)
+	rep, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 100_000, Sink: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +104,12 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(Baseline(), w, 80_000)
+	base, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 80_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := obs.Multi(obs.NewIntervalSampler(7_000), obs.NewTraceSink(0, 25_000))
-	got, err := RunObserved(Baseline(), w, 80_000, sink)
+	got, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 80_000, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func BenchmarkSimPlain(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunObserved(Baseline(), w, 100_000, nil); err != nil {
+		if _, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 100_000}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +146,7 @@ func BenchmarkSimSampled(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunObserved(Baseline(), w, 100_000, obs.NewIntervalSampler(10_000)); err != nil {
+		if _, err := Run(context.Background(), Baseline(), w, RunOptions{Budget: 100_000, Sink: obs.NewIntervalSampler(10_000)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,15 +157,19 @@ func TestRunObservedNilSinkEqualsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(Small(), w, 50_000)
+	a, err := Run(context.Background(), Small(), w, RunOptions{Budget: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunObserved(Small(), w, 50_000, nil)
+	// The same job through a Runner whose Observe factory declines to
+	// observe (returns a nil sink) must be the identical simulation.
+	r := NewRunner(1)
+	r.Observe = func(harness.JobInfo) obs.Sink { return nil }
+	b, err := r.Run(context.Background(), Small(), w, RunnerOptions{Budget: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Errorf("RunObserved(nil) != Run:\n%s\n%s", a, b)
+		t.Errorf("Runner.Run with a nil sink != Run:\n%s\n%s", a, b)
 	}
 }

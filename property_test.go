@@ -1,6 +1,7 @@
 package aurora
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -68,7 +69,7 @@ func TestPropertySimulatorInvariants(t *testing.T) {
 		}
 		recs := genTrace(script)
 		cfg := genConfig(a, b, c)
-		rep, err := RunTrace(cfg, &trace.SliceStream{Records: recs})
+		rep, err := RunTrace(context.Background(), cfg, &trace.SliceStream{Records: recs})
 		if err != nil {
 			t.Logf("config %+v: %v", cfg, err)
 			return false
@@ -126,8 +127,8 @@ func TestPropertyDeterminism(t *testing.T) {
 		}
 		recs := genTrace(script)
 		cfg := genConfig(a, b, c)
-		r1, err1 := RunTrace(cfg, &trace.SliceStream{Records: recs})
-		r2, err2 := RunTrace(cfg, &trace.SliceStream{Records: recs})
+		r1, err1 := RunTrace(context.Background(), cfg, &trace.SliceStream{Records: recs})
+		r2, err2 := RunTrace(context.Background(), cfg, &trace.SliceStream{Records: recs})
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -156,7 +157,7 @@ func TestPropertyMSHRMonotone(t *testing.T) {
 			cfg.DCacheBytes = 16 << 10
 			cfg.MSHRs = mshrs
 			cfg.PrefetchBuffers = int(seed % 5)
-			rep, err := RunTrace(cfg, &trace.SliceStream{Records: recs})
+			rep, err := RunTrace(context.Background(), cfg, &trace.SliceStream{Records: recs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +269,7 @@ func TestPropertyScheduledSimulation(t *testing.T) {
 		}
 		recs := genTrace(script)
 		cfg := genConfig(a, b, c)
-		rep, err := RunTrace(cfg, trace.NewReschedule(&trace.SliceStream{Records: recs}))
+		rep, err := RunTrace(context.Background(), cfg, trace.NewReschedule(&trace.SliceStream{Records: recs}))
 		if err != nil {
 			return false
 		}

@@ -37,7 +37,7 @@ func TestSampledCPIWithinBound(t *testing.T) {
 			t.Fatalf("%s: checkpoint: %v", wn, err)
 		}
 		for _, cfg := range models {
-			full, err := RunContext(ctx, cfg, w, budget)
+			full, err := Run(ctx, cfg, w, RunOptions{Budget: budget})
 			if err != nil {
 				t.Fatalf("%s on %s: full run: %v", wn, cfg.Name, err)
 			}
@@ -89,7 +89,7 @@ func TestSampledCPIWithinBoundBPred(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := core.Baseline().WithBPred(bp)
-			full, err := RunContext(ctx, cfg, w, budget)
+			full, err := Run(ctx, cfg, w, RunOptions{Budget: budget})
 			if err != nil {
 				t.Fatalf("%s +%s: full run: %v", wn, spec, err)
 			}
@@ -115,7 +115,7 @@ func TestFastForwardThenWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulation(Baseline(), w, 50_000)
+	sim, err := NewSimulation(context.Background(), Baseline(), w, RunOptions{Budget: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFastForwardThenWindow(t *testing.T) {
 	}
 
 	// Fast-forwarding past the budget stops at the budget.
-	sim2, err := NewSimulation(Baseline(), w, 5_000)
+	sim2, err := NewSimulation(context.Background(), Baseline(), w, RunOptions{Budget: 5_000})
 	if err != nil {
 		t.Fatal(err)
 	}
