@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"aurora/internal/bpred"
-	"aurora/internal/core"
 	"aurora/internal/harness"
 	"aurora/internal/resultstore"
 	"aurora/internal/sample"
@@ -123,11 +122,7 @@ func run() int {
 	runner.JobTimeout = *jobTimeout
 	if *storeDir != "" {
 		var err error
-		if *storeReadOnly {
-			runner.Store, err = resultstore.OpenReadOnly(*storeDir)
-		} else {
-			runner.Store, err = resultstore.Open(*storeDir)
-		}
+		runner.Store, err = resultstore.OpenMode(*storeDir, *storeReadOnly)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aurora-experiments: store:", err)
 			return 1
@@ -154,125 +149,54 @@ func run() int {
 		collector = harness.NewObsCollector(interval, 0, cycles)
 		runner.Observe = collector.Sink
 	}
+	if (*explore && (*sampled || *bpredSweep)) || (*sampled && *bpredSweep) {
+		fmt.Fprintln(os.Stderr, "aurora-experiments: -explore, -sample and -bpred-sweep are separate modes; run them separately (sampled screening inside an exploration is -explore-sampled)")
+		return 1
+	}
+	// Each of those modes replaces the exact figure regeneration, the only
+	// one whose per-cycle time series the collectors capture.
+	if collector != nil && (*explore || *sampled || *bpredSweep) {
+		fmt.Fprintln(os.Stderr, "aurora-experiments: -explore, -sample and -bpred-sweep do not capture -metrics-out/-trace-out time series")
+		return 1
+	}
+	sink := &csvSink{dir: *csvDir}
+	sp := sample.Params{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
 	start := time.Now()
 	exit := 0
 	if *explore {
 		// The exploration is its own mode: it replaces the paper-figure
 		// regeneration, drives the runner directly, and prints the frontier.
-		if *bpredSweep {
-			fmt.Fprintln(os.Stderr, "aurora-experiments: -explore and -bpred-sweep are separate modes; run them separately")
-			return 1
-		}
-		if *sampled {
-			fmt.Fprintln(os.Stderr, "aurora-experiments: -sample replaces the figure grid; sampled screening inside the exploration is -explore-sampled")
-			return 1
-		}
-		if collector != nil {
-			fmt.Fprintln(os.Stderr, "aurora-experiments: -explore does not capture -metrics-out/-trace-out time series")
-			return 1
-		}
-		spec, err := exploreSpec(*exploreGrid)
+		spec, err := harness.ExploreSpecFor(*exploreGrid, harness.ExploreSpec{
+			Workload: *exploreWorkload, FullBudget: *exploreBudget, Rungs: *exploreRungs,
+			Halve: *exploreHalve, Slack: *exploreSlack, MaxCostRBE: *exploreMaxCost,
+			Sampled: *exploreSampled, Sample: sp,
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
 			return 1
-		}
-		if *exploreWorkload != "" {
-			spec.Workload = *exploreWorkload
-		}
-		if *exploreBudget != 0 {
-			spec.FullBudget = *exploreBudget
-		}
-		if *exploreRungs != 0 {
-			spec.Rungs = *exploreRungs
-		}
-		if *exploreHalve != 0 {
-			spec.Halve = *exploreHalve
-		}
-		if *exploreSlack != 0 {
-			spec.Slack = *exploreSlack
-		}
-		if *exploreMaxCost != 0 {
-			spec.MaxCostRBE = *exploreMaxCost
-		}
-		if *exploreSampled {
-			spec.Sampled = true
-			spec.Sample = sample.Params{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
 		}
 		ex := &harness.Explorer{Runner: runner, Spec: spec}
 		res, err := ex.Run(ctx)
+		if err == nil {
+			harness.PrintExplore(os.Stdout, res)
+			err = sink.write("explore", func(w io.Writer) error { return harness.ExploreCSV(w, res) })
+			sink.report()
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
 			exit = 1
-		} else {
-			harness.PrintExplore(os.Stdout, res)
-			if *csvDir != "" {
-				if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-					fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
-					exit = 1
-				} else if err := writeFile(filepath.Join(*csvDir, "explore.csv"), func(w io.Writer) error {
-					return harness.ExploreCSV(w, res)
-				}); err != nil {
-					fmt.Fprintln(os.Stderr, "aurora-experiments: csv:", err)
-					exit = 1
-				} else {
-					fmt.Printf("CSV artifact written to %s\n", filepath.Join(*csvDir, "explore.csv"))
-				}
-			}
 		}
 		printSummary(runner, "exploration", time.Since(start).Round(time.Millisecond), "simulations")
 		return exit
 	}
-	if *bpredSweep {
-		// The predictor sweep is its own figure: baseline machine, every
-		// predictor design point, both suites. It replaces the paper-figure
-		// regeneration for the invocation.
-		if *sampled {
-			fmt.Fprintln(os.Stderr, "aurora-experiments: -bpred-sweep measures exact CPI; it cannot be combined with -sample")
-			return 1
-		}
-		if collector != nil {
-			fmt.Fprintln(os.Stderr, "aurora-experiments: -bpred-sweep does not capture -metrics-out/-trace-out time series")
-			return 1
-		}
-		res, err := harness.PredictorSweep(ctx, runner, core.Baseline(), opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
-			exit = 1
-		} else {
-			harness.PrintBPredSweep(os.Stdout, res)
-			if *csvDir != "" {
-				if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-					fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
-					exit = 1
-				} else if err := writeFile(filepath.Join(*csvDir, "bpred_sweep.csv"), func(w io.Writer) error {
-					return harness.BPredSweepCSV(w, res)
-				}); err != nil {
-					fmt.Fprintln(os.Stderr, "aurora-experiments: csv:", err)
-					exit = 1
-				} else {
-					fmt.Printf("CSV artifact written to %s\n", filepath.Join(*csvDir, "bpred_sweep.csv"))
-				}
-			}
-		}
-		st := runner.Stats()
-		fmt.Printf("\npredictor sweep in %s (%d workers; %d simulations, %d memo hits)\n",
-			time.Since(start).Round(time.Millisecond), runner.Workers(), st.Misses, st.Hits)
-		return exit
-	}
 	if *sampled {
 		// Sampled mode replaces the exact figure regeneration with the
-		// estimated CPI grid; the -metrics-out/-trace-out collectors see no
-		// windows worth of per-cycle data, so combining them is rejected.
-		if collector != nil {
-			fmt.Fprintln(os.Stderr, "aurora-experiments: -sample cannot capture -metrics-out/-trace-out time series (run without -sample for those)")
-			return 1
-		}
+		// estimated CPI grid.
 		if *extensions || *csvDir != "" {
 			fmt.Fprintln(os.Stderr, "aurora-experiments: -sample estimates the CPI grid only; -extensions and -csv need exact runs")
 			return 1
 		}
-		p := sample.Params{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
-		res, err := harness.SampledSweep(ctx, runner, opts, p)
+		res, err := harness.SampledSweep(ctx, runner, opts, sp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
 			exit = 1
@@ -282,54 +206,45 @@ func run() int {
 		printSummary(runner, "sampled sweep", time.Since(start).Round(time.Millisecond), "estimates")
 		return exit
 	}
-	if err := harness.Render(ctx, os.Stdout, runner, opts); err != nil {
+
+	// Every other mode renders registry artifacts: the paper's sections,
+	// optionally the extension studies, or — with -bpred-sweep — only the
+	// predictor sweep (baseline machine, every predictor design point).
+	arts := harness.Artifacts(harness.PaperArtifact)
+	if *extensions {
+		arts = harness.Artifacts(harness.PaperArtifact, harness.ExtensionArtifact)
+	}
+	what, round := "regenerated all tables and figures", time.Second
+	if *bpredSweep {
+		bp, _ := harness.ArtifactNamed("bpred")
+		arts = []harness.Artifact{bp}
+		what, round = "predictor sweep", time.Millisecond
+	}
+	if err := harness.Render(ctx, os.Stdout, runner, opts, arts, sink.write); err != nil {
 		fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
 		exit = 1
-	}
-	if exit == 0 && *extensions {
-		if err := harness.RenderExtensions(ctx, os.Stdout, runner, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
-			exit = 1
-		}
-	}
-	if exit == 0 && *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
-			exit = 1
-		} else {
-			open := func(name string) (io.WriteCloser, error) {
-				return os.Create(filepath.Join(*csvDir, name+".csv"))
-			}
-			if err := harness.ExportCSV(ctx, open, runner, opts); err != nil {
-				fmt.Fprintln(os.Stderr, "aurora-experiments: csv:", err)
-				exit = 1
-			} else {
-				fmt.Printf("CSV artifacts written to %s\n", *csvDir)
-			}
-		}
+	} else {
+		sink.report()
 	}
 	// Single cleanup path: the collector flushes whatever the finished jobs
 	// produced even when the sweep failed fast or was interrupted, so a
 	// partial run still leaves usable metrics and traces behind.
-	if collector != nil {
-		if *metricsOut != "" {
-			if err := writeFile(*metricsOut, collector.WriteMetricsCSV); err != nil {
-				fmt.Fprintln(os.Stderr, "aurora-experiments: metrics:", err)
-				exit = 1
-			} else {
-				fmt.Printf("metrics time series written to %s\n", *metricsOut)
-			}
+	save := func(path, what, label string, gen func(io.Writer) error) {
+		if path == "" {
+			return
 		}
-		if *traceOut != "" {
-			if err := writeFile(*traceOut, collector.WriteChromeTrace); err != nil {
-				fmt.Fprintln(os.Stderr, "aurora-experiments: trace:", err)
-				exit = 1
-			} else {
-				fmt.Printf("Chrome trace written to %s\n", *traceOut)
-			}
+		if err := writeFile(path, gen); err != nil {
+			fmt.Fprintf(os.Stderr, "aurora-experiments: %s: %v\n", label, err)
+			exit = 1
+		} else {
+			fmt.Printf("%s written to %s\n", what, path)
 		}
 	}
-	printSummary(runner, "regenerated all tables and figures", time.Since(start).Round(time.Second), "simulations")
+	if collector != nil {
+		save(*metricsOut, "metrics time series", "metrics", collector.WriteMetricsCSV)
+		save(*traceOut, "Chrome trace", "trace", collector.WriteChromeTrace)
+	}
+	printSummary(runner, what, time.Since(start).Round(round), "simulations")
 	return exit
 }
 
@@ -347,15 +262,39 @@ func printSummary(runner *harness.Runner, what string, elapsed time.Duration, no
 		what, elapsed, runner.Workers(), st.Misses, noun, st.Hits)
 }
 
-// exploreSpec resolves the -explore-grid preset.
-func exploreSpec(grid string) (harness.ExploreSpec, error) {
-	switch grid {
-	case "default":
-		return harness.ExploreSpec{}, nil
-	case "tiny":
-		return harness.TinyExploreSpec(), nil
+// csvSink writes CSV artifacts as <dir>/<name>.csv, creating dir on first
+// use, and remembers the files it wrote. With no dir (-csv unset) it writes
+// nothing.
+type csvSink struct {
+	dir   string
+	paths []string
+}
+
+func (s *csvSink) write(name string, gen func(io.Writer) error) error {
+	if s.dir == "" {
+		return nil
 	}
-	return harness.ExploreSpec{}, fmt.Errorf("unknown -explore-grid %q (want default or tiny)", grid)
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return fmt.Errorf("csv: %w", err)
+	}
+	path := filepath.Join(s.dir, name+".csv")
+	if err := writeFile(path, gen); err != nil {
+		return fmt.Errorf("csv: %w", err)
+	}
+	s.paths = append(s.paths, path)
+	return nil
+}
+
+// report prints where the artifacts went: the file itself when there is
+// only one.
+func (s *csvSink) report() {
+	switch len(s.paths) {
+	case 0:
+	case 1:
+		fmt.Printf("CSV artifact written to %s\n", s.paths[0])
+	default:
+		fmt.Printf("CSV artifacts written to %s\n", s.dir)
+	}
 }
 
 // writeFile creates path and streams gen's output into it.

@@ -56,23 +56,3 @@ func TestResolveOptionsUnsetFlagsKeepPreset(t *testing.T) {
 		t.Errorf("SweepBudget = %d, want quick preset %d", got.SweepBudget, harness.Quick().SweepBudget)
 	}
 }
-
-func TestExploreSpecPresets(t *testing.T) {
-	if _, err := exploreSpec("galactic"); err == nil {
-		t.Error("unknown grid accepted")
-	}
-	tiny, err := exploreSpec("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiny.Rungs != 2 || len(tiny.ICacheKB) != 2 {
-		t.Errorf("tiny preset = %+v, want the 2-rung 4-candidate smoke grid", tiny)
-	}
-	def, err := exploreSpec("default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := def.Normalize(); n.Rungs != 3 || n.Workload != "espresso" {
-		t.Errorf("default preset normalizes to %+v, want the standard 3-rung espresso search", n)
-	}
-}

@@ -14,7 +14,11 @@
 //	POST /v1/sweep            submit {models, workloads, budget, scheduled};
 //	                          streams one NDJSON cell per result, then a
 //	                          {"done":true,...} summary line
-//	GET  /v1/figures/{name}   fig4..fig8, table3..table6, traffic as text
+//	POST /v1/explore          submit a design-space exploration; streams
+//	                          one NDJSON line per candidate evaluation
+//	GET  /v1/figures/{name}   any harness artifact as text: fig1..fig9latencies,
+//	                          table3..table6, traffic, the extension studies
+//	                          and bpred (a bad name lists them all)
 //
 // With -pprof, the standard debug surface (pprof, expvar with the
 // aurora_runner and aurora_store keys) is served on a second listener.
@@ -58,16 +62,11 @@ func main() {
 	runner.JobTimeout = *jobTimeout
 
 	if *storeDir != "" {
-		var err error
-		if *storeReadOnly {
-			runner.Store, err = resultstore.OpenReadOnly(*storeDir)
-		} else {
-			runner.Store, err = resultstore.Open(*storeDir)
-		}
+		st, err := resultstore.OpenMode(*storeDir, *storeReadOnly)
 		if err != nil {
 			log.Fatalf("aurora-serve: open store: %v", err)
 		}
-		st := runner.Store
+		runner.Store = st
 		log.Printf("store %s (version %s, read-only %v)", st.Dir(), st.Version(), st.ReadOnly())
 	}
 
@@ -76,13 +75,11 @@ func main() {
 		figureOpts.Budget = 40_000
 		figureOpts.SweepBudget = 8_000
 	}
-	var defaultBPred bpred.Config
 	if *bpredSpec != "" {
 		bp, err := bpred.Parse(*bpredSpec)
 		if err != nil {
 			log.Fatalf("aurora-serve: -bpred: %v", err)
 		}
-		defaultBPred = bp
 		figureOpts.BPred = bp
 	}
 
@@ -95,7 +92,6 @@ func main() {
 	}
 
 	srv := newServer(runner, *budget, figureOpts)
-	srv.defaultBPred = defaultBPred
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("aurora-serve: listen: %v", err)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,14 +28,11 @@ type server struct {
 	runner *harness.Runner
 
 	// defaultBudget bounds a sweep cell whose submission leaves the
-	// budget unset; figure endpoints use figureOpts wholesale.
+	// budget unset. Figure endpoints use figureOpts wholesale; its BPred,
+	// the -bpred flag, is also the predictor of sweep submissions that do
+	// not name one (zero keeps the paper's branch-folding front end).
 	defaultBudget uint64
 	figureOpts    harness.Options
-
-	// defaultBPred is the -bpred flag: the predictor overlaid onto sweep
-	// submissions that do not name one (the zero value keeps the paper's
-	// branch-folding front end).
-	defaultBPred bpred.Config
 }
 
 func newServer(runner *harness.Runner, defaultBudget uint64, figureOpts harness.Options) *server {
@@ -229,7 +225,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The submission's predictor wins over the daemon default; an explicit
 	// "folding" parses to the zero config and so forces the paper's front
 	// end either way.
-	reqBPred := s.defaultBPred
+	reqBPred := s.figureOpts.BPred
 	if req.BPred != "" {
 		bp, err := bpred.Parse(req.BPred)
 		if err != nil {
@@ -394,48 +390,20 @@ func (s *server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad submission: %v", err)
 		return
 	}
-	var spec harness.ExploreSpec
-	switch req.Grid {
-	case "", "default":
-		spec = harness.ExploreSpec{}
-	case "tiny":
-		spec = harness.TinyExploreSpec()
-	default:
-		httpError(w, http.StatusBadRequest, "unknown grid %q (want default or tiny)", req.Grid)
-		return
-	}
 	if !req.Sampled && req.Sample != (sample.Params{}) {
 		// Same contract as the sweep: sampling parameters on an exact
 		// submission are rejected, never silently ignored.
 		httpError(w, http.StatusBadRequest, "sample parameters require a sampled submission (set sampled:true)")
 		return
 	}
-	if req.Workload != "" {
-		// Resolve up front: once the stream starts the status is spent.
-		if _, err := workloads.Get(req.Workload); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		spec.Workload = req.Workload
-	}
-	if req.Budget != 0 {
-		spec.FullBudget = req.Budget
-	}
-	if req.Rungs != 0 {
-		spec.Rungs = req.Rungs
-	}
-	if req.Halve != 0 {
-		spec.Halve = req.Halve
-	}
-	if req.Slack != 0 {
-		spec.Slack = req.Slack
-	}
-	if req.MaxCostRBE != 0 {
-		spec.MaxCostRBE = req.MaxCostRBE
-	}
-	if req.Sampled {
-		spec.Sampled = true
-		spec.Sample = req.Sample
+	// Resolve up front: once the stream starts the status is spent.
+	spec, err := harness.ExploreSpecFor(req.Grid, harness.ExploreSpec{
+		Workload: req.Workload, FullBudget: req.Budget, Rungs: req.Rungs, Halve: req.Halve,
+		Slack: req.Slack, MaxCostRBE: req.MaxCostRBE, Sampled: req.Sampled, Sample: req.Sample,
+	})
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -508,120 +476,23 @@ func (s *server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// figureRenderers maps the figure endpoint names to the harness artifacts.
-// Each renders through the shared runner, so a warmed store serves every
-// one of these instantly.
-var figureRenderers = map[string]func(context.Context, io.Writer, *harness.Runner, harness.Options) error{
-	"fig4": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		pts, err := harness.Fig4(ctx, r, o)
-		if err == nil {
-			harness.PrintFig4(w, pts)
-		}
-		return err
-	},
-	"fig5": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		pts, err := harness.Fig5(ctx, r, o)
-		if err == nil {
-			harness.PrintFig5(w, pts)
-		}
-		return err
-	},
-	"fig6": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		rows, err := harness.Fig6(ctx, r, o)
-		if err == nil {
-			harness.PrintFig6(w, rows)
-		}
-		return err
-	},
-	"fig7": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		pts, err := harness.Fig7(ctx, r, o)
-		if err == nil {
-			harness.PrintFig7(w, pts)
-		}
-		return err
-	},
-	"fig8": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		pts, err := harness.Fig8(ctx, r, o)
-		if err == nil {
-			harness.PrintFig8(w, pts)
-		}
-		return err
-	},
-	"table3": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		t, err := harness.Table3(ctx, r, o)
-		if err == nil {
-			harness.PrintRateTable(w, t)
-		}
-		return err
-	},
-	"table4": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		t, err := harness.Table4(ctx, r, o)
-		if err == nil {
-			harness.PrintRateTable(w, t)
-		}
-		return err
-	},
-	"table5": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		t, err := harness.Table5(ctx, r, o)
-		if err == nil {
-			harness.PrintRateTable(w, t)
-		}
-		return err
-	},
-	"table6": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		rows, err := harness.Table6(ctx, r, o)
-		if err == nil {
-			harness.PrintTable6(w, rows)
-		}
-		return err
-	},
-	"traffic": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		ratios, err := harness.WriteTraffic(ctx, r, o)
-		if err == nil {
-			harness.PrintWriteTraffic(w, ratios)
-		}
-		return err
-	},
-	"bpred": func(ctx context.Context, w io.Writer, r *harness.Runner, o harness.Options) error {
-		// The sweep names its own predictors; the daemon-wide -bpred
-		// default must not overlay its folding anchor point.
-		o.BPred = bpred.Config{}
-		res, err := harness.PredictorSweep(ctx, r, core.Baseline(), o)
-		if err == nil {
-			harness.PrintBPredSweep(w, res)
-		}
-		return err
-	},
-}
-
-// handleFigure renders one named artifact as text. The render assembles
+// handleFigure renders one registry artifact as text. The render assembles
 // its cells in input order, so — unlike the sweep stream — the body is
 // byte-identical on every request, hot or cold.
 func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/v1/figures/")
-	render, ok := figureRenderers[name]
+	art, ok := harness.ArtifactNamed(name)
 	if !ok {
-		names := make([]string, 0, len(figureRenderers))
-		for n := range figureRenderers {
-			names = append(names, n)
+		var names []string
+		for _, a := range harness.Artifacts() {
+			names = append(names, a.Name)
 		}
-		sortStrings(names)
 		httpError(w, http.StatusNotFound, "unknown figure %q (%s)", name, strings.Join(names, ", "))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := render(r.Context(), w, s.runner, s.figureOpts); err != nil {
+	if err := harness.Render(r.Context(), w, s.runner, s.figureOpts, []harness.Artifact{art}, nil); err != nil {
 		// Headers are gone; append the error to the body.
 		fmt.Fprintf(w, "\nerror: %v\n", err)
-	}
-}
-
-// sortStrings is sort.Strings without dragging package sort into the
-// request path for one error message.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }

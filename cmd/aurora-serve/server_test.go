@@ -254,8 +254,27 @@ func TestFigureEndpointDeterministicAndCached(t *testing.T) {
 		t.Errorf("warm render simulated: %+v (cold simulated %d)", st, simulated)
 	}
 
-	if code, body := fetch(ts, "fig99"); code != http.StatusNotFound || !strings.Contains(body, "unknown figure") {
+	// Every registry artifact is served, and its body is byte-identical
+	// on a second fetch.
+	var names []string
+	for _, a := range harness.Artifacts() {
+		names = append(names, a.Name)
+		code, first := fetch(ts, a.Name)
+		if code != http.StatusOK || strings.Contains(first, "error:") {
+			t.Errorf("%s returned %d:\n%s", a.Name, code, first)
+			continue
+		}
+		if _, second := fetch(ts, a.Name); second != first {
+			t.Errorf("%s body differs between fetches:\n--- first ---\n%s--- second ---\n%s", a.Name, first, second)
+		}
+	}
+
+	code, body := fetch(ts, "fig99")
+	if code != http.StatusNotFound || !strings.Contains(body, "unknown figure") {
 		t.Errorf("unknown figure returned %d: %s", code, body)
+	}
+	if list := strings.Join(names, ", "); !strings.Contains(body, list) {
+		t.Errorf("404 body does not list the figures in registry order (%s): %s", list, body)
 	}
 }
 

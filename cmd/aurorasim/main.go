@@ -141,11 +141,7 @@ func run() int {
 	// simulated by any of the three is a disk hit for the rest.
 	runner := harness.NewRunner(1)
 	if *storeDir != "" {
-		if *storeReadOnly {
-			runner.Store, err = resultstore.OpenReadOnly(*storeDir)
-		} else {
-			runner.Store, err = resultstore.Open(*storeDir)
-		}
+		runner.Store, err = resultstore.OpenMode(*storeDir, *storeReadOnly)
 		if err != nil {
 			return fail(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"aurora/internal/bpred"
@@ -268,5 +269,55 @@ func TestPredictorSweepAllFaultedMispredictNaN(t *testing.T) {
 		if p.Faults == 0 {
 			t.Errorf("%s: no faults counted under an armed hot-path site", p.Label)
 		}
+	}
+}
+
+// TestBPredOverrideReachesSweepFigures is the regression test for the sweep
+// options dropping the -bpred override: Figures 8 and 9 rebuilt their
+// options from the two budgets alone, so a static predictor left every
+// Figure 8 CPI byte-identical to the folding front end.
+func TestBPredOverrideReachesSweepFigures(t *testing.T) {
+	opts := Options{Budget: 20_000, SweepBudget: 5_000}
+	r := NewRunner(2)
+	plain, err := Fig8(context.Background(), r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.BPred = parseBPred(t, "static")
+	static, err := Fig8(context.Background(), r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := 0
+	for i := range plain {
+		if static[i].CPI != plain[i].CPI {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Error("-bpred static left every Figure 8 CPI unchanged; the override never reached the sweep")
+	}
+}
+
+// TestPredictorSweepFoldingRowIgnoresOverride: the predictor sweep names
+// every point's predictor itself, so a sweep-wide override must leave its
+// folding anchor row identical to a run without one.
+func TestPredictorSweepFoldingRowIgnoresOverride(t *testing.T) {
+	opts := Options{Budget: 20_000, SweepBudget: 5_000}
+	r := NewRunner(2)
+	plain, err := PredictorSweep(context.Background(), r, core.Baseline(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.BPred = parseBPred(t, "static")
+	over, err := PredictorSweep(context.Background(), r, core.Baseline(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Points[0].Label != "folding" {
+		t.Fatalf("first sweep point is %q, want the folding anchor", plain.Points[0].Label)
+	}
+	if !reflect.DeepEqual(plain.Points[0], over.Points[0]) {
+		t.Errorf("folding row under an override = %+v, want %+v", over.Points[0], plain.Points[0])
 	}
 }

@@ -75,7 +75,10 @@ func BPredSweepConfigs() ([]bpred.Config, []string, error) {
 // PredictorSweep runs the bits-vs-CPI predictor sweep on the given model
 // config (the baseline in the standard figure) over both workload suites.
 func PredictorSweep(ctx context.Context, r *Runner, model core.Config, opts Options) (*BPredSweepResult, error) {
+	// Every point names its own predictor, so a sweep-wide -bpred override
+	// must not overlay the folding anchor.
 	opts = opts.sweep()
+	opts.BPred = bpred.Config{}
 	points, specs, err := BPredSweepConfigs()
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -174,127 +173,4 @@ func ExploreCSV(w io.Writer, r *ExploreResult) error {
 	return writeCSV(w, []string{"label", "workload", "issue", "icache_kb",
 		"wc_lines", "rob", "mshrs", "pf_buffers", "bpred",
 		"cost_rbe", "icache_rbe", "bpred_rbe", "cpi", "budget"}, rows)
-}
-
-// csvArtifact pairs an artifact file name with the generator that writes it.
-type csvArtifact struct {
-	name string
-	gen  func(io.Writer) error
-}
-
-// ExportCSV runs the core experiments and writes one CSV per artifact via
-// the open function (typically wrapping os.Create on "<dir>/<name>.csv").
-// Experiments are computed concurrently through the runner; files are
-// emitted in a fixed order with deterministic contents.
-func ExportCSV(ctx context.Context, open func(name string) (io.WriteCloser, error), r *Runner, opts Options) error {
-	groups := []func(ctx context.Context) ([]csvArtifact, error){
-		func(ctx context.Context) ([]csvArtifact, error) {
-			pts, err := Fig4(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{{"fig4_issue_width", func(w io.Writer) error { return Fig4CSV(w, pts) }}}, nil
-		},
-		func(ctx context.Context) ([]csvArtifact, error) {
-			t, err := Table3(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{{"table3_iprefetch", func(w io.Writer) error { return RateTableCSV(w, t) }}}, nil
-		},
-		func(ctx context.Context) ([]csvArtifact, error) {
-			t, err := Table4(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{{"table4_dprefetch", func(w io.Writer) error { return RateTableCSV(w, t) }}}, nil
-		},
-		func(ctx context.Context) ([]csvArtifact, error) {
-			t, err := Table5(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{{"table5_writecache", func(w io.Writer) error { return RateTableCSV(w, t) }}}, nil
-		},
-		func(ctx context.Context) ([]csvArtifact, error) {
-			f5, err := Fig5(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{{"fig5_prefetch_removal", func(w io.Writer) error { return Fig5CSV(w, f5) }}}, nil
-		},
-		func(ctx context.Context) ([]csvArtifact, error) {
-			f6, err := Fig6(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{{"fig6_stalls", func(w io.Writer) error { return Fig6CSV(w, f6) }}}, nil
-		},
-		func(ctx context.Context) ([]csvArtifact, error) {
-			f7, err := Fig7(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{{"fig7_mshr", func(w io.Writer) error { return Fig7CSV(w, f7) }}}, nil
-		},
-		func(ctx context.Context) ([]csvArtifact, error) {
-			f8, err := Fig8(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{{"fig8_costperf", func(w io.Writer) error { return Fig8CSV(w, f8) }}}, nil
-		},
-		func(ctx context.Context) ([]csvArtifact, error) {
-			t6, err := Table6(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{{"table6_fpu_policy", func(w io.Writer) error { return Table6CSV(w, t6) }}}, nil
-		},
-		func(ctx context.Context) ([]csvArtifact, error) {
-			iq, lq, rob, err := Fig9Queues(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{
-				{"fig9a_instr_queue", func(w io.Writer) error { return SweepCSV(w, "entries", iq) }},
-				{"fig9b_load_queue", func(w io.Writer) error { return SweepCSV(w, "entries", lq) }},
-				{"fig9c_reorder_buffer", func(w io.Writer) error { return SweepCSV(w, "entries", rob) }},
-			}, nil
-		},
-		func(ctx context.Context) ([]csvArtifact, error) {
-			lat, err := Fig9Latencies(ctx, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []csvArtifact{
-				{"fig9d_add_latency", func(w io.Writer) error { return SweepCSV(w, "cycles", lat.Add) }},
-				{"fig9e_mul_latency", func(w io.Writer) error { return SweepCSV(w, "cycles", lat.Mul) }},
-				{"fig9f_div_latency", func(w io.Writer) error { return SweepCSV(w, "cycles", lat.Div) }},
-				{"fig9g_cvt_latency", func(w io.Writer) error { return SweepCSV(w, "cycles", lat.Cvt) }},
-			}, nil
-		},
-	}
-	results, err := each(ctx, opts, len(groups), func(ctx context.Context, i int) ([]csvArtifact, error) {
-		return groups[i](ctx)
-	})
-	if err != nil {
-		return err
-	}
-	for _, group := range results {
-		for _, a := range group {
-			f, err := open(a.name)
-			if err != nil {
-				return err
-			}
-			if err := a.gen(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -597,34 +597,46 @@ type SweepPoint struct {
 	Faults  int
 }
 
+// fpSweep runs the FP suite on the baseline machine once per value of one
+// FPU knob: apply sets the knob (and any fixed policy) on the default FPU
+// configuration, and cost prices the point in RBE (nil leaves it unpriced).
+// Every Figure 9 panel, the §5.10 pipelining ablation and the dual-issue
+// queue extension are one call each.
+func fpSweep(ctx context.Context, r *Runner, opts Options, vals []int, apply func(*fpu.Config, int), cost func(int) int) ([]SweepPoint, error) {
+	opts = opts.sweep()
+	return each(ctx, opts, len(vals), func(ctx context.Context, i int) (SweepPoint, error) {
+		v := vals[i]
+		cfg := core.Baseline()
+		f := fpu.DefaultConfig()
+		apply(&f, v)
+		cfg.FPU = f
+		per, _, _, avg, err := suiteCPI(ctx, r, cfg, workloads.FP(), opts)
+		if err != nil {
+			return SweepPoint{}, err
+		}
+		pt := SweepPoint{X: v, AvgCPI: avg, Faults: countFaults(per)}
+		if cost != nil {
+			pt.CostRBE = cost(v)
+		}
+		return pt, nil
+	})
+}
+
 // Fig9Queues regenerates panels (a)-(c): instruction queue 1-5, load queue
 // 1-5, reorder buffer 3-11, single-issue FPU policy as in the paper.
 func Fig9Queues(ctx context.Context, r *Runner, opts Options) (iq, lq, rob []SweepPoint, err error) {
-	opts = opts.sweep()
-	sweep := func(vals []int, apply func(*fpu.Config, int)) ([]SweepPoint, error) {
-		return each(ctx, opts, len(vals), func(ctx context.Context, i int) (SweepPoint, error) {
-			v := vals[i]
-			cfg := core.Baseline()
-			f := fpu.DefaultConfig()
-			f.Policy = fpu.OutOfOrderSingle
-			apply(&f, v)
-			cfg.FPU = f
-			per, _, _, avg, err := suiteCPI(ctx, r, cfg, workloads.FP(), opts)
-			if err != nil {
-				return SweepPoint{}, err
-			}
-			return SweepPoint{X: v, AvgCPI: avg, Faults: countFaults(per)}, nil
-		})
-	}
-	iq, err = sweep([]int{1, 2, 3, 4, 5}, func(f *fpu.Config, v int) { f.InstrQueue = v })
+	iq, err = fpSweep(ctx, r, opts, []int{1, 2, 3, 4, 5},
+		func(f *fpu.Config, v int) { f.Policy, f.InstrQueue = fpu.OutOfOrderSingle, v }, nil)
 	if err != nil {
 		return
 	}
-	lq, err = sweep([]int{1, 2, 3, 4, 5}, func(f *fpu.Config, v int) { f.LoadQueue = v })
+	lq, err = fpSweep(ctx, r, opts, []int{1, 2, 3, 4, 5},
+		func(f *fpu.Config, v int) { f.Policy, f.LoadQueue = fpu.OutOfOrderSingle, v }, nil)
 	if err != nil {
 		return
 	}
-	rob, err = sweep([]int{3, 5, 7, 9, 11}, func(f *fpu.Config, v int) { f.ReorderBuffer = v })
+	rob, err = fpSweep(ctx, r, opts, []int{3, 5, 7, 9, 11},
+		func(f *fpu.Config, v int) { f.Policy, f.ReorderBuffer = fpu.OutOfOrderSingle, v }, nil)
 	return
 }
 
@@ -640,65 +652,35 @@ type Fig9LatencyResult struct {
 
 // Fig9Latencies runs the latency sweeps.
 func Fig9Latencies(ctx context.Context, r *Runner, opts Options) (*Fig9LatencyResult, error) {
-	opts = opts.sweep()
 	res := &Fig9LatencyResult{}
-	sweep := func(vals []int, apply func(*fpu.Config, int), cost func(int) int) ([]SweepPoint, error) {
-		return each(ctx, opts, len(vals), func(ctx context.Context, i int) (SweepPoint, error) {
-			v := vals[i]
-			cfg := core.Baseline()
-			f := fpu.DefaultConfig()
-			apply(&f, v)
-			cfg.FPU = f
-			per, _, _, avg, err := suiteCPI(ctx, r, cfg, workloads.FP(), opts)
-			if err != nil {
-				return SweepPoint{}, err
-			}
-			return SweepPoint{X: v, AvgCPI: avg, CostRBE: cost(v), Faults: countFaults(per)}, nil
-		})
-	}
 	var err error
-	res.Add, err = sweep([]int{1, 2, 3, 4, 5},
-		func(f *fpu.Config, v int) { f.AddLatency = v; f.AddPipelined = true },
-		func(v int) int { return fpAddCost(v) })
+	res.Add, err = fpSweep(ctx, r, opts, []int{1, 2, 3, 4, 5},
+		func(f *fpu.Config, v int) { f.AddLatency, f.AddPipelined = v, true }, fpAddCost)
 	if err != nil {
 		return nil, err
 	}
-	res.Mul, err = sweep([]int{1, 2, 3, 4, 5},
-		func(f *fpu.Config, v int) { f.MulLatency = v },
-		func(v int) int { return fpMulCost(v) })
+	res.Mul, err = fpSweep(ctx, r, opts, []int{1, 2, 3, 4, 5},
+		func(f *fpu.Config, v int) { f.MulLatency = v }, fpMulCost)
 	if err != nil {
 		return nil, err
 	}
-	res.Div, err = sweep([]int{10, 15, 19, 25, 30},
-		func(f *fpu.Config, v int) { f.DivLatency = v },
-		func(v int) int { return fpDivCost(v) })
+	res.Div, err = fpSweep(ctx, r, opts, []int{10, 15, 19, 25, 30},
+		func(f *fpu.Config, v int) { f.DivLatency = v }, fpDivCost)
 	if err != nil {
 		return nil, err
 	}
-	res.Cvt, err = sweep([]int{1, 2, 3, 5},
-		func(f *fpu.Config, v int) { f.CvtLatency = v },
-		func(v int) int { return fpCvtCost(v) })
+	res.Cvt, err = fpSweep(ctx, r, opts, []int{1, 2, 3, 5},
+		func(f *fpu.Config, v int) { f.CvtLatency = v }, fpCvtCost)
 	if err != nil {
 		return nil, err
 	}
 
-	// §5.10 pipelining ablation.
-	pip := core.Baseline()
-	f := fpu.DefaultConfig()
-	f.AddPipelined, f.CvtPipelined = true, true
-	pip.FPU = f
-	_, _, _, avgPip, err := suiteCPI(ctx, r, pip, workloads.FP(), opts)
+	// §5.10 pipelining ablation: add and convert pipelined (1) or not (0).
+	abl, err := fpSweep(ctx, r, opts, []int{1, 0},
+		func(f *fpu.Config, v int) { f.AddPipelined, f.CvtPipelined = v == 1, v == 1 }, nil)
 	if err != nil {
 		return nil, err
 	}
-	unp := core.Baseline()
-	f = fpu.DefaultConfig()
-	f.AddPipelined, f.CvtPipelined = false, false
-	unp.FPU = f
-	_, _, _, avgUnp, err := suiteCPI(ctx, r, unp, workloads.FP(), opts)
-	if err != nil {
-		return nil, err
-	}
-	res.PipelinedCPI, res.UnpipelinedCPI = avgPip, avgUnp
+	res.PipelinedCPI, res.UnpipelinedCPI = abl[0].AvgCPI, abl[1].AvgCPI
 	return res, nil
 }

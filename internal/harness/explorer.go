@@ -159,6 +159,47 @@ func TinyExploreSpec() ExploreSpec {
 	}.Normalize()
 }
 
+// ExploreSpecFor resolves a grid preset — "default" (or "") and "tiny" —
+// and overlays the schedule fields over sets: a non-zero workload, final
+// budget, rung count, halving divisor, slack or cost cap replaces the
+// preset's, and over.Sampled turns on sampled screening with over.Sample.
+// An unknown grid or workload is an error before anything runs.
+// aurora-experiments' -explore-* flags and aurora-serve's POST /v1/explore
+// both resolve through it.
+func ExploreSpecFor(grid string, over ExploreSpec) (ExploreSpec, error) {
+	var spec ExploreSpec
+	switch grid {
+	case "", "default":
+	case "tiny":
+		spec = TinyExploreSpec()
+	default:
+		return ExploreSpec{}, fmt.Errorf("unknown grid %q (want default or tiny)", grid)
+	}
+	if over.Workload != "" {
+		if _, err := workloads.Get(over.Workload); err != nil {
+			return ExploreSpec{}, err
+		}
+	}
+	overlay(&spec.Workload, over.Workload)
+	overlay(&spec.FullBudget, over.FullBudget)
+	overlay(&spec.Rungs, over.Rungs)
+	overlay(&spec.Halve, over.Halve)
+	overlay(&spec.Slack, over.Slack)
+	overlay(&spec.MaxCostRBE, over.MaxCostRBE)
+	if over.Sampled {
+		spec.Sampled, spec.Sample = true, over.Sample
+	}
+	return spec, nil
+}
+
+// overlay sets *dst to v unless v is the zero value.
+func overlay[T comparable](dst *T, v T) {
+	var zero T
+	if v != zero {
+		*dst = v
+	}
+}
+
 // budgets returns the rung budgets, ascending; the last is FullBudget and
 // each screen below it divides by Halve, floored at minScreenBudget.
 func (s ExploreSpec) budgets() []uint64 {

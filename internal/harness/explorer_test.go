@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"aurora/internal/faultinject"
+	"aurora/internal/sample"
 )
 
 // exploreTestSpec is a slightly wider grid than the tiny preset — eight
@@ -252,5 +253,49 @@ func TestExploreFaultedCandidatesDropped(t *testing.T) {
 		if ev.Fault == nil || !math.IsNaN(ev.CPI) {
 			t.Errorf("faulted event %+v must carry the fault and a NaN CPI", ev)
 		}
+	}
+}
+
+// TestExploreSpecPresets: the grid presets resolve (an unknown one is an
+// error), and the schedule overlay replaces exactly the fields it sets.
+func TestExploreSpecPresets(t *testing.T) {
+	if _, err := ExploreSpecFor("galactic", ExploreSpec{}); err == nil {
+		t.Error("unknown grid accepted")
+	}
+	if _, err := ExploreSpecFor("tiny", ExploreSpec{Workload: "warp9"}); err == nil {
+		t.Error("unknown workload accepted")
+	}
+	tiny, err := ExploreSpecFor("tiny", ExploreSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiny.Rungs != 2 || len(tiny.ICacheKB) != 2 {
+		t.Errorf("tiny preset = %+v, want the 2-rung 4-candidate smoke grid", tiny)
+	}
+	for _, grid := range []string{"default", ""} {
+		def, err := ExploreSpecFor(grid, ExploreSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := def.Normalize(); n.Rungs != 3 || n.Workload != "espresso" {
+			t.Errorf("grid %q normalizes to %+v, want the standard 3-rung espresso search", grid, n)
+		}
+	}
+
+	over := ExploreSpec{Workload: "li", FullBudget: 9_000, Rungs: 3, Halve: 2, Slack: 0.3, MaxCostRBE: 50_000}
+	got, err := ExploreSpecFor("tiny", over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Workload != "li" || got.FullBudget != 9_000 || got.Rungs != 3 || got.Halve != 2 ||
+		got.Slack != 0.3 || got.MaxCostRBE != 50_000 || got.Sampled {
+		t.Errorf("overlay = %+v, want every set field applied and exact screens", got)
+	}
+	if len(got.ICacheKB) != 2 {
+		t.Errorf("overlay replaced the tiny grid's axes: %+v", got.ICacheKB)
+	}
+	over = ExploreSpec{Sampled: true, Sample: sample.Params{Window: 500}}
+	if got, _ := ExploreSpecFor("tiny", over); !got.Sampled || got.Sample.Window != 500 {
+		t.Errorf("sampled overlay = %+v, want sampled screens with the given window", got)
 	}
 }

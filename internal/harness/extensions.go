@@ -36,21 +36,9 @@ import (
 
 // Fig9IQDual sweeps the FPU instruction queue under the dual-issue policy.
 func Fig9IQDual(ctx context.Context, r *Runner, opts Options) ([]SweepPoint, error) {
-	opts = opts.sweep()
-	var pts []SweepPoint
-	for _, q := range []int{1, 2, 3, 4, 5, 7} {
-		cfg := core.Baseline()
-		f := fpu.DefaultConfig()
-		f.Policy = fpu.OutOfOrderDual
-		f.InstrQueue = q
-		cfg.FPU = f
-		per, _, _, avg, err := suiteCPI(ctx, r, cfg, workloads.FP(), opts)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, SweepPoint{X: q, AvgCPI: avg, CostRBE: q * rbe.FPInstrQueueEntry, Faults: countFaults(per)})
-	}
-	return pts, nil
+	return fpSweep(ctx, r, opts, []int{1, 2, 3, 4, 5, 7},
+		func(f *fpu.Config, v int) { f.Policy, f.InstrQueue = fpu.OutOfOrderDual, v },
+		func(v int) int { return v * rbe.FPInstrQueueEntry })
 }
 
 // LatencyScaling sweeps the secondary memory latency on the three models.
@@ -474,65 +462,4 @@ func PrintAreaAwareClock(w io.Writer, pts []ClockedPoint) {
 	for _, p := range pts {
 		fmt.Fprintf(w, "  %-9s %8.3f %10.3f %12.3f\n", p.Model, p.AvgCPI, p.CycleTime, p.TimePerIns)
 	}
-}
-
-// RenderExtensions writes every extension study to w.
-// RenderExtensions writes every extension study to w. Studies are computed
-// concurrently through the runner and printed in the fixed order below, so
-// the output does not depend on the worker count.
-func RenderExtensions(ctx context.Context, w io.Writer, r *Runner, opts Options) error {
-	sections := []func(ctx context.Context) (func(io.Writer), error){
-		func(ctx context.Context) (func(io.Writer), error) {
-			iq, err := Fig9IQDual(ctx, r, opts)
-			return func(w io.Writer) {
-				PrintSweep(w, "Extension: FPU instruction queue under dual issue (§5.9 'not shown')", "entries", iq)
-			}, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			lat, err := LatencyScaling(ctx, r, opts, nil)
-			return func(w io.Writer) { PrintLatencyScaling(w, lat) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			bf, err := BranchFolding(ctx, r, opts)
-			return func(w io.Writer) { PrintBranchFolding(w, bf) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			wc, err := WriteCacheSweep(ctx, r, opts)
-			return func(w io.Writer) { PrintWriteCacheSweep(w, wc) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			m8, err := MSHRDeepSweep(ctx, r, opts)
-			return func(w io.Writer) { PrintFig7(w, m8) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			ac, err := AreaAwareClock(ctx, r, opts)
-			return func(w io.Writer) { PrintAreaAwareClock(w, ac) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			ms, err := MMUSensitivity(ctx, r, opts)
-			return func(w io.Writer) { PrintMMUSensitivity(w, ms) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			vp, err := VictimCacheStudy(ctx, r, opts)
-			return func(w io.Writer) { PrintVictimCacheStudy(w, vp) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			cs, err := CompilerScheduling(ctx, r, opts)
-			return func(w io.Writer) { PrintCompilerScheduling(w, cs) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			pe, err := PreciseExceptions(ctx, r, opts)
-			return func(w io.Writer) { PrintPreciseExceptions(w, pe) }, err
-		},
-	}
-	printers, err := each(ctx, opts, len(sections), func(ctx context.Context, i int) (func(io.Writer), error) {
-		return sections[i](ctx)
-	})
-	if err != nil {
-		return err
-	}
-	for _, print := range printers {
-		print(w)
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -332,19 +333,27 @@ func TestKeepGoingSweepCompletes(t *testing.T) {
 	}
 }
 
-// TestFailFastAbortsSweep: under FailFast the same armed site aborts the
-// sweep with the fault as the error instead of a partial table.
+// TestFailFastAbortsSweep: under FailFast an armed site aborts every
+// simulating registry artifact with the fault as the error instead of a
+// partial table — the sweep figures (8, 9 and the dual-issue queue study)
+// included, whose options once dropped FailFast.
 func TestFailFastAbortsSweep(t *testing.T) {
 	faultinject.Reset()
 	faultinject.Arm(faultinject.LSUDispatch)
 	defer faultinject.Reset()
 
-	opts := Quick()
-	opts.FailFast = true
-	_, err := Table3(context.Background(), NewRunner(2), opts)
-	var f *simfault.Fault
-	if !errors.As(err, &f) {
-		t.Fatalf("fail-fast sweep returned %T, want *simfault.Fault: %v", err, err)
+	opts := Options{Budget: 20_000, SweepBudget: 5_000, FailFast: true}
+	for _, a := range Artifacts() {
+		if a.Name == "fig1" {
+			continue // fits published data; simulates nothing
+		}
+		t.Run(a.Name, func(t *testing.T) {
+			err := Render(context.Background(), io.Discard, NewRunner(2), opts, []Artifact{a}, nil)
+			var f *simfault.Fault
+			if !errors.As(err, &f) {
+				t.Fatalf("fail-fast %s returned %T, want *simfault.Fault: %v", a.Name, err, err)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"strings"
 
 	"aurora/internal/core"
 	"aurora/internal/rbe"
@@ -278,85 +276,6 @@ func PrintFig9Latencies(w io.Writer, r *Fig9LatencyResult) {
 	degr := (r.UnpipelinedCPI - r.PipelinedCPI) / r.PipelinedCPI
 	fmt.Fprintf(w, "§5.10 unpipelined add+convert ablation: %.3f → %.3f CPI (%.1f%% degradation; paper: <5%%)\n",
 		r.PipelinedCPI, r.UnpipelinedCPI, 100*degr)
-}
-
-// Render writes every experiment to w at the given scale. All figures are
-// computed concurrently through the runner (sharing its memo table, so
-// configurations that recur across figures simulate once) and printed in
-// the paper's order; the output is byte-identical for any worker count.
-func Render(ctx context.Context, w io.Writer, r *Runner, opts Options) error {
-	sections := []func(ctx context.Context) (func(io.Writer), error){
-		func(ctx context.Context) (func(io.Writer), error) {
-			f1 := Fig1()
-			return func(w io.Writer) { PrintFig1(w, f1) }, nil
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			f4, err := Fig4(ctx, r, opts)
-			return func(w io.Writer) { PrintFig4(w, f4) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			t, err := Table3(ctx, r, opts)
-			return func(w io.Writer) { PrintRateTable(w, t) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			t, err := Table4(ctx, r, opts)
-			return func(w io.Writer) { PrintRateTable(w, t) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			t, err := Table5(ctx, r, opts)
-			return func(w io.Writer) { PrintRateTable(w, t) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			wt, err := WriteTraffic(ctx, r, opts)
-			return func(w io.Writer) { PrintWriteTraffic(w, wt) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			f5, err := Fig5(ctx, r, opts)
-			return func(w io.Writer) { PrintFig5(w, f5) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			f6, err := Fig6(ctx, r, opts)
-			return func(w io.Writer) { PrintFig6(w, f6) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			f7, err := Fig7(ctx, r, opts)
-			return func(w io.Writer) { PrintFig7(w, f7) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			f8, err := Fig8(ctx, r, opts)
-			return func(w io.Writer) { PrintFig8(w, f8) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			t6, err := Table6(ctx, r, opts)
-			return func(w io.Writer) { PrintTable6(w, t6) }, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			iq, lq, rob, err := Fig9Queues(ctx, r, opts)
-			return func(w io.Writer) {
-				PrintSweep(w, "Figure 9(a): FPU instruction queue size", "entries", iq)
-				PrintSweep(w, "Figure 9(b): FPU load queue size", "entries", lq)
-				PrintSweep(w, "Figure 9(c): FPU reorder buffer size", "entries", rob)
-			}, err
-		},
-		func(ctx context.Context) (func(io.Writer), error) {
-			f9l, err := Fig9Latencies(ctx, r, opts)
-			return func(w io.Writer) { PrintFig9Latencies(w, f9l) }, err
-		},
-	}
-	printers, err := each(ctx, opts, len(sections), func(ctx context.Context, i int) (func(io.Writer), error) {
-		return sections[i](ctx)
-	})
-	if err != nil {
-		return err
-	}
-	div := strings.Repeat("-", 72)
-	for i, print := range printers {
-		print(w)
-		if i < len(printers)-1 {
-			fmt.Fprintln(w, div)
-		}
-	}
-	return nil
 }
 
 // PrintSampledSweep renders the sampled models x workloads grid: one

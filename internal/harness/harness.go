@@ -49,12 +49,15 @@ func Quick() Options { return Options{Budget: 250_000, SweepBudget: 150_000} }
 // Full returns the full experiment scale.
 func Full() Options { return Options{Budget: 0, SweepBudget: 600_000} }
 
+// sweep returns the options of a wide parameter sweep: the sweep budget
+// becomes the run budget, and every other field — FailFast, Scheduled and
+// the BPred override — carries through unchanged.
 func (o Options) sweep() Options {
-	b := o.SweepBudget
-	if b == 0 {
-		b = o.Budget
+	if o.SweepBudget != 0 {
+		o.Budget = o.SweepBudget
 	}
-	return Options{Budget: b, SweepBudget: b}
+	o.SweepBudget = o.Budget
+	return o
 }
 
 // applyBPred overlays the sweep-wide predictor override onto one job's

@@ -224,7 +224,7 @@ func TestExtensionsRun(t *testing.T) {
 		t.Skip("extensions at quick scale still cost ~30s")
 	}
 	var buf bytes.Buffer
-	if err := RenderExtensions(context.Background(), &buf, testRunner, Quick()); err != nil {
+	if err := Render(context.Background(), &buf, testRunner, Quick(), Artifacts(ExtensionArtifact), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -255,7 +255,8 @@ func TestRenderQuickSmoke(t *testing.T) {
 		t.Skip("full render costs minutes")
 	}
 	var buf bytes.Buffer
-	if err := Render(context.Background(), &buf, testRunner, Quick()); err != nil {
+	paper := Artifacts(PaperArtifact)
+	if err := Render(context.Background(), &buf, testRunner, Quick(), paper, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -266,5 +267,10 @@ func TestRenderQuickSmoke(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("render output missing %q", want)
 		}
+	}
+	// One divider between each pair of adjacent paper sections.
+	div := strings.Repeat("-", 72) + "\n"
+	if n := strings.Count(buf.String(), div); n != len(paper)-1 {
+		t.Errorf("render output has %d dividers, want %d", n, len(paper)-1)
 	}
 }

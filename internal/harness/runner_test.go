@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"context"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -117,22 +119,47 @@ func TestFingerprintNormalizes(t *testing.T) {
 	}
 }
 
-// TestRenderParallelMatchesSerial is the determinism guarantee: the full
-// report rendered on 8 workers must be byte-identical to 1 worker.
+// TestRenderParallelMatchesSerial is the determinism guarantee: every
+// registry artifact rendered on 8 workers — text and CSV files — must be
+// byte-identical to 1 worker, and the CSV files written must be exactly the
+// ones the registry declares, in registry order.
 func TestRenderParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full render comparison in -short mode")
 	}
 	opts := Options{Budget: 40_000, SweepBudget: 20_000}
-	var serial, parallel bytes.Buffer
-	if err := Render(context.Background(), &serial, NewRunner(1), opts); err != nil {
-		t.Fatal(err)
+	var want []string
+	for _, a := range Artifacts() {
+		want = append(want, a.CSV...)
 	}
-	if err := Render(context.Background(), &parallel, NewRunner(8), opts); err != nil {
-		t.Fatal(err)
+	render := func(workers int) (string, []string, map[string]string) {
+		var text bytes.Buffer
+		var names []string
+		files := map[string]string{}
+		emit := func(name string, gen func(io.Writer) error) error {
+			var b bytes.Buffer
+			if err := gen(&b); err != nil {
+				return err
+			}
+			names = append(names, name)
+			files[name] = b.String()
+			return nil
+		}
+		if err := Render(context.Background(), &text, NewRunner(workers), opts, Artifacts(), emit); err != nil {
+			t.Fatal(err)
+		}
+		return text.String(), names, files
 	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
+	serial, names, serialCSV := render(1)
+	parallel, _, parallelCSV := render(8)
+	if serial != parallel {
 		t.Fatalf("parallel render differs from serial render\nserial %d bytes, parallel %d bytes",
-			serial.Len(), parallel.Len())
+			len(serial), len(parallel))
+	}
+	if !reflect.DeepEqual(serialCSV, parallelCSV) {
+		t.Error("parallel CSV files differ from serial CSV files")
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("CSV files written = %v, want the registry's %v", names, want)
 	}
 }

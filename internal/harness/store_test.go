@@ -229,7 +229,7 @@ func TestReadOnlyStoreRunner(t *testing.T) {
 	}
 	before := entryFiles(t, dir)
 
-	ro, err := resultstore.OpenReadOnly(dir)
+	ro, err := resultstore.OpenMode(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,10 +180,11 @@ func Open(dir string) (*Store, error) {
 	return open(dir, CodeVersion(), false)
 }
 
-// OpenReadOnly opens a store that serves hits but refuses writes — for
-// sharing a populated store with runs that must not mutate it.
-func OpenReadOnly(dir string) (*Store, error) {
-	return open(dir, CodeVersion(), true)
+// OpenMode opens a store like Open, or, when readOnly is set, one that
+// serves hits but refuses writes — for sharing a populated store with runs
+// that must not mutate it.
+func OpenMode(dir string, readOnly bool) (*Store, error) {
+	return open(dir, CodeVersion(), readOnly)
 }
 
 func open(dir, version string, readOnly bool) (*Store, error) {

@@ -1,8 +1,8 @@
 #!/bin/sh
 # store-coherence.sh — cross-process result-store coherence check.
 #
-# Runs the full experiment batch twice in FRESH processes sharing one store
-# directory and asserts:
+# Runs the full experiment batch — paper figures and extension studies —
+# twice in FRESH processes sharing one store directory and asserts:
 #   1. the second run performs zero simulations (every cell is a store hit),
 #   2. stdout (minus the timing footer) is byte-identical across runs,
 #   3. the CSV artifact directories are byte-identical.
@@ -22,7 +22,7 @@ run() {
     # The footer reports wall-clock time, so it can never be byte-stable;
     # it is asserted separately (run2 must report 0 simulated) and stripped
     # from the comparison.
-    "$workdir/aurora-experiments" -quick -j 4 \
+    "$workdir/aurora-experiments" -quick -extensions -j 4 \
         -store "$workdir/store" -csv "$workdir/csv$1" \
         >"$workdir/out$1.raw"
     grep "^regenerated" "$workdir/out$1.raw" >"$workdir/footer$1"
