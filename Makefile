@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 race faults bench bench-smoke sample-smoke bpred-smoke explore-smoke golden fuzz fmt lint store-coherence serve-smoke docs-check perfbench-check
+.PHONY: all build test tier1 race faults bench-smoke sample-smoke bpred-smoke explore-smoke golden fuzz fmt lint store-coherence serve-smoke docs-check perfbench-check
 
 all: build test
 
@@ -43,20 +43,18 @@ faults:
 		./internal/harness/ ./internal/simfault/
 	$(GO) test -race -timeout 5m -count=1 -run TestRunContextCancellation ./internal/core/
 
-# bench runs the pinned sweep (full and sampled modes) and the steady-state
-# cycle-loop measurement, writing BENCH.json with SIPS, allocs/instr, the
-# speedup against the recorded seed baseline (see bench/baseline_seed.json)
-# and the sampled-mode SIPS/coverage next to the full-mode numbers
-# (see docs/SIMULATION-MODES.md).
-bench:
-	$(GO) run ./cmd/aurora-bench -baseline bench/baseline_seed.json -out BENCH.json
-
-# bench-smoke is the fast CI variant: assert the zero-allocation cycle loop
-# and run the headline benchmarks briefly (allocs/op must print 0).
+# bench-smoke is the fast benchmark gate, and the whole of CI's bench-smoke
+# job: assert zero allocations on the cycle loop (synthetic trace, every
+# predictor, every VM-fed kernel) and on the disabled probe path, run the
+# cycle-loop and probe benchmarks briefly (allocs/op must print 0), and
+# replay the checked-in fuzz corpora.
 bench-smoke:
-	$(GO) test -run TestCycleLoopZeroAlloc -count=1 .
+	$(GO) test -run TestCycleLoopZeroAlloc -count=1 -v .
+	$(GO) test -run TestNilProbeZeroAllocs -count=1 -v ./internal/obs/
 	$(GO) test -run '^$$' -bench BenchmarkCycleLoop -benchtime 20000x .
 	$(GO) test -run '^$$' -bench 'BenchmarkNilProbe|BenchmarkEnabledProbe' -benchtime 20000x ./internal/obs/
+	$(GO) test -run FuzzAsmRoundTrip -count=1 ./internal/asm/
+	$(GO) test -run FuzzPredictorStream -count=1 ./internal/bpred/
 
 # sample-smoke is the fast sampled-mode gate: one end-to-end sampled run
 # asserting the estimate arrives with a positive error bound, plus the

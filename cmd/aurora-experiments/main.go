@@ -94,6 +94,11 @@ func run() int {
 		timeout    = flag.Duration("timeout", 0, "wall-clock limit for the whole run (0 = none); SIGINT also stops it cleanly")
 	)
 	flag.Parse()
+	if flag.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
+		flag.Usage()
+		return 2
+	}
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })

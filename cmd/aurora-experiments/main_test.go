@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"io"
+	"os"
 	"testing"
 
 	"aurora/internal/harness"
@@ -54,5 +57,19 @@ func TestResolveOptionsUnsetFlagsKeepPreset(t *testing.T) {
 	got := resolveOptions(true, set("quick"), 0, 600_000)
 	if got.SweepBudget != harness.Quick().SweepBudget {
 		t.Errorf("SweepBudget = %d, want quick preset %d", got.SweepBudget, harness.Quick().SweepBudget)
+	}
+}
+
+// TestStrayArgumentRejected: flag parsing stops at the first positional
+// argument, so a stray one would silently drop every flag after it (here
+// -j, and a mistyped "quick" would start the full run).
+func TestStrayArgumentRejected(t *testing.T) {
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
+	os.Args = []string{"aurora-experiments", "-timeout", "1ns", "quick", "-j", "1"}
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	if code := run(); code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
 	}
 }

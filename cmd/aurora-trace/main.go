@@ -40,6 +40,11 @@ func run() int {
 		model  = flag.String("model", "baseline", "machine model for -replay")
 	)
 	flag.Parse()
+	if flag.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
+		flag.Usage()
+		return 2
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

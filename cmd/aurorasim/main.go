@@ -62,6 +62,11 @@ func run() int {
 		timeout         = flag.Duration("timeout", 0, "wall-clock limit for the run (0 = none); SIGINT also stops it cleanly")
 	)
 	flag.Parse()
+	if flag.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
+		flag.Usage()
+		return 2
+	}
 
 	// SIGINT (and an optional -timeout) cancel the simulation; partial
 	// -metrics-out / -trace-out data is still flushed on the way out.

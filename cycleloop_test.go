@@ -51,7 +51,9 @@ func newWarmCycleLoop(tb testing.TB, cfg core.Config) *core.Processor {
 // TestCycleLoopZeroAlloc pins the headline property: once warmed up, the
 // per-cycle simulation step performs no heap allocation at all — with the
 // default folding front end and with every branch predictor swapped in
-// (Predict/Update/Recover are on the per-cycle path).
+// (Predict/Update/Recover are on the per-cycle path), and on every real
+// kernel fed by the VM (kernel/<name>: the VM, the batched machine stream
+// and the core together).
 func TestCycleLoopZeroAlloc(t *testing.T) {
 	for _, spec := range []string{"folding", "static", "bimodal", "gshare", "tage"} {
 		spec := spec
@@ -61,15 +63,43 @@ func TestCycleLoopZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := newWarmCycleLoop(t, Baseline().WithBPred(bp))
-			avg := testing.AllocsPerRun(20, func() {
-				for i := 0; i < 5_000; i++ {
-					p.Step()
+			requireZeroAllocSteps(t, p.Step)
+		})
+	}
+	for _, name := range WorkloadNames() {
+		name := name
+		t.Run("kernel/"+name, func(t *testing.T) {
+			w, err := GetWorkload(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := NewSimulation(context.Background(), Baseline(), w, RunOptions{Budget: 2_000_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20_000; i++ {
+				if !sim.Step() {
+					t.Fatalf("drained during warm-up: %v", sim.Err())
 				}
-			})
-			if avg != 0 {
-				t.Fatalf("steady-state cycle loop allocates: %.2f allocs per 5k-cycle run, want 0", avg)
+			}
+			requireZeroAllocSteps(t, sim.Step)
+			if !sim.Step() {
+				t.Fatalf("drained before the measured span ended: %v", sim.Err())
 			}
 		})
+	}
+}
+
+// requireZeroAllocSteps fails t unless 5k calls of step allocate nothing.
+func requireZeroAllocSteps(t *testing.T, step func() bool) {
+	t.Helper()
+	avg := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 5_000; i++ {
+			step()
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state cycle loop allocates: %.2f allocs per 5k-cycle run, want 0", avg)
 	}
 }
 
