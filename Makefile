@@ -57,11 +57,11 @@ bench-smoke:
 	$(GO) test -run FuzzPredictorStream -count=1 ./internal/bpred/
 
 # sample-smoke is the fast sampled-mode gate: one end-to-end sampled run
-# asserting the estimate arrives with a positive error bound, plus the
-# checkpoint byte-identity and differential-bound tests in -short form
-# (see docs/SIMULATION-MODES.md).
+# asserting the estimate arrives with a positive error bound, the
+# back-to-back-window capture layout, plus the checkpoint byte-identity and
+# differential-bound tests in -short form (see docs/SIMULATION-MODES.md).
 sample-smoke:
-	$(GO) test -run 'TestSampleSmoke|TestCheckpointSharedIdenticalToPrivate' -count=1 ./internal/sample/
+	$(GO) test -run 'TestSampleSmoke|TestCheckpointSharedIdenticalToPrivate|TestCheckpointBackToBackWindows' -count=1 ./internal/sample/
 	$(GO) test -short -run TestSampledCPIWithinBound -count=1 .
 
 # bpred-smoke is the predictor-axis gate: the differential/property/unit net

@@ -22,10 +22,6 @@ import (
 	"aurora/internal/workloads"
 )
 
-// recordChunk bounds how many instructions run between context checks while
-// recording, so SIGINT lands within a fraction of a second.
-const recordChunk = 1 << 20
-
 // main delegates to run so every exit path unwinds through the deferred
 // file closes — a failed record still flushes what it captured.
 func main() { os.Exit(run()) }
@@ -85,41 +81,34 @@ func doRecord(ctx context.Context, name, out string, budget uint64) error {
 		return err
 	}
 	defer f.Close()
+	// Read the VM in batches, checking ctx between them so a SIGINT stops
+	// the recording promptly; the first failed write stops execution too.
+	// The records written so far are flushed below either way.
 	tw := trace.NewWriter(f)
-	var werr error
-	emit := func(r trace.Record) {
-		if werr == nil {
-			werr = tw.Write(r)
-		}
-	}
-	// Run in chunks so a SIGINT stops the recording promptly; the records
-	// written so far are flushed below either way.
-	var n, total uint64
-	for total < budget && !m.Halted() {
-		chunk := budget - total
-		if chunk > recordChunk {
-			chunk = recordChunk
-		}
-		n, err = m.Run(chunk, emit)
-		total += n
-		if err != nil {
+	s := m.Stream(budget)
+	var buf [256]trace.Record
+	for err == nil {
+		n := s.NextBatch(buf[:])
+		if n == 0 {
+			err = s.Err()
 			break
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
+		for _, r := range buf[:n] {
+			if err = tw.Write(r); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = ctx.Err()
 		}
 	}
 	if ferr := tw.Flush(); err == nil {
 		err = ferr
 	}
-	if err == nil {
-		err = werr
-	}
 	if err != nil {
-		return fmt.Errorf("after %d instructions: %w", total, err)
+		return fmt.Errorf("after %d instructions: %w", tw.Count(), err)
 	}
-	fmt.Printf("recorded %d instructions of %s to %s\n", total, name, out)
+	fmt.Printf("recorded %d instructions of %s to %s\n", tw.Count(), name, out)
 	return nil
 }
 
@@ -134,12 +123,11 @@ func doStats(path string) error {
 		return err
 	}
 	var mix trace.Mix
-	for {
-		r, ok := tr.Next()
-		if !ok {
-			break
+	var buf [256]trace.Record
+	for n := tr.NextBatch(buf[:]); n > 0; n = tr.NextBatch(buf[:]) {
+		for _, r := range buf[:n] {
+			mix.Add(r)
 		}
-		mix.Add(r)
 	}
 	if err := tr.Err(); err != nil {
 		return err

@@ -16,13 +16,15 @@ type loopStream struct {
 	i    int
 }
 
-func (s *loopStream) Next() (trace.Record, bool) {
-	r := s.recs[s.i]
-	s.i++
-	if s.i == len(s.recs) {
-		s.i = 0
+func (s *loopStream) NextBatch(buf []trace.Record) int {
+	for i := range buf {
+		buf[i] = s.recs[s.i]
+		s.i++
+		if s.i == len(s.recs) {
+			s.i = 0
+		}
 	}
-	return r, true
+	return len(buf)
 }
 
 func (s *loopStream) Err() error { return nil }
@@ -52,8 +54,9 @@ func newWarmCycleLoop(tb testing.TB, cfg core.Config) *core.Processor {
 // per-cycle simulation step performs no heap allocation at all — with the
 // default folding front end and with every branch predictor swapped in
 // (Predict/Update/Recover are on the per-cycle path), and on every real
-// kernel fed by the VM (kernel/<name>: the VM, the batched machine stream
-// and the core together).
+// kernel fed by the VM (kernel/<name>: vm.Stream and the core together).
+// Every stream is batched, so the synthetic subtests exercise the same
+// IFU refill path as the kernels.
 func TestCycleLoopZeroAlloc(t *testing.T) {
 	for _, spec := range []string{"folding", "static", "bimodal", "gshare", "tage"} {
 		spec := spec

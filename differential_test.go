@@ -1,8 +1,11 @@
 package aurora
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -88,29 +91,17 @@ func genProgram(rng *rand.Rand) string {
 	return b.String()
 }
 
-// teeStream records every trace record the core consumes.
+// teeStream records every batch of trace records the core consumes.
 type teeStream struct {
-	m    *vm.Machine
+	trace.Stream
 	recs []trace.Record
-	err  error
 }
 
-func (s *teeStream) Next() (trace.Record, bool) {
-	if s.err != nil || s.m.Halted() {
-		return trace.Record{}, false
-	}
-	rec, err := s.m.Step()
-	if err != nil {
-		if !vm.IsHalt(err) {
-			s.err = err
-		}
-		return trace.Record{}, false
-	}
-	s.recs = append(s.recs, rec)
-	return rec, true
+func (s *teeStream) NextBatch(buf []trace.Record) int {
+	n := s.Stream.NextBatch(buf)
+	s.recs = append(s.recs, buf[:n]...)
+	return n
 }
-
-func (s *teeStream) Err() error { return s.err }
 
 // runFunctional executes a program on the bare VM, returning the machine and
 // its full dynamic trace.
@@ -121,18 +112,11 @@ func runFunctional(t *testing.T, prog *asm.Program) (*vm.Machine, []trace.Record
 		t.Fatal(err)
 	}
 	var recs []trace.Record
-	for steps := 0; !m.Halted(); steps++ {
-		if steps > 200_000 {
-			t.Fatal("functional run did not terminate (generator emitted a loop?)")
-		}
-		rec, err := m.Step()
-		if err != nil {
-			if vm.IsHalt(err) {
-				break
-			}
-			t.Fatalf("functional run faulted: %v", err)
-		}
-		recs = append(recs, rec)
+	if _, err := m.Run(200_000, func(r trace.Record) { recs = append(recs, r) }); err != nil {
+		t.Fatalf("functional run faulted: %v", err)
+	}
+	if !m.Halted() {
+		t.Fatal("functional run did not terminate (generator emitted a loop?)")
 	}
 	return m, recs
 }
@@ -188,7 +172,7 @@ func TestDifferentialVMvsCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tee := &teeStream{m: m2}
+		tee := &teeStream{Stream: m2.Stream(0)}
 		p, err := core.NewProcessor(cfg, tee)
 		if err != nil {
 			t.Fatal(err)
@@ -218,5 +202,55 @@ func TestDifferentialVMvsCore(t *testing.T) {
 				seed, cfg.Name, rep.Cycles, rep.Instructions)
 		}
 		checkMachinesAgree(t, ref, m2)
+	}
+}
+
+// TestDifferentialRecordedTrace: every workload's trace, written by
+// trace.Writer and read back by trace.Reader, drives the timing model to
+// the same report as the VM feeding it directly.
+func TestDifferentialRecordedTrace(t *testing.T) {
+	ctx := context.Background()
+	const budget = 50_000
+	for _, name := range WorkloadNames() {
+		w, err := GetWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(ctx, Baseline(), w, RunOptions{Budget: budget})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+
+		m, err := w.NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc bytes.Buffer
+		tw := trace.NewWriter(&enc)
+		var werr error
+		if _, err := m.Run(budget, func(r trace.Record) {
+			if werr == nil {
+				werr = tw.Write(r)
+			}
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if werr == nil {
+			werr = tw.Flush()
+		}
+		if werr != nil {
+			t.Fatalf("%s: writing the trace: %v", name, werr)
+		}
+		tr, err := trace.NewReader(&enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunTrace(ctx, Baseline(), tr)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: replayed report differs:\nreplay %+v\nVM     %+v", name, got, want)
+		}
 	}
 }

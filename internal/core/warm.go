@@ -10,6 +10,8 @@ package core
 // window's leading instructions (the window warm prefix the estimator
 // discards) re-establish them.
 
+import "aurora/internal/isa"
+
 // WarmKind classifies one fast-forwarded access for WarmAccess.
 type WarmKind uint8
 
@@ -22,6 +24,15 @@ const (
 	// write-cache eviction that installs the line in the detailed model).
 	WarmStore
 )
+
+// WarmKindOf classifies a memory instruction's data access: stores warm
+// as WarmStore, every other class as WarmLoad.
+func WarmKindOf(c isa.Class) WarmKind {
+	if c == isa.ClassStore || c == isa.ClassFPStore {
+		return WarmStore
+	}
+	return WarmLoad
+}
 
 // WarmAccess applies one fast-forwarded access to the processor's warm-up
 // state. It only moves cache contents — never the cycle clock, the
@@ -38,7 +49,7 @@ func (p *Processor) WarmAccess(k WarmKind, addr uint32) {
 }
 
 // Reopen resumes fetch after the processor's stream has been given more
-// records. A stream whose Next returns false latches the fetch unit into its
+// records. A stream whose NextBatch returns 0 latches the fetch unit into its
 // drained state; the sampled mode uses exactly that to empty the pipeline at
 // a window boundary, then fast-forwards the VM feeding the stream and calls
 // Reopen for the next window. The cycle clock keeps its value across the

@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 
 	"aurora/internal/core"
-	"aurora/internal/isa"
 	"aurora/internal/obs"
 	"aurora/internal/simfault"
 	"aurora/internal/trace"
@@ -21,8 +20,8 @@ import (
 // steady-state cycle loop in isolation.
 type Simulation struct {
 	p   *core.Processor
-	src trace.Stream   // what the processor consumes
-	vm  *machineStream // the functional VM behind src; nil for RunTrace
+	src trace.Stream // what the processor consumes
+	vm  *vm.Stream   // the functional VM behind src; nil for RunTrace
 	job simfault.Job
 
 	ctx  context.Context
@@ -47,7 +46,7 @@ func NewSimulation(ctx context.Context, cfg core.Config, w *workloads.Workload, 
 		if err != nil {
 			return err
 		}
-		s.vm = &machineStream{m: m, budget: effectiveBudget(w, opts)}
+		s.vm = m.Stream(effectiveBudget(w, opts))
 		var src trace.Stream = s.vm
 		if opts.Scheduled {
 			src = trace.NewReschedule(src)
@@ -172,25 +171,24 @@ func (s *Simulation) Instructions() uint64 { return s.p.Instructions() }
 // It returns the number of instructions actually skipped (the kernel may
 // halt or exhaust the budget first).
 func (s *Simulation) FastForward(n uint64) (uint64, error) {
+	var buf [256]trace.Record
 	var skipped uint64
 	for skipped < n {
-		rec, ok := s.vm.Next()
-		if !ok {
+		k := s.vm.NextBatch(buf[:min(n-skipped, uint64(len(buf)))])
+		if k == 0 {
 			if err := s.vm.Err(); err != nil {
 				return skipped, fmt.Errorf("harness: fast-forward execution fault: %w", err)
 			}
 			break
 		}
-		skipped++
-		s.p.WarmAccess(core.WarmFetch, rec.PC)
-		if rec.SI.Class.IsMem() {
-			k := core.WarmLoad
-			if rec.SI.Class == isa.ClassStore || rec.SI.Class == isa.ClassFPStore {
-				k = core.WarmStore
+		skipped += uint64(k)
+		for _, rec := range buf[:k] {
+			s.p.WarmAccess(core.WarmFetch, rec.PC)
+			if rec.SI.Class.IsMem() {
+				s.p.WarmAccess(core.WarmKindOf(rec.SI.Class), rec.MemAddr)
 			}
-			s.p.WarmAccess(k, rec.MemAddr)
 		}
-		if skipped&cancelMask == 0 && s.done != nil {
+		if s.done != nil {
 			select {
 			case <-s.done:
 				s.err = s.ctx.Err()
@@ -201,50 +199,4 @@ func (s *Simulation) FastForward(n uint64) (uint64, error) {
 	}
 	s.p.Reopen()
 	return skipped, nil
-}
-
-// machineStream adapts a running functional VM to a trace stream, so the
-// timing simulator replays execution without materialising the whole
-// trace. budget bounds the records delivered (0 = until the kernel halts).
-type machineStream struct {
-	m      *vm.Machine
-	budget uint64
-	n      uint64
-	err    error
-}
-
-func (s *machineStream) Next() (trace.Record, bool) {
-	var buf [1]trace.Record
-	n := s.NextBatch(buf[:])
-	return buf[0], n == 1
-}
-
-func (s *machineStream) Err() error { return s.err }
-
-// NextBatch implements trace.BatchStream: it fills buf with up to len(buf)
-// records in one call, keeping the VM's step loop on concrete types and
-// amortising the stream interface dispatch across the batch.
-func (s *machineStream) NextBatch(buf []trace.Record) int {
-	n := 0
-	for n < len(buf) {
-		if s.err != nil || s.m.Halted() || (s.budget > 0 && s.n >= s.budget) {
-			break
-		}
-		rec, err := s.m.Step()
-		if err != nil {
-			// A clean halt ends the stream; a fault is recorded so the
-			// run fails instead of reporting a truncated trace's CPI as
-			// success. (Step marks the machine halted on faults too, so
-			// the clean end must be identified by the error, not by
-			// Halted().)
-			if !vm.IsHalt(err) {
-				s.err = err
-			}
-			break
-		}
-		s.n++
-		buf[n] = rec
-		n++
-	}
-	return n
 }

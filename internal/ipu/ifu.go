@@ -80,7 +80,6 @@ type IFU struct {
 	pred bpred.Predictor // nil = paper-faithful free folding
 
 	stream    trace.Stream
-	batch     trace.BatchStream // non-nil when the stream supports batching
 	exhausted bool
 	peeked    []trace.Record // lookahead window; consumed via peekPos
 	peekPos   int            // first unconsumed record in peeked
@@ -109,25 +108,21 @@ func NewIFU(cfg IFUConfig, biu *mem.BIU, pfu *prefetch.Buffers, stream trace.Str
 		cfg.FetchQueue = 8
 	}
 	cfg.BPred = cfg.BPred.Normalize()
-	f := &IFU{
+	return &IFU{
 		cfg:    cfg,
 		ic:     cache.NewTagArray(cfg.ICacheBytes, cfg.LineBytes),
 		pfu:    pfu,
 		biu:    biu,
 		pred:   bpred.New(cfg.BPred),
 		stream: stream,
+		peeked: make([]trace.Record, 0, peekBatch+2),
 		queue:  make([]FetchedInstr, cfg.FetchQueue),
 	}
-	if bs, ok := stream.(trace.BatchStream); ok {
-		f.batch = bs
-		f.peeked = make([]trace.Record, 0, peekBatch+2)
-	}
-	return f
 }
 
-// peekBatch is how many records a batch-capable stream delivers per refill;
-// the peek buffer's capacity is fixed at construction so refills never grow
-// it (the lookahead the fetch logic needs is only 2 records deep).
+// peekBatch is how many records the stream delivers per refill; the peek
+// buffer's capacity is fixed at construction so refills never grow it (the
+// lookahead the fetch logic needs is only 2 records deep).
 const peekBatch = 64
 
 // ICache exposes the instruction cache tag array (stats).
@@ -222,22 +217,12 @@ func (f *IFU) peek(i int) (trace.Record, bool) {
 		rem := copy(f.peeked, f.peeked[f.peekPos:])
 		f.peeked = f.peeked[:rem]
 		f.peekPos = 0
-		if f.batch != nil {
-			n := f.batch.NextBatch(f.peeked[rem:cap(f.peeked)])
-			if n == 0 {
-				f.exhausted = true
-				break
-			}
-			f.peeked = f.peeked[:rem+n]
-			continue
-		}
-		r, ok := f.stream.Next()
-		if !ok {
+		n := f.stream.NextBatch(f.peeked[rem:cap(f.peeked)])
+		if n == 0 {
 			f.exhausted = true
 			break
 		}
-		//aurora:allow(alloc, peek buffer reaches steady-state capacity; zero-alloc loop guarded by TestCycleLoopZeroAlloc)
-		f.peeked = append(f.peeked, r)
+		f.peeked = f.peeked[:rem+n]
 	}
 	if idx := f.peekPos + i; idx < len(f.peeked) {
 		return f.peeked[idx], true

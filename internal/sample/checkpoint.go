@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"aurora/internal/core"
-	"aurora/internal/isa"
 	"aurora/internal/trace"
 	"aurora/internal/vm"
 	"aurora/internal/workloads"
@@ -46,8 +45,7 @@ type segment struct {
 
 // Checkpoint is one workload's functional pass, captured so that every
 // configuration of a sweep replays it instead of re-executing it: the
-// architectural machine state at the warm-up boundary (a vm.Snapshot), the
-// warm-access log of each fast-forward stretch, and the dynamic instruction
+// warm-access log of each fast-forward stretch and the dynamic instruction
 // records of each detailed window. Everything in it is a pure function of
 // (workload, warm-up, interval, window, budget) — configuration-independent
 // — so one VM pass per workload serves N design points, and a sampled run
@@ -72,14 +70,12 @@ type Checkpoint struct {
 	// cache smaller than the retained suffix's footprint.
 	Truncated bool
 
-	snap *vm.Snapshot // architectural state at the warm-up boundary
 	segs []segment
 }
 
 // NewCheckpoint executes the workload's functional pass once under the
-// normalized sampling layout of p, capturing the warm-up footprint, the
-// warm-up-boundary machine state, and every window's records. ctx cancels a
-// long capture.
+// normalized sampling layout of p, capturing the warm-up footprint and
+// every window's records. ctx cancels a long capture.
 func NewCheckpoint(ctx context.Context, w *workloads.Workload, budget uint64, p Params) (*Checkpoint, error) {
 	p = p.Normalize()
 	m, err := w.NewMachine()
@@ -98,7 +94,6 @@ func NewCheckpoint(ctx context.Context, w *workloads.Workload, budget uint64, p 
 	if err := cp.captureWarm(ctx, m, p.WarmUp, w.Name); err != nil {
 		return nil, err
 	}
-	cp.snap = m.Snapshot()
 
 	// Alternate detailed windows and fast-forward stretches to the budget.
 	for !m.Halted() && (budget == 0 || m.Steps() < budget) {
@@ -131,10 +126,15 @@ func NewCheckpoint(ctx context.Context, w *workloads.Workload, budget uint64, p 
 	return cp, nil
 }
 
+// captureBatch is how many records capture reads from the VM per call, and
+// so how often it polls ctx.
+const captureBatch = 256
+
 // captureWarm steps the VM n instructions (or to halt), appending the
-// deduplicated warm-access log as a new segment.
+// deduplicated warm-access log as a new segment. n may be 0 (a layout with
+// Interval == Window has no fast-forward stretch); nothing is then read.
 func (cp *Checkpoint) captureWarm(ctx context.Context, m *vm.Machine, n uint64, name string) error {
-	ring := make([]warmAccess, 0, min64(n/2+2, maxWarmLog))
+	ring := make([]warmAccess, 0, min(n/2+2, maxWarmLog))
 	start := 0
 	push := func(a warmAccess) {
 		if len(ring) < maxWarmLog {
@@ -148,30 +148,32 @@ func (cp *Checkpoint) captureWarm(ctx context.Context, m *vm.Machine, n uint64, 
 	// lastFetch/lastData hold the previous logged access per cache stream,
 	// +1 so the zero value never matches a real block.
 	var lastFetch, lastData uint64
-	for k := uint64(0); k < n && !m.Halted(); k++ {
-		rec, err := m.Step()
-		if err != nil {
-			if vm.IsHalt(err) {
-				break
+	var buf [captureBatch]trace.Record
+	s := m.Stream(n)
+	for s.Count() < n {
+		k := s.NextBatch(buf[:])
+		if k == 0 {
+			break
+		}
+		for _, rec := range buf[:k] {
+			if blk := uint64(rec.PC/warmDedupBlock) + 1; blk != lastFetch {
+				lastFetch = blk
+				push(warmAccess{addr: rec.PC, kind: core.WarmFetch})
 			}
-			return fmt.Errorf("sample: %s execution fault: %w", name, err)
-		}
-		if blk := uint64(rec.PC/warmDedupBlock) + 1; blk != lastFetch {
-			lastFetch = blk
-			push(warmAccess{addr: rec.PC, kind: core.WarmFetch})
-		}
-		if rec.SI.Class.IsMem() {
-			kind := warmKindFor(rec)
-			if key := (uint64(rec.MemAddr/warmDedupBlock)+1)<<2 | uint64(kind); key != lastData {
-				lastData = key
-				push(warmAccess{addr: rec.MemAddr, kind: kind})
-			}
-		}
-		if k&0xFFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
+			if rec.SI.Class.IsMem() {
+				kind := core.WarmKindOf(rec.SI.Class)
+				if key := (uint64(rec.MemAddr/warmDedupBlock)+1)<<2 | uint64(kind); key != lastData {
+					lastData = key
+					push(warmAccess{addr: rec.MemAddr, kind: kind})
+				}
 			}
 		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	if err := s.Err(); err != nil {
+		return fmt.Errorf("sample: %s execution fault: %w", name, err)
 	}
 	log := ring
 	if start != 0 {
@@ -183,35 +185,27 @@ func (cp *Checkpoint) captureWarm(ctx context.Context, m *vm.Machine, n uint64, 
 	return nil
 }
 
-// captureWindow steps the VM n instructions (or to halt), recording every
-// dynamic record into the current segment's window.
+// captureWindow steps the VM n instructions (or to halt), reading the
+// dynamic records straight into the current segment's window.
 func (cp *Checkpoint) captureWindow(ctx context.Context, m *vm.Machine, n uint64, name string) error {
-	seg := &cp.segs[len(cp.segs)-1]
-	seg.win = make([]trace.Record, 0, n)
-	for k := uint64(0); k < n && !m.Halted(); k++ {
-		rec, err := m.Step()
-		if err != nil {
-			if vm.IsHalt(err) {
-				break
-			}
-			return fmt.Errorf("sample: %s execution fault: %w", name, err)
+	win := make([]trace.Record, n)
+	s := m.Stream(n)
+	k := 0
+	for k < len(win) {
+		got := s.NextBatch(win[k:min(k+captureBatch, len(win))])
+		if got == 0 {
+			break
 		}
-		seg.win = append(seg.win, rec)
-		if k&0xFFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		k += got
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
+	if err := s.Err(); err != nil {
+		return fmt.Errorf("sample: %s execution fault: %w", name, err)
+	}
+	cp.segs[len(cp.segs)-1].win = win[:k]
 	return nil
-}
-
-// warmKindFor classifies a memory instruction's data access.
-func warmKindFor(rec trace.Record) core.WarmKind {
-	if rec.SI.Class == isa.ClassStore || rec.SI.Class == isa.ClassFPStore {
-		return core.WarmStore
-	}
-	return core.WarmLoad
 }
 
 // Matches reports whether the checkpoint can seed a sampled run of the
@@ -220,38 +214,6 @@ func (cp *Checkpoint) Matches(workload string, budget uint64, p Params) bool {
 	p = p.Normalize()
 	return cp.Workload == workload && cp.WarmUp == p.WarmUp &&
 		cp.Interval == p.Interval && cp.Window == p.Window && cp.Budget == budget
-}
-
-// Machine returns a fresh VM positioned at the checkpoint's warm-up
-// boundary, restored from the captured architectural snapshot. Each call
-// returns an independent machine; the checkpoint is not disturbed.
-func (cp *Checkpoint) Machine() (*vm.Machine, error) {
-	m, err := cp.w().NewMachine()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Restore(cp.snap); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// w resolves the checkpoint's workload (checkpoints only store the name so
-// their identity stays comparable).
-func (cp *Checkpoint) w() *workloads.Workload {
-	wl, err := workloads.Get(cp.Workload)
-	if err != nil {
-		//aurora:allow(panic, checkpoint built from a registered workload; reaching this means memory corruption)
-		panic(err)
-	}
-	return wl
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // CheckpointCache shares functional passes across the jobs of a sweep: one

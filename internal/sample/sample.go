@@ -69,33 +69,6 @@ func Run(ctx context.Context, cfg core.Config, w *workloads.Workload, budget uin
 	return cp.Run(ctx, cfg, budget, p)
 }
 
-// replayStream feeds one recorded window's dynamic records to the detailed
-// core. When the slice is exhausted the stream reports end-of-stream, the
-// pipeline drains, and the next window rewinds it onto a new slice.
-type replayStream struct {
-	recs []trace.Record
-	pos  int
-}
-
-func (s *replayStream) Next() (trace.Record, bool) {
-	if s.pos >= len(s.recs) {
-		return trace.Record{}, false
-	}
-	r := s.recs[s.pos]
-	s.pos++
-	return r, true
-}
-
-// NextBatch implements trace.BatchStream so the IFU's batched peek path —
-// the same one full runs use — drives the windows.
-func (s *replayStream) NextBatch(buf []trace.Record) int {
-	n := copy(buf, s.recs[s.pos:])
-	s.pos += n
-	return n
-}
-
-func (s *replayStream) Err() error { return nil }
-
 // ctxCheckMask throttles context polling in the window replay loop,
 // mirroring the core cycle loop's interval.
 const ctxCheckMask = 1<<12 - 1
@@ -119,7 +92,9 @@ func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p
 			cfg.Name, lb, warmDedupBlock)
 	}
 
-	stream := &replayStream{}
+	// stream replays one recorded window at a time: when a window's records
+	// run out the pipeline drains, and the next window refills the stream.
+	stream := &trace.SliceStream{}
 	proc, err := core.NewProcessor(cfg, stream)
 	if err != nil {
 		return nil, err
@@ -151,7 +126,8 @@ func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p
 		// the warm-prefix boundary and at the last window instruction's
 		// retirement (before the drain, so drain cycles never contaminate
 		// the measurement).
-		stream.recs, stream.pos = seg.win, 0
+		stream.Records = seg.win
+		stream.Reset()
 		proc.Reopen()
 		i0base := proc.Instructions()
 		warmTarget := i0base + p.WindowWarm

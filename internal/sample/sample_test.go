@@ -150,6 +150,41 @@ func TestCheckpointSharedIdenticalToPrivate(t *testing.T) {
 	}
 }
 
+// TestCheckpointBackToBackWindows: with Interval == Window there is no
+// fast-forward stretch, so every capture after the warm-up reads zero
+// instructions — it must log nothing and execute nothing, not run the VM
+// to the budget.
+func TestCheckpointBackToBackWindows(t *testing.T) {
+	ctx := context.Background()
+	p := Params{WarmUp: 5000, Interval: 2000, Window: 2000}
+	const budget = 40_000
+	cp, err := NewCheckpoint(ctx, getWorkload(t, "espresso"), budget, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Executed != budget {
+		t.Errorf("Executed = %d, want %d", cp.Executed, budget)
+	}
+	if len(cp.segs) != 18 {
+		t.Fatalf("%d segments, want 18", len(cp.segs))
+	}
+	for i, seg := range cp.segs {
+		if i < len(cp.segs)-1 && len(seg.win) != 2000 {
+			t.Errorf("segment %d: window of %d records, want 2000", i, len(seg.win))
+		}
+		if i > 0 && len(seg.warm) != 0 {
+			t.Errorf("segment %d: %d warm entries, want none", i, len(seg.warm))
+		}
+	}
+	rep, err := cp.Run(ctx, core.Baseline(), budget, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Windows != 17 {
+		t.Errorf("%d windows, want 17", rep.Windows)
+	}
+}
+
 // TestCheckpointInvalidation: a checkpoint refuses to serve any (workload,
 // layout, budget) other than the one it captured — changed warm-up, changed
 // budget, changed workload — instead of silently producing a wrong estimate.

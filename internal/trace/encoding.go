@@ -115,30 +115,32 @@ func (tr *Reader) static(word uint32) (*StaticInstr, error) {
 	return si, nil
 }
 
-// Next returns the next record; ok=false at clean EOF.
-func (tr *Reader) Next() (Record, bool) {
-	if tr.err != nil {
-		return Record{}, false
-	}
-	var buf [17]byte
-	if _, err := io.ReadFull(tr.r, buf[:]); err != nil {
-		if err != io.EOF {
-			tr.err = err
+// NextBatch decodes the next records into buf; it returns 0 at clean EOF
+// or after an error, which Err then reports.
+func (tr *Reader) NextBatch(buf []Record) int {
+	n := 0
+	for ; n < len(buf) && tr.err == nil; n++ {
+		var b [17]byte
+		if _, err := io.ReadFull(tr.r, b[:]); err != nil {
+			if err != io.EOF {
+				tr.err = err
+			}
+			break
 		}
-		return Record{}, false
+		si, err := tr.static(binary.LittleEndian.Uint32(b[4:]))
+		if err != nil {
+			tr.err = err
+			break
+		}
+		buf[n] = Record{
+			SI:      si,
+			PC:      binary.LittleEndian.Uint32(b[0:]),
+			MemAddr: binary.LittleEndian.Uint32(b[8:]),
+			Target:  binary.LittleEndian.Uint32(b[12:]),
+			Taken:   b[16] == 1,
+		}
 	}
-	si, err := tr.static(binary.LittleEndian.Uint32(buf[4:]))
-	if err != nil {
-		tr.err = err
-		return Record{}, false
-	}
-	return Record{
-		SI:      si,
-		PC:      binary.LittleEndian.Uint32(buf[0:]),
-		MemAddr: binary.LittleEndian.Uint32(buf[8:]),
-		Target:  binary.LittleEndian.Uint32(buf[12:]),
-		Taken:   buf[16] == 1,
-	}, true
+	return n
 }
 
 // Err reports a terminal decode or IO error.

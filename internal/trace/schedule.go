@@ -22,6 +22,8 @@ import "aurora/internal/isa"
 //     at the block end, in order.
 type Reschedule struct {
 	inner Stream
+	in    []Record // input buffer over inner; in[inPos:] is unread
+	inPos int
 
 	block  []Record
 	out    []Record
@@ -29,25 +31,52 @@ type Reschedule struct {
 	done   bool
 }
 
+// rescheduleInput is how many records Reschedule reads from its inner
+// stream per call.
+const rescheduleInput = 64
+
 // NewReschedule wraps a stream with the scheduling pass.
 func NewReschedule(inner Stream) *Reschedule {
-	return &Reschedule{inner: inner}
+	return &Reschedule{inner: inner, in: make([]Record, 0, rescheduleInput)}
 }
 
 // Err proxies the inner stream's error.
 func (r *Reschedule) Err() error { return r.inner.Err() }
 
-// Next returns the next rescheduled record.
-func (r *Reschedule) Next() (Record, bool) {
-	for r.outPos >= len(r.out) {
-		if !r.fillBlock() {
+// NextBatch fills buf with the next rescheduled records.
+func (r *Reschedule) NextBatch(buf []Record) int {
+	n := 0
+	for n < len(buf) {
+		if r.outPos >= len(r.out) {
+			if !r.fillBlock() {
+				break
+			}
+			r.out = scheduleBlock(r.block)
+			r.outPos = 0
+		}
+		k := copy(buf[n:], r.out[r.outPos:])
+		r.outPos += k
+		n += k
+	}
+	return n
+}
+
+// next returns the inner stream's next record, refilling the input buffer
+// when it runs dry; ok=false once the inner stream has ended.
+func (r *Reschedule) next() (Record, bool) {
+	if r.inPos >= len(r.in) {
+		if r.done {
 			return Record{}, false
 		}
-		r.out = scheduleBlock(r.block)
-		r.outPos = 0
+		k := r.inner.NextBatch(r.in[:cap(r.in)])
+		if k == 0 {
+			r.done = true
+			return Record{}, false
+		}
+		r.in, r.inPos = r.in[:k], 0
 	}
-	rec := r.out[r.outPos]
-	r.outPos++
+	rec := r.in[r.inPos]
+	r.inPos++
 	return rec, true
 }
 
@@ -57,22 +86,16 @@ func (r *Reschedule) Next() (Record, bool) {
 func (r *Reschedule) fillBlock() bool {
 	const maxBlock = 64
 	r.block = r.block[:0]
-	if r.done {
-		return false
-	}
 	for len(r.block) < maxBlock {
-		rec, ok := r.inner.Next()
+		rec, ok := r.next()
 		if !ok {
-			r.done = true
 			break
 		}
 		r.block = append(r.block, rec)
 		if rec.SI.Class.IsControl() {
 			// The architectural delay slot travels with its branch.
-			if slot, ok := r.inner.Next(); ok {
+			if slot, ok := r.next(); ok {
 				r.block = append(r.block, slot)
-			} else {
-				r.done = true
 			}
 			break
 		}

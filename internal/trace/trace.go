@@ -2,10 +2,12 @@
 // functional MIPS VM (the trace producer) to the Aurora III timing simulator
 // (the consumer), mirroring the trace-driven methodology of the paper.
 //
-// A trace is a stream of Records. Records are produced online by the VM and
-// consumed by the simulator without materialising the whole stream, so
+// A trace is a Stream of Records, delivered in batches through NextBatch.
+// Records are produced online by the VM (vm.Stream) and consumed by the
+// simulator without materialising the whole trace, so
 // multi-million-instruction runs use constant memory. The package also
-// provides a compact binary on-disk format and instruction-mix statistics.
+// provides a compact binary on-disk format (Writer, Reader), the §6
+// rescheduling pass (Reschedule) and instruction-mix statistics.
 package trace
 
 import (
@@ -67,38 +69,29 @@ func NewRecord(pc uint32, in isa.Instruction) Record {
 	return Record{SI: &si, PC: pc}
 }
 
-// Stream produces records one at a time. Next returns ok=false at the end
-// of the stream; Err reports a terminal error, if any.
+// Stream delivers dynamic records in batches, so a consumer pays one
+// interface call per batch and the producer's inner loop stays on concrete
+// types. NextBatch fills buf (len(buf) > 0) with up to len(buf) records and
+// returns how many it wrote; 0 means the stream has ended. Err reports why
+// it ended: nil after a clean end, the producer's error after a fault or a
+// failed read.
 type Stream interface {
-	Next() (Record, bool)
+	NextBatch(buf []Record) int
 	Err() error
 }
 
-// BatchStream is an optional Stream extension: producers that can deliver
-// many records per call implement it so consumers amortise the interface
-// dispatch (and let the producer's inner loop stay on concrete types).
-// NextBatch fills buf and returns the number of records delivered; 0 means
-// end of stream. Consumers fall back to Next when the stream does not
-// implement it.
-type BatchStream interface {
-	Stream
-	NextBatch(buf []Record) int
-}
-
-// SliceStream adapts a []Record to a Stream, mainly for tests.
+// SliceStream adapts a []Record to a Stream: a test's synthetic trace, or a
+// sampled window's recorded records replayed through the core.
 type SliceStream struct {
 	Records []Record
 	i       int
 }
 
-// Next returns the next record.
-func (s *SliceStream) Next() (Record, bool) {
-	if s.i >= len(s.Records) {
-		return Record{}, false
-	}
-	r := s.Records[s.i]
-	s.i++
-	return r, true
+// NextBatch copies the next records into buf.
+func (s *SliceStream) NextBatch(buf []Record) int {
+	n := copy(buf, s.Records[s.i:])
+	s.i += n
+	return n
 }
 
 // Err always returns nil for a slice stream.

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"aurora/internal/isa"
@@ -21,6 +23,16 @@ func sampleRecords() []Record {
 		mk(isa.Instruction{Op: isa.OpFADD, Fd: 2, Fs: 4, Ft: 6, Double: true}, 0, false, 0),
 		mk(isa.Instruction{Op: isa.OpLDC1, Ft: 4, Rs: 4, Imm: 8}, 0x4000, false, 0),
 	}
+}
+
+// readAll drains s in batches of size records.
+func readAll(s Stream, size int) []Record {
+	var out []Record
+	buf := make([]Record, size)
+	for n := s.NextBatch(buf); n > 0; n = s.NextBatch(buf) {
+		out = append(out, buf[:n]...)
+	}
+	return out
 }
 
 func TestEncodingRoundTrip(t *testing.T) {
@@ -43,18 +55,19 @@ func TestEncodingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	all := readAll(r, 4)
+	if len(all) != len(recs) {
+		t.Fatalf("read %d records, want %d (%v)", len(all), len(recs), r.Err())
+	}
 	for i, want := range recs {
-		got, ok := r.Next()
-		if !ok {
-			t.Fatalf("record %d: premature end (%v)", i, r.Err())
-		}
+		got := all[i]
 		if got.PC != want.PC || got.SI.In != want.SI.In || got.MemAddr != want.MemAddr ||
 			got.Taken != want.Taken || got.Target != want.Target ||
 			got.SI.Class != want.SI.Class || got.SI.Deps != want.SI.Deps {
 			t.Errorf("record %d:\n got  %+v\n want %+v", i, got, want)
 		}
 	}
-	if _, ok := r.Next(); ok {
+	if r.NextBatch(make([]Record, 1)) != 0 {
 		t.Error("extra record after end")
 	}
 	if r.Err() != nil {
@@ -84,7 +97,7 @@ func TestReaderTruncatedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Next(); ok {
+	if r.NextBatch(make([]Record, 1)) != 0 {
 		t.Error("truncated record decoded")
 	}
 	if r.Err() == nil {
@@ -95,23 +108,86 @@ func TestReaderTruncatedRecord(t *testing.T) {
 func TestSliceStream(t *testing.T) {
 	recs := sampleRecords()
 	s := &SliceStream{Records: recs}
-	n := 0
-	for {
-		_, ok := s.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != len(recs) {
+	if n := len(readAll(s, 4)); n != len(recs) {
 		t.Errorf("streamed %d want %d", n, len(recs))
 	}
 	s.Reset()
-	if _, ok := s.Next(); !ok {
+	if s.NextBatch(make([]Record, 1)) != 1 {
 		t.Error("reset did not rewind")
 	}
 	if s.Err() != nil {
 		t.Error("slice stream errored")
+	}
+}
+
+// TestStreamConformance: every Stream in the package yields the same
+// records and the same Err whatever batch size its consumer reads with.
+func TestStreamConformance(t *testing.T) {
+	var recs []Record
+	pc := uint32(0x1000)
+	for i := 0; i < 40; i++ {
+		for _, r := range sampleRecords() {
+			r.PC = pc
+			recs = append(recs, r)
+			pc += 4
+		}
+	}
+	var enc bytes.Buffer
+	w := NewWriter(&enc)
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reader := func(b []byte) func() Stream {
+		return func() Stream {
+			r, err := NewReader(bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+	}
+	cases := []struct {
+		name    string
+		open    func() Stream
+		want    []Record // nil: any order of all of recs (Reschedule reorders)
+		wantErr bool
+	}{
+		{"slice", func() Stream { return &SliceStream{Records: recs} }, recs, false},
+		{"reader", reader(enc.Bytes()), recs, false},
+		{"reader/truncated", reader(enc.Bytes()[:enc.Len()-3]), recs[:len(recs)-1], true},
+		{"reschedule", func() Stream { return NewReschedule(&SliceStream{Records: recs}) }, nil, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.open()
+			ref, refErr := readAll(s, 1), s.Err()
+			if c.want != nil && !reflect.DeepEqual(ref, c.want) {
+				t.Fatal("batch 1: records differ from the input")
+			}
+			if c.want == nil && len(ref) != len(recs) {
+				t.Fatalf("batch 1: %d records, want %d", len(ref), len(recs))
+			}
+			if (refErr != nil) != c.wantErr {
+				t.Fatalf("batch 1: Err() = %v, want error %v", refErr, c.wantErr)
+			}
+			for _, size := range []int{3, 64} {
+				s := c.open()
+				if got := readAll(s, size); !reflect.DeepEqual(got, ref) {
+					t.Errorf("batch %d: records differ from batch 1", size)
+				}
+				if s.NextBatch(make([]Record, size)) != 0 {
+					t.Errorf("batch %d: records after the end", size)
+				}
+				if err := s.Err(); fmt.Sprint(err) != fmt.Sprint(refErr) {
+					t.Errorf("batch %d: Err() = %v, want %v", size, err, refErr)
+				}
+			}
+		})
 	}
 }
 
@@ -161,15 +237,7 @@ func TestRescheduleHoistsLoad(t *testing.T) {
 		mkRec(isa.Instruction{Op: isa.OpLW, Rt: 8, Rs: 29}, pc+8, 0x2000),
 		mkRec(isa.Instruction{Op: isa.OpADDU, Rd: 13, Rs: 8, Rt: 8}, pc+12, 0),
 	}
-	rs := NewReschedule(&SliceStream{Records: recs})
-	var out []Record
-	for {
-		r, ok := rs.Next()
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
+	out := readAll(NewReschedule(&SliceStream{Records: recs}), 3)
 	if len(out) != 4 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -195,13 +263,8 @@ func TestReschedulePreservesDependences(t *testing.T) {
 		mkRec(isa.Instruction{Op: isa.OpADDU, Rd: 9, Rs: 8, Rt: 8}, pc+4, 0),
 		mkRec(isa.Instruction{Op: isa.OpADDU, Rd: 12, Rs: 9, Rt: 9}, pc+8, 0),
 	}
-	rs := NewReschedule(&SliceStream{Records: recs})
 	var dsts []uint8
-	for {
-		r, ok := rs.Next()
-		if !ok {
-			break
-		}
+	for _, r := range readAll(NewReschedule(&SliceStream{Records: recs}), 3) {
 		dsts = append(dsts, r.SI.In.Rd)
 	}
 	if dsts[0] != 8 || dsts[1] != 9 || dsts[2] != 12 {
@@ -215,9 +278,8 @@ func TestReschedulePreservesMemoryOrder(t *testing.T) {
 		mkRec(isa.Instruction{Op: isa.OpSW, Rt: 8, Rs: 29}, pc, 0x2000),
 		mkRec(isa.Instruction{Op: isa.OpLW, Rt: 9, Rs: 29}, pc+4, 0x2000),
 	}
-	rs := NewReschedule(&SliceStream{Records: recs})
-	r1, _ := rs.Next()
-	r2, _ := rs.Next()
+	out := readAll(NewReschedule(&SliceStream{Records: recs}), 1)
+	r1, r2 := out[0], out[1]
 	if r1.SI.In.Op != isa.OpSW || r2.SI.In.Op != isa.OpLW {
 		t.Errorf("store/load reordered: %v %v", r1.SI.In.Op, r2.SI.In.Op)
 	}
@@ -236,15 +298,7 @@ func TestReschedulePinsControlAndDelaySlot(t *testing.T) {
 		// next block
 		mkRec(isa.Instruction{Op: isa.OpADDU, Rd: 13, Rs: 10, Rt: 11}, 0x1000, 0),
 	}
-	rs := NewReschedule(&SliceStream{Records: recs})
-	var out []Record
-	for {
-		r, ok := rs.Next()
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
+	out := readAll(NewReschedule(&SliceStream{Records: recs}), 3)
 	if len(out) != 5 {
 		t.Fatalf("%d records", len(out))
 	}
@@ -269,14 +323,9 @@ func TestRescheduleCountPreserved(t *testing.T) {
 		recs = append(recs, mkRec(in, pc, uint32(0x2000+i*4)))
 		pc += 4
 	}
-	rs := NewReschedule(&SliceStream{Records: recs})
 	counts := map[isa.Op]int{}
 	n := 0
-	for {
-		r, ok := rs.Next()
-		if !ok {
-			break
-		}
+	for _, r := range readAll(NewReschedule(&SliceStream{Records: recs}), 64) {
 		counts[r.SI.In.Op]++
 		n++
 	}

@@ -118,16 +118,3 @@ func (m *Memory) StoreBytes(addr uint32, b []byte) {
 
 // PageCount returns the number of mapped pages (for tests and footprint stats).
 func (m *Memory) PageCount() int { return len(m.pages) }
-
-// Clone returns a deep copy: mapped pages are duplicated, so writes through
-// either memory never reach the other. Kernel footprints are a handful of
-// pages, which keeps machine snapshots (vm.Snapshot) cheap.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{pages: make(map[uint32]*[pageSize]byte, len(m.pages))}
-	for pn, p := range m.pages {
-		cp := new([pageSize]byte)
-		*cp = *p
-		c.pages[pn] = cp
-	}
-	return c
-}

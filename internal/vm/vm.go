@@ -19,13 +19,6 @@ import (
 // errHaltReturn signals the clean "returned from main to address 0" halt.
 var errHaltReturn = errors.New("vm: halted (returned to address 0)")
 
-// IsHalt reports whether err is the clean end-of-program halt rather than an
-// execution fault. Trace producers use it to distinguish "the program ended"
-// (end of stream) from "the program crashed" (a stream error the timing run
-// must surface). Note Step also marks the machine halted on a fault, so
-// Halted() alone cannot make this distinction.
-func IsHalt(err error) bool { return errors.Is(err, errHaltReturn) }
-
 // StackTop is the initial stack pointer (stack grows down).
 const StackTop = 0x7fff_fff0
 
@@ -592,18 +585,17 @@ func (m *Machine) syscall() error {
 // record when emit is non-nil. It stops at program exit, the budget, or an
 // execution fault. It returns the number of instructions executed.
 func (m *Machine) Run(max uint64, emit func(trace.Record)) (uint64, error) {
-	start := m.steps
-	for !m.halted && (max == 0 || m.steps-start < max) {
-		rec, err := m.Step()
-		if err != nil {
-			if errors.Is(err, errHaltReturn) {
-				break
-			}
-			return m.steps - start, err
+	s := m.Stream(max)
+	var buf [64]trace.Record
+	for {
+		n := s.NextBatch(buf[:])
+		if n == 0 {
+			return s.Count(), s.Err()
 		}
 		if emit != nil {
-			emit(rec)
+			for _, r := range buf[:n] {
+				emit(r)
+			}
 		}
 	}
-	return m.steps - start, nil
 }

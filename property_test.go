@@ -209,12 +209,9 @@ func TestPropertyRescheduleSound(t *testing.T) {
 		recs := genTrace(script)
 		rs := trace.NewReschedule(&trace.SliceStream{Records: append([]trace.Record{}, recs...)})
 		var out []trace.Record
-		for {
-			r, ok := rs.Next()
-			if !ok {
-				break
-			}
-			out = append(out, r)
+		buf := make([]trace.Record, 64)
+		for n := rs.NextBatch(buf); n > 0; n = rs.NextBatch(buf) {
+			out = append(out, buf[:n]...)
 		}
 		if len(out) != len(recs) {
 			t.Logf("reschedule dropped records: %d → %d", len(recs), len(out))
