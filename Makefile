@@ -36,10 +36,11 @@ race:
 
 # faults runs the fault-isolation layer's tests under the race detector:
 # injected panics at every guarded site, the memo-poison regression, the
-# cancellation races and the per-cell keep-going rendering.
+# cancellation races, the per-cell keep-going rendering and the dead-suite
+# NaN rates.
 faults:
 	$(GO) test -race -timeout 5m -count=1 \
-		-run 'TestFault|TestRunHonorsCancellation|TestJobDeadline|TestKeepGoing|TestFailFast|TestConcurrentRunRace' \
+		-run 'TestFault|TestRunHonorsCancellation|TestJobDeadline|TestKeepGoing|TestFailFast|TestConcurrentRunRace|TestPredictorSweepAllFaulted' \
 		./internal/harness/ ./internal/simfault/
 	$(GO) test -race -timeout 5m -count=1 -run TestRunContextCancellation ./internal/core/
 

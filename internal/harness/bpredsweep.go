@@ -83,55 +83,48 @@ func PredictorSweep(ctx context.Context, r *Runner, model core.Config, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	pts, err := each(ctx, opts, len(points), func(ctx context.Context, i int) (BPredPoint, error) {
-		bp := points[i]
+	pts := make([]BPredPoint, len(points))
+	cfgs := make([]core.Config, len(points))
+	for i, bp := range points {
 		cfg := model.WithBPred(bp)
 		if !bp.IsDefault() {
 			cfg.Name = model.Name + "+" + bp.Key()
 		}
-		intPer, _, _, intAvg, err := suiteCPI(ctx, r, cfg, workloads.Integer(), opts)
-		if err != nil {
-			return BPredPoint{}, err
-		}
-		fpPer, _, _, fpAvg, err := suiteCPI(ctx, r, cfg, workloads.FP(), opts)
-		if err != nil {
-			return BPredPoint{}, err
-		}
 		cost, err := cfg.CostRBE()
 		if err != nil {
-			return BPredPoint{}, err
+			return nil, err
 		}
+		pts[i] = BPredPoint{Label: specs[i], Key: bp.Key(), Bits: bp.StorageBits(), CostRBE: cost}
+		cfgs[i] = cfg
+	}
+	intS, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	fpS, err := grid(ctx, r, opts, workloads.FP(), cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range pts {
+		reps := intS[i].reports()
 		var predicts, mispredicts uint64
-		for _, b := range intPer {
-			if b.Report != nil {
-				predicts += b.Report.BranchPredicts
-				mispredicts += b.Report.BranchMispredicts
-			}
+		for _, rep := range reps {
+			predicts += rep.BranchPredicts
+			mispredicts += rep.BranchMispredicts
 		}
 		// The aggregate rate is a property of the healthy integer cells:
 		// with every cell faulted there is nothing to aggregate, so the
-		// point reports NaN like suiteStats does for the CPIs — a zero
-		// here would read as a perfect front end on a dead suite.
+		// point reports NaN like the CPIs — a zero here would read as a
+		// perfect front end on a dead suite.
 		rate := math.NaN()
-		if countFaults(intPer) < len(intPer) {
+		if len(reps) > 0 {
 			rate = 0
 			if predicts > 0 {
 				rate = float64(mispredicts) / float64(predicts)
 			}
 		}
-		return BPredPoint{
-			Label:         specs[i],
-			Key:           bp.Key(),
-			Bits:          bp.StorageBits(),
-			CostRBE:       cost,
-			IntCPI:        intAvg,
-			FPCPI:         fpAvg,
-			IntMispredict: rate,
-			Faults:        countFaults(intPer) + countFaults(fpPer),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+		pts[i].IntCPI, pts[i].FPCPI, pts[i].IntMispredict = intS[i].avg(), fpS[i].avg(), rate
+		pts[i].Faults = intS[i].faults() + fpS[i].faults()
 	}
 	return &BPredSweepResult{Model: model.Name, Points: pts}, nil
 }

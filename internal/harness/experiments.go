@@ -75,39 +75,30 @@ type Fig4Point struct {
 
 // Fig4 runs the 12 configurations over the integer suite.
 func Fig4(ctx context.Context, r *Runner, opts Options) ([]Fig4Point, error) {
-	type job struct {
-		name           string
-		cfg            core.Config
-		issue, latency int
-	}
-	var jobs []job
+	var pts []Fig4Point
+	var cfgs []core.Config
 	for _, latency := range []int{17, 35} {
 		for _, issue := range []int{1, 2} {
 			for _, model := range core.Models() {
-				jobs = append(jobs, job{
-					name:  model.Name,
-					cfg:   model.WithLatency(latency).WithIssueWidth(issue),
-					issue: issue, latency: latency,
-				})
+				cfg := model.WithLatency(latency).WithIssueWidth(issue)
+				cost, err := cfg.CostRBE()
+				if err != nil {
+					return nil, err
+				}
+				pts = append(pts, Fig4Point{Model: model.Name, Issue: issue, Latency: latency, CostRBE: cost})
+				cfgs = append(cfgs, cfg)
 			}
 		}
 	}
-	return each(ctx, opts, len(jobs), func(ctx context.Context, i int) (Fig4Point, error) {
-		j := jobs[i]
-		cost, err := j.cfg.CostRBE()
-		if err != nil {
-			return Fig4Point{}, err
-		}
-		per, min, max, avg, err := suiteCPI(ctx, r, j.cfg, workloads.Integer(), opts)
-		if err != nil {
-			return Fig4Point{}, err
-		}
-		return Fig4Point{
-			Model: j.name, Issue: j.issue, Latency: j.latency,
-			CostRBE: cost, MinCPI: min, MaxCPI: max, AvgCPI: avg,
-			PerBench: per,
-		}, nil
-	})
+	suites, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range suites {
+		pts[i].MinCPI, pts[i].MaxCPI, pts[i].AvgCPI = s.stats()
+		pts[i].PerBench = s
+	}
+	return pts, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -126,49 +117,29 @@ type RateTable struct {
 	Faults [][]*simfault.Fault
 }
 
-// rateCell is one (model, bench) cell of a rate table.
-type rateCell struct {
-	v     float64
-	fault *simfault.Fault
-}
-
 func rateTable(ctx context.Context, r *Runner, name string, opts Options, metric func(*core.Report) float64) (*RateTable, error) {
-	suite := workloads.Integer()
-	t := &RateTable{Name: name}
-	for _, w := range suite {
-		t.Benches = append(t.Benches, w.Name)
-	}
+	ws := workloads.Integer()
 	models := core.Models()
-	rows, err := each(ctx, opts, len(models), func(ctx context.Context, mi int) ([]rateCell, error) {
-		return each(ctx, opts, len(suite), func(ctx context.Context, wi int) (rateCell, error) {
-			rep, err := r.Run(ctx, models[mi], suite[wi], opts)
-			f, err := faultCell(opts, err)
-			if err != nil {
-				return rateCell{}, err
-			}
-			if f != nil {
-				return rateCell{v: math.NaN(), fault: f}, nil
-			}
-			return rateCell{v: 100 * metric(rep)}, nil
-		})
-	})
+	suites, err := grid(ctx, r, opts, ws, models...)
 	if err != nil {
 		return nil, err
 	}
-	anyFault := false
-	for _, m := range models {
-		t.Models = append(t.Models, m.Name)
+	t := &RateTable{Name: name}
+	for _, w := range ws {
+		t.Benches = append(t.Benches, w.Name)
 	}
-	for _, cells := range rows {
-		row := make([]float64, len(cells))
-		faults := make([]*simfault.Fault, len(cells))
-		for i, c := range cells {
-			row[i] = c.v
-			faults[i] = c.fault
-			if c.fault != nil {
-				anyFault = true
+	anyFault := false
+	for i, s := range suites {
+		t.Models = append(t.Models, models[i].Name)
+		row := make([]float64, len(s))
+		faults := make([]*simfault.Fault, len(s))
+		for j, b := range s {
+			row[j], faults[j] = math.NaN(), b.Fault
+			if b.Report != nil {
+				row[j] = 100 * metric(b.Report)
 			}
 		}
+		anyFault = anyFault || s.faults() > 0
 		t.Rows = append(t.Rows, row)
 		t.Faults = append(t.Faults, faults)
 	}
@@ -196,46 +167,41 @@ func Table5(ctx context.Context, r *Runner, opts Options) (*RateTable, error) {
 		(*core.Report).WriteCacheHitRate)
 }
 
-// WriteTraffic reports §5.5's store-transaction ratio per model
-// (paper: 44% small, 30% base, 22% large). Faulted cells are excluded from
-// a model's ratio; a model with no healthy cells reports NaN.
-func WriteTraffic(ctx context.Context, r *Runner, opts Options) (map[string]float64, error) {
+// TrafficRow is one model's §5.5 store-transaction ratio. Faults counts
+// benchmarks the ratio excludes; a model with no healthy cells reports NaN.
+type TrafficRow struct {
+	Model  string
+	Ratio  float64
+	Faults int
+}
+
+// WriteTraffic reports §5.5's store-transaction ratio per model, in model
+// order (paper: 44% small, 30% base, 22% large).
+func WriteTraffic(ctx context.Context, r *Runner, opts Options) ([]TrafficRow, error) {
 	models := core.Models()
-	suite := workloads.Integer()
-	ratios, err := each(ctx, opts, len(models), func(ctx context.Context, mi int) (float64, error) {
-		var trans, stores uint64
-		reps, err := each(ctx, opts, len(suite), func(ctx context.Context, wi int) (*core.Report, error) {
-			rep, err := r.Run(ctx, models[mi], suite[wi], opts)
-			f, err := faultCell(opts, err)
-			if err != nil {
-				return nil, err
-			}
-			_ = f // faulted cell: rep stays nil and is skipped below
-			return rep, nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		for _, rep := range reps {
-			if rep == nil {
-				continue
-			}
-			trans += rep.WCTransactions
-			stores += rep.WCStores
-		}
-		if stores == 0 {
-			return math.NaN(), nil
-		}
-		return float64(trans) / float64(stores), nil
-	})
+	suites, err := grid(ctx, r, opts, workloads.Integer(), models...)
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]float64{}
-	for i, m := range models {
-		out[m.Name] = ratios[i]
+	rows := make([]TrafficRow, len(suites))
+	for i, s := range suites {
+		rows[i] = TrafficRow{Model: models[i].Name, Ratio: storeTraffic(s), Faults: s.faults()}
 	}
-	return out, nil
+	return rows, nil
+}
+
+// storeTraffic is a suite's store transactions per store instruction over
+// its healthy cells (NaN when they retired no store).
+func storeTraffic(s suite) float64 {
+	var trans, stores uint64
+	for _, rep := range s.reports() {
+		trans += rep.WCTransactions
+		stores += rep.WCStores
+	}
+	if stores == 0 {
+		return math.NaN()
+	}
+	return float64(trans) / float64(stores)
 }
 
 // ---------------------------------------------------------------------------
@@ -259,40 +225,32 @@ type Fig5Point struct {
 
 // Fig5 runs the ablation.
 func Fig5(ctx context.Context, r *Runner, opts Options) ([]Fig5Point, error) {
-	type job struct {
-		name    string
-		latency int
-		on, off core.Config
-	}
-	var jobs []job
+	var pts []Fig5Point
+	var cfgs []core.Config // with and without prefetch, per point
 	for _, latency := range []int{17, 35} {
 		for _, model := range core.Models() {
 			on := model.WithLatency(latency)
-			jobs = append(jobs, job{model.Name, latency, on, on.WithoutPrefetch()})
+			cost, err := on.CostRBE()
+			if err != nil {
+				return nil, err
+			}
+			pts = append(pts, Fig5Point{Model: model.Name, Latency: latency, CostRBE: cost})
+			cfgs = append(cfgs, on, on.WithoutPrefetch())
 		}
 	}
-	return each(ctx, opts, len(jobs), func(ctx context.Context, i int) (Fig5Point, error) {
-		j := jobs[i]
-		cost, err := j.on.CostRBE()
-		if err != nil {
-			return Fig5Point{}, err
-		}
-		perOn, _, maxOn, avgOn, err := suiteCPI(ctx, r, j.on, workloads.Integer(), opts)
-		if err != nil {
-			return Fig5Point{}, err
-		}
-		perOff, _, maxOff, avgOff, err := suiteCPI(ctx, r, j.off, workloads.Integer(), opts)
-		if err != nil {
-			return Fig5Point{}, err
-		}
-		return Fig5Point{
-			Model: j.name, Latency: j.latency, CostRBE: cost,
-			WithPF: avgOn, WithoutPF: avgOff,
-			MaxWithPF: maxOn, MaxWithout: maxOff,
-			Improvement: (avgOff - avgOn) / avgOff,
-			Faults:      countFaults(perOn) + countFaults(perOff),
-		}, nil
-	})
+	suites, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range pts {
+		on, off := suites[2*i], suites[2*i+1]
+		p := &pts[i]
+		_, p.MaxWithPF, p.WithPF = on.stats()
+		_, p.MaxWithout, p.WithoutPF = off.stats()
+		p.Improvement = (p.WithoutPF - p.WithPF) / p.WithoutPF
+		p.Faults = on.faults() + off.faults()
+	}
+	return pts, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -311,51 +269,33 @@ type Fig6Row struct {
 // Fig6 computes the average stall breakdown.
 func Fig6(ctx context.Context, r *Runner, opts Options) ([]Fig6Row, error) {
 	models := core.Models()
-	suite := workloads.Integer()
-	return each(ctx, opts, len(models), func(ctx context.Context, mi int) (Fig6Row, error) {
-		model := models[mi]
-		reps, err := each(ctx, opts, len(suite), func(ctx context.Context, wi int) (*core.Report, error) {
-			rep, err := r.Run(ctx, model, suite[wi], opts)
-			if _, err := faultCell(opts, err); err != nil {
-				return nil, err
-			}
-			return rep, nil
-		})
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		var row Fig6Row
-		row.Model = model.Name
-		n := 0
+	suites, err := grid(ctx, r, opts, workloads.Integer(), models...)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig6Row, len(suites))
+	for i, s := range suites {
+		row := &rows[i]
+		row.Model, row.Faults = models[i].Name, s.faults()
+		reps := s.reports()
 		for _, rep := range reps {
-			if rep == nil {
-				row.Faults++
-				continue
-			}
 			row.TotalCPI += rep.CPI()
 			for c := core.StallCause(0); c < core.NumStallCauses; c++ {
 				row.Stalls[c] += rep.StallCPI(c)
 			}
-			n++
 		}
-		if n == 0 {
-			row.TotalCPI, row.BaseCPI = math.NaN(), math.NaN()
-			for c := range row.Stalls {
-				row.Stalls[c] = math.NaN()
-			}
-			return row, nil
-		}
-		row.TotalCPI /= float64(n)
+		n := float64(len(reps)) // 0 with no healthy benchmark: 0/0 makes the row NaN
+		row.TotalCPI /= n
 		for c := range row.Stalls {
-			row.Stalls[c] /= float64(n)
+			row.Stalls[c] /= n
 		}
 		sum := 0.0
-		for _, s := range row.Stalls {
-			sum += s
+		for _, st := range row.Stalls {
+			sum += st
 		}
 		row.BaseCPI = row.TotalCPI - sum
-		return row, nil
-	})
+	}
+	return rows, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -380,34 +320,28 @@ func Fig7(ctx context.Context, r *Runner, opts Options) ([]Fig7Point, error) {
 // mshrSweep crosses the Table 1 models with a set of MSHR counts; Figure 7
 // and the deep-sweep extension share it.
 func mshrSweep(ctx context.Context, r *Runner, opts Options, counts []int) ([]Fig7Point, error) {
-	type job struct {
-		model core.Config
-		mshrs int
-	}
-	var jobs []job
+	var pts []Fig7Point
+	var cfgs []core.Config
 	for _, model := range core.Models() {
 		for _, mshrs := range counts {
-			jobs = append(jobs, job{model, mshrs})
+			cfg := model
+			cfg.MSHRs = mshrs
+			cost, err := cfg.CostRBE()
+			if err != nil {
+				return nil, err
+			}
+			pts = append(pts, Fig7Point{Model: model.Name, MSHRs: mshrs, CostRBE: cost, IsBase: mshrs == model.MSHRs})
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	return each(ctx, opts, len(jobs), func(ctx context.Context, i int) (Fig7Point, error) {
-		j := jobs[i]
-		cfg := j.model
-		cfg.MSHRs = j.mshrs
-		cost, err := cfg.CostRBE()
-		if err != nil {
-			return Fig7Point{}, err
-		}
-		per, _, _, avg, err := suiteCPI(ctx, r, cfg, workloads.Integer(), opts)
-		if err != nil {
-			return Fig7Point{}, err
-		}
-		return Fig7Point{
-			Model: j.model.Name, MSHRs: j.mshrs, CostRBE: cost,
-			AvgCPI: avg, IsBase: j.mshrs == j.model.MSHRs,
-			Faults: countFaults(per),
-		}, nil
-	})
+	suites, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range suites {
+		pts[i].AvgCPI, pts[i].Faults = s.avg(), s.faults()
+	}
+	return pts, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -439,12 +373,12 @@ func Fig8(ctx context.Context, r *Runner, opts Options) ([]Fig8Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	type job struct {
-		label string
-		cfg   core.Config
+	var labels []string
+	var cfgs []core.Config
+	add := func(label string, cfg core.Config) {
+		labels = append(labels, label)
+		cfgs = append(cfgs, cfg)
 	}
-	var jobs []job
-	add := func(label string, cfg core.Config) { jobs = append(jobs, job{label, cfg}) }
 
 	// Single-issue family: the three models plus point E's cache, 1 pipe.
 	for _, m := range core.Models() {
@@ -490,30 +424,27 @@ func Fig8(ctx context.Context, r *Runner, opts Options) ([]Fig8Point, error) {
 	add("D:baseline+pf", core.Baseline())
 	add("E:recommended", core.RecommendedE())
 
-	return each(ctx, opts, len(jobs), func(ctx context.Context, i int) (Fig8Point, error) {
-		j := jobs[i]
-		cost, err := j.cfg.CostRBE()
+	pts := make([]Fig8Point, len(cfgs))
+	for i, cfg := range cfgs {
+		cost, err := cfg.CostRBE()
 		if err != nil {
-			return Fig8Point{}, err
+			return nil, err
 		}
-		pt := Fig8Point{
-			Label: j.label, Issue: j.cfg.IssueWidth, ICacheK: j.cfg.ICacheBytes / 1024,
-			WCLines: j.cfg.WriteCacheLines, ROB: j.cfg.ReorderBuffer,
-			MSHRs: j.cfg.MSHRs, PFBufs: j.cfg.PrefetchBuffers,
+		pts[i] = Fig8Point{
+			Label: labels[i], Issue: cfg.IssueWidth, ICacheK: cfg.ICacheBytes / 1024,
+			WCLines: cfg.WriteCacheLines, ROB: cfg.ReorderBuffer,
+			MSHRs: cfg.MSHRs, PFBufs: cfg.PrefetchBuffers,
 			CostRBE: cost,
 		}
-		rep, err := r.Run(ctx, j.cfg, w, opts)
-		f, err := faultCell(opts, err)
-		if err != nil {
-			return Fig8Point{}, err
-		}
-		if f != nil {
-			pt.CPI, pt.Fault = math.NaN(), f
-			return pt, nil
-		}
-		pt.CPI = rep.CPI()
-		return pt, nil
-	})
+	}
+	suites, err := grid(ctx, r, opts, []*workloads.Workload{w}, cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range suites {
+		pts[i].CPI, pts[i].Fault = s[0].CPI, s[0].Fault
+	}
+	return pts, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -531,58 +462,22 @@ type Table6Row struct {
 
 // Table6 runs the three §5.8 policies.
 func Table6(ctx context.Context, r *Runner, opts Options) ([]Table6Row, error) {
-	suite := workloads.FP()
-	policies := []fpu.IssuePolicy{
-		fpu.InOrderComplete, fpu.OutOfOrderSingle, fpu.OutOfOrderDual,
-	}
-	out, err := each(ctx, opts, len(suite), func(ctx context.Context, wi int) (Table6Row, error) {
-		w := suite[wi]
-		cpis, err := each(ctx, opts, len(policies), func(ctx context.Context, pi int) (float64, error) {
-			rep, err := r.Run(ctx, withFPUPolicy(core.Baseline(), policies[pi]), w, opts)
-			f, err := faultCell(opts, err)
-			if err != nil {
-				return 0, err
-			}
-			if f != nil {
-				return math.NaN(), nil
-			}
-			return rep.CPI(), nil
-		})
-		if err != nil {
-			return Table6Row{}, err
-		}
-		return Table6Row{
-			Bench:   w.Name,
-			InOrder: cpis[0],
-			Single:  cpis[1],
-			Dual:    cpis[2],
-		}, nil
-	})
+	base := core.Baseline()
+	suites, err := grid(ctx, r, opts, workloads.FP(),
+		withFPUPolicy(base, fpu.InOrderComplete),
+		withFPUPolicy(base, fpu.OutOfOrderSingle),
+		withFPUPolicy(base, fpu.OutOfOrderDual))
 	if err != nil {
 		return nil, err
 	}
-	// Column averages over the healthy cells; a fully faulted column is NaN.
-	avgCol := func(get func(Table6Row) float64) float64 {
-		var sum float64
-		n := 0
-		for _, r := range out {
-			if v := get(r); !math.IsNaN(v) {
-				sum += v
-				n++
-			}
-		}
-		if n == 0 {
-			return math.NaN()
-		}
-		return sum / float64(n)
+	inOrder, single, dual := suites[0], suites[1], suites[2]
+	out := make([]Table6Row, 0, len(inOrder)+1)
+	for i, b := range inOrder {
+		out = append(out, Table6Row{Bench: b.Bench, InOrder: b.CPI, Single: single[i].CPI, Dual: dual[i].CPI})
 	}
-	out = append(out, Table6Row{
-		Bench:   "Average",
-		InOrder: avgCol(func(r Table6Row) float64 { return r.InOrder }),
-		Single:  avgCol(func(r Table6Row) float64 { return r.Single }),
-		Dual:    avgCol(func(r Table6Row) float64 { return r.Dual }),
-	})
-	return out, nil
+	return append(out, Table6Row{
+		Bench: "Average", InOrder: inOrder.avg(), Single: single.avg(), Dual: dual.avg(),
+	}), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -603,23 +498,26 @@ type SweepPoint struct {
 // Every Figure 9 panel, the §5.10 pipelining ablation and the dual-issue
 // queue extension are one call each.
 func fpSweep(ctx context.Context, r *Runner, opts Options, vals []int, apply func(*fpu.Config, int), cost func(int) int) ([]SweepPoint, error) {
-	opts = opts.sweep()
-	return each(ctx, opts, len(vals), func(ctx context.Context, i int) (SweepPoint, error) {
-		v := vals[i]
-		cfg := core.Baseline()
+	pts := make([]SweepPoint, len(vals))
+	cfgs := make([]core.Config, len(vals))
+	for i, v := range vals {
+		pts[i].X = v
+		if cost != nil {
+			pts[i].CostRBE = cost(v)
+		}
 		f := fpu.DefaultConfig()
 		apply(&f, v)
-		cfg.FPU = f
-		per, _, _, avg, err := suiteCPI(ctx, r, cfg, workloads.FP(), opts)
-		if err != nil {
-			return SweepPoint{}, err
-		}
-		pt := SweepPoint{X: v, AvgCPI: avg, Faults: countFaults(per)}
-		if cost != nil {
-			pt.CostRBE = cost(v)
-		}
-		return pt, nil
-	})
+		cfgs[i] = core.Baseline()
+		cfgs[i].FPU = f
+	}
+	suites, err := grid(ctx, r, opts.sweep(), workloads.FP(), cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range suites {
+		pts[i].AvgCPI, pts[i].Faults = s.avg(), s.faults()
+	}
+	return pts, nil
 }
 
 // Fig9Queues regenerates panels (a)-(c): instruction queue 1-5, load queue
@@ -648,6 +546,8 @@ type Fig9LatencyResult struct {
 	// recommended latencies ("degradation ... less than 5%").
 	PipelinedCPI   float64
 	UnpipelinedCPI float64
+	// AblationFaults counts benchmarks the two ablation averages exclude.
+	AblationFaults int
 }
 
 // Fig9Latencies runs the latency sweeps.
@@ -682,5 +582,6 @@ func Fig9Latencies(ctx context.Context, r *Runner, opts Options) (*Fig9LatencyRe
 		return nil, err
 	}
 	res.PipelinedCPI, res.UnpipelinedCPI = abl[0].AvgCPI, abl[1].AvgCPI
+	res.AblationFaults = abl[0].Faults + abl[1].Faults
 	return res, nil
 }

@@ -333,6 +333,91 @@ func TestKeepGoingSweepCompletes(t *testing.T) {
 	}
 }
 
+// TestKeepGoingMarksEveryRow: under keep-going, every rendered row whose
+// statistics drop a faulted cell says so. With an armed site that faults
+// every cell, no line of any registry artifact may show a NaN without a
+// FAULT cell or an [N faulted] mark beside it; with one that faults six of
+// the nine FP kernels, the precise-exception average still covers the
+// three healthy ones.
+func TestKeepGoingMarksEveryRow(t *testing.T) {
+	defer faultinject.Reset()
+	opts := Options{Budget: 20_000, SweepBudget: 5_000}
+	render := func(t *testing.T, r *Runner, name string) string {
+		t.Helper()
+		a, ok := ArtifactNamed(name)
+		if !ok {
+			t.Fatalf("no artifact %q", name)
+		}
+		var buf bytes.Buffer
+		if err := Render(context.Background(), &buf, r, opts, []Artifact{a}, nil); err != nil {
+			t.Fatalf("keep-going %s aborted: %v", name, err)
+		}
+		return buf.String()
+	}
+
+	t.Run("every-cell-faulted", func(t *testing.T) {
+		faultinject.Reset()
+		faultinject.Arm(faultinject.LSUDispatch)
+		r := NewRunner(2)
+		for _, a := range Artifacts() {
+			for _, line := range strings.Split(render(t, r, a.Name), "\n") {
+				if strings.Contains(line, "NaN") && !strings.Contains(line, "FAULT") && !strings.Contains(line, "faulted]") {
+					t.Errorf("%s: unmarked NaN row: %q", a.Name, line)
+				}
+			}
+		}
+
+		// A dead suite has no rate: NaN, never a perfect-looking 0.
+		mmuPts, err := MMUSensitivity(context.Background(), r, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range mmuPts {
+			if !math.IsNaN(p.TLBMissPct) || !math.IsNaN(p.L2HitPct) {
+				t.Errorf("mmu %q: rates %.2f/%.1f on a dead suite, want NaN", p.Label, p.TLBMissPct, p.L2HitPct)
+			}
+		}
+		victim, err := VictimCacheStudy(context.Background(), r, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range victim {
+			if !math.IsNaN(p.VictimHitPct) {
+				t.Errorf("victim %s/%d: hit rate %.1f on a dead suite, want NaN", p.Model, p.VictimLines, p.VictimHitPct)
+			}
+		}
+	})
+
+	t.Run("partial-fp-suite", func(t *testing.T) {
+		faultinject.Reset()
+		faultinject.Arm(faultinject.FPUStoreQueue)
+		r := NewRunner(2)
+		out := render(t, r, "precise")
+		var avg string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "average") {
+				avg = line
+			}
+		}
+		if !strings.HasSuffix(avg, "%  [6 faulted]") || strings.Contains(avg, "NaN") {
+			t.Errorf("precise average = %q, want a number over the healthy kernels marked [6 faulted]:\n%s", avg, out)
+		}
+		rows := 0
+		for _, line := range strings.Split(render(t, r, "victim"), "\n")[2:] {
+			if line == "" {
+				continue
+			}
+			rows++
+			if !strings.HasSuffix(line, "  [6 faulted]") {
+				t.Errorf("victim row not marked: %q", line)
+			}
+		}
+		if rows != 6 {
+			t.Errorf("victim study rendered %d rows, want 6", rows)
+		}
+	})
+}
+
 // TestFailFastAbortsSweep: under FailFast an armed site aborts every
 // simulating registry artifact with the fault as the error instead of a
 // partial table — the sweep figures (8, 9 and the dual-issue queue study)

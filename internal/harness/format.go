@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"aurora/internal/core"
 	"aurora/internal/rbe"
@@ -18,6 +17,15 @@ func faultMark(n int) string {
 		return ""
 	}
 	return fmt.Sprintf("  [%d faulted]", n)
+}
+
+// cpiCell renders a CPI right-aligned in width columns, or FAULT where a
+// fault left it NaN.
+func cpiCell(v float64, width int) string {
+	if math.IsNaN(v) {
+		return fmt.Sprintf("%*s", width, "FAULT")
+	}
+	return fmt.Sprintf("%*.3f", width, v)
 }
 
 // fpAddCost et al. expose the Table 2 unit-cost interpolation for the
@@ -45,7 +53,7 @@ func PrintFig4(w io.Writer, pts []Fig4Point) {
 	for _, p := range pts {
 		fmt.Fprintf(w, "  %-9s %-5d %-7d %9d %8.3f %8.3f %8.3f%s\n",
 			p.Model, p.Issue, p.Latency, p.CostRBE, p.MinCPI, p.AvgCPI, p.MaxCPI,
-			faultMark(countFaults(p.PerBench)))
+			faultMark(suite(p.PerBench).faults()))
 	}
 }
 
@@ -79,30 +87,12 @@ func PrintRateTable(w io.Writer, t *RateTable) {
 	}
 }
 
-// PrintWriteTraffic renders §5.5's traffic ratios. Rows follow the paper's
-// model order (small, baseline, large); any other keys print after those,
-// sorted, so the output is a deterministic function of the map's contents
-// rather than of its iteration order or of a hard-coded key list that
-// would silently drop unexpected models.
-func PrintWriteTraffic(w io.Writer, ratios map[string]float64) {
-	order := make([]string, 0, len(ratios))
-	for _, m := range []string{"small", "baseline", "large"} {
-		if _, ok := ratios[m]; ok {
-			order = append(order, m)
-		}
-	}
-	extras := make([]string, 0, len(ratios))
-	for m := range ratios {
-		if m != "small" && m != "baseline" && m != "large" {
-			extras = append(extras, m)
-		}
-	}
-	sort.Strings(extras)
-	order = append(order, extras...)
-
+// PrintWriteTraffic renders §5.5's traffic ratios, one row per model in
+// the order given.
+func PrintWriteTraffic(w io.Writer, rows []TrafficRow) {
 	fmt.Fprintln(w, "Write traffic (§5.5): store transactions / store instructions")
-	for _, m := range order {
-		fmt.Fprintf(w, "  %-9s %5.1f%%\n", m, 100*ratios[m])
+	for _, r := range rows {
+		fmt.Fprintf(w, "  %-9s %5.1f%%%s\n", r.Model, 100*r.Ratio, faultMark(r.Faults))
 	}
 	fmt.Fprintln(w, "  (paper: 44% / 30% / 22%)")
 }
@@ -175,17 +165,10 @@ func PrintBPredSweep(w io.Writer, r *BPredSweepResult) {
 	fmt.Fprintf(w, "Predictor sweep (%s model): storage bits vs CPI\n", r.Model)
 	fmt.Fprintf(w, "  %-32s %9s %9s %8s %8s %9s  %s\n",
 		"predictor", "bits", "cost/RBE", "intCPI", "fpCPI", "int-mi%", "-bpred")
-	cell := func(v float64) string {
-		if math.IsNaN(v) {
-			return fmt.Sprintf("%8s", "FAULT")
-		}
-		return fmt.Sprintf("%8.3f", v)
-	}
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "  %-32s %9d %9d %s %s %8.2f%%  %s",
-			p.Key, p.Bits, p.CostRBE, cell(p.IntCPI), cell(p.FPCPI), 100*p.IntMispredict, p.Label)
-		fmt.Fprint(w, faultMark(p.Faults))
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "  %-32s %9d %9d %s %s %8.2f%%  %s%s\n",
+			p.Key, p.Bits, p.CostRBE, cpiCell(p.IntCPI, 8), cpiCell(p.FPCPI, 8), 100*p.IntMispredict, p.Label,
+			faultMark(p.Faults))
 	}
 }
 
@@ -232,14 +215,8 @@ func PrintExplore(w io.Writer, r *ExploreResult) {
 func PrintTable6(w io.Writer, rows []Table6Row) {
 	fmt.Fprintln(w, "Table 6: CPI Figures for Three FPU Issue Policies")
 	fmt.Fprintf(w, "  %-10s %12s %12s %12s\n", "benchmark", "in-order", "single", "dual")
-	cell := func(v float64) string {
-		if math.IsNaN(v) {
-			return fmt.Sprintf("%12s", "FAULT")
-		}
-		return fmt.Sprintf("%12.3f", v)
-	}
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-10s %s %s %s\n", r.Bench, cell(r.InOrder), cell(r.Single), cell(r.Dual))
+		fmt.Fprintf(w, "  %-10s %s %s %s\n", r.Bench, cpiCell(r.InOrder, 12), cpiCell(r.Single, 12), cpiCell(r.Dual, 12))
 	}
 }
 
@@ -274,8 +251,8 @@ func PrintFig9Latencies(w io.Writer, r *Fig9LatencyResult) {
 	PrintSweep(w, "Figure 9(f): divide latency", "cycles", r.Div)
 	PrintSweep(w, "Figure 9(g): convert latency", "cycles", r.Cvt)
 	degr := (r.UnpipelinedCPI - r.PipelinedCPI) / r.PipelinedCPI
-	fmt.Fprintf(w, "§5.10 unpipelined add+convert ablation: %.3f → %.3f CPI (%.1f%% degradation; paper: <5%%)\n",
-		r.PipelinedCPI, r.UnpipelinedCPI, 100*degr)
+	fmt.Fprintf(w, "§5.10 unpipelined add+convert ablation: %.3f → %.3f CPI (%.1f%% degradation; paper: <5%%)%s\n",
+		r.PipelinedCPI, r.UnpipelinedCPI, 100*degr, faultMark(r.AblationFaults))
 }
 
 // PrintSampledSweep renders the sampled models x workloads grid: one

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aurora/internal/core"
+	"aurora/internal/simfault"
 )
 
 // Rendering tests with synthetic data: every Print* function must produce
@@ -54,45 +55,16 @@ func TestPrintRateTable(t *testing.T) {
 
 func TestPrintWriteTraffic(t *testing.T) {
 	var b bytes.Buffer
-	PrintWriteTraffic(&b, map[string]float64{"small": 0.44, "baseline": 0.30, "large": 0.22})
-	out := b.String()
-	contains(t, out, "44.0%")
-	contains(t, out, "22.0%")
-}
-
-// TestPrintWriteTrafficOrdering pins the row order byte-for-byte: the
-// paper's models in canonical order, then any extra keys sorted. The golden
-// byte-identity tests depend on the first property; the second keeps the
-// renderer deterministic under map iteration for arbitrary sweeps.
-func TestPrintWriteTrafficOrdering(t *testing.T) {
-	var b bytes.Buffer
-	PrintWriteTraffic(&b, map[string]float64{
-		"zeta":     0.10,
-		"large":    0.22,
-		"alpha":    0.50,
-		"small":    0.44,
-		"baseline": 0.30,
+	PrintWriteTraffic(&b, []TrafficRow{
+		{Model: "small", Ratio: 0.44}, {Model: "baseline", Ratio: 0.30}, {Model: "large", Ratio: 0.22, Faults: 2},
 	})
 	want := "Write traffic (§5.5): store transactions / store instructions\n" +
 		"  small      44.0%\n" +
 		"  baseline   30.0%\n" +
-		"  large      22.0%\n" +
-		"  alpha      50.0%\n" +
-		"  zeta       10.0%\n" +
+		"  large      22.0%  [2 faulted]\n" +
 		"  (paper: 44% / 30% / 22%)\n"
 	if got := b.String(); got != want {
-		t.Errorf("ordering not pinned:\ngot:\n%swant:\n%s", got, want)
-	}
-	// The renderer must be a pure function of the map's contents: repeated
-	// runs over a fresh map cannot reorder rows.
-	for i := 0; i < 8; i++ {
-		var again bytes.Buffer
-		PrintWriteTraffic(&again, map[string]float64{
-			"alpha": 0.50, "baseline": 0.30, "large": 0.22, "small": 0.44, "zeta": 0.10,
-		})
-		if again.String() != want {
-			t.Fatalf("run %d reordered rows:\n%s", i, again.String())
-		}
+		t.Errorf("got:\n%swant:\n%s", got, want)
 	}
 }
 
@@ -175,48 +147,75 @@ func TestPrintFig9Latencies(t *testing.T) {
 	contains(t, out, "4.7% degradation")
 }
 
+// TestPrintExtensionRenderers renders one healthy row and one row with two
+// faulted cells per extension study: the healthy row carries its values
+// and no mark, the partial row carries the [2 faulted] mark.
 func TestPrintExtensionRenderers(t *testing.T) {
 	var b bytes.Buffer
+	check := func(want string) {
+		t.Helper()
+		out := b.String()
+		contains(t, out, want)
+		if lines := strings.Split(strings.TrimSpace(out), "\n"); !strings.HasSuffix(lines[len(lines)-1], "  [2 faulted]") {
+			t.Errorf("partial row is not marked:\n%s", out)
+		}
+		if strings.Count(out, "faulted]") != 1 {
+			t.Errorf("healthy row is marked:\n%s", out)
+		}
+		b.Reset()
+	}
+
 	PrintLatencyScaling(&b, []LatencyPoint{
 		{Latency: 17, CPI: map[string]float64{"small": 1.3, "baseline": 1.05, "large": 1.01}},
+		{Latency: 35, CPI: map[string]float64{"small": 1.5, "baseline": 1.2, "large": 1.1}, Faults: 2},
 	})
-	contains(t, b.String(), "17")
+	check("17")
 
-	b.Reset()
 	PrintBranchFolding(&b, []BranchFoldingResult{
 		{Model: "baseline", WithFold: 1.05, Without: 1.06, Penalty: 0.01},
+		{Model: "large", WithFold: 1.0, Without: 1.02, Penalty: 0.02, Faults: 2},
 	})
-	contains(t, b.String(), "1.0%")
+	check("1.0%")
 
-	b.Reset()
 	PrintWriteCacheSweep(&b, []WriteCachePoint{
 		{Lines: 4, CostRBE: 73084, AvgCPI: 1.05, TrafficRatio: 0.15},
+		{Lines: 8, CostRBE: 74084, AvgCPI: 1.04, TrafficRatio: 0.12, Faults: 2},
 	})
-	contains(t, b.String(), "15.0%")
+	check("15.0%")
 
-	b.Reset()
 	PrintAreaAwareClock(&b, []ClockedPoint{
 		{Model: "baseline", AvgCPI: 1.05, CycleTime: 1.066, TimePerIns: 1.119},
+		{Model: "large", AvgCPI: 1.0, CycleTime: 1.1, TimePerIns: 1.1, Faults: 2},
 	})
-	contains(t, b.String(), "1.119")
+	check("1.119")
 
-	b.Reset()
 	PrintMMUSensitivity(&b, []MMUPoint{
 		{Label: "flat", AvgCPI: 1.05, TLBMissPct: 0.04, L2HitPct: 72.3},
+		{Label: "starved", AvgCPI: 1.2, TLBMissPct: 3.1, L2HitPct: 40.0, Faults: 2},
 	})
-	contains(t, b.String(), "72.3")
+	check("72.3")
 
-	b.Reset()
 	PrintVictimCacheStudy(&b, []VictimPoint{
 		{Model: "baseline", VictimLines: 4, AvgCPI: 1.63, VictimHitPct: 11.0},
+		{Model: "large", VictimLines: 4, AvgCPI: 1.5, VictimHitPct: 9.0, Faults: 2},
 	})
-	contains(t, b.String(), "11.0")
+	check("11.0")
 
-	b.Reset()
 	PrintCompilerScheduling(&b, []SchedulingPoint{
 		{Model: "large", BaseCPI: 1.038, SchedCPI: 1.004, BaseLoadCPI: 0.149, SchedLoadCPI: 0.142},
+		{Model: "small", BaseCPI: 1.3, SchedCPI: 1.25, BaseLoadCPI: 0.1, SchedLoadCPI: 0.09, Faults: 2},
 	})
-	contains(t, b.String(), "1.004")
+	check("1.004")
+
+	fault := &simfault.Fault{Subsystem: "fpu", Cycle: 7}
+	PrintPreciseExceptions(&b, []PrecisePoint{
+		{Bench: "ora", FastCPI: 2.0, PreciseCPI: 2.5, Slowdown: 0.25},
+		{Bench: "doduc", FastCPI: 1.0, PreciseCPI: 1.2, Slowdown: 0.15},
+		{Bench: "nasa7", FastCPI: math.NaN(), PreciseCPI: math.NaN(), Slowdown: math.NaN(), Fault: fault},
+		{Bench: "su2cor", FastCPI: math.NaN(), PreciseCPI: math.NaN(), Slowdown: math.NaN(), Fault: fault},
+	})
+	contains(t, b.String(), "FAULT(fpu@7)")
+	check("20.0%  [2 faulted]") // the healthy rows' average
 }
 
 func TestCSVWriters(t *testing.T) {

@@ -118,40 +118,50 @@ func faultCell(opts Options, err error) (*simfault.Fault, error) {
 	return nil, err
 }
 
-// suiteCPI runs a whole suite on one configuration through the runner,
-// returning the per-bench CPIs and summary statistics in suite order.
-// In keep-going mode faulted benchmarks come back annotated (Fault set,
-// CPI NaN) and the summary statistics cover the healthy cells only.
-func suiteCPI(ctx context.Context, r *Runner, cfg core.Config, suite []*workloads.Workload, opts Options) (per []BenchCPI, min, max, avg float64, err error) {
-	if len(suite) == 0 {
-		return nil, 0, 0, 0, fmt.Errorf("harness: empty workload suite for config %q", cfg.Name)
+// grid runs every configuration over the workload suite ws through the
+// runner and returns one suite per configuration, in input order. It is
+// the one place an experiment reaches the runner: a single flat fan-out
+// over len(cfgs)*len(ws) cells in configuration-major order, so fail-fast
+// reports the first non-cancellation error in input order. In keep-going
+// mode a faulted cell comes back annotated (Fault set, CPI NaN) and the
+// rest of the grid completes.
+func grid(ctx context.Context, r *Runner, opts Options, ws []*workloads.Workload, cfgs ...core.Config) ([]suite, error) {
+	if len(ws) == 0 {
+		return nil, fmt.Errorf("harness: empty workload suite for %d configurations", len(cfgs))
 	}
-	per, err = each(ctx, opts, len(suite), func(ctx context.Context, i int) (BenchCPI, error) {
-		rep, err := r.Run(ctx, cfg, suite[i], opts)
+	cells, err := each(ctx, opts, len(cfgs)*len(ws), func(ctx context.Context, i int) (BenchCPI, error) {
+		w := ws[i%len(ws)]
+		rep, err := r.Run(ctx, cfgs[i/len(ws)], w, opts)
 		f, err := faultCell(opts, err)
 		if err != nil {
 			return BenchCPI{}, err
 		}
 		if f != nil {
-			return BenchCPI{Bench: suite[i].Name, CPI: math.NaN(), Fault: f}, nil
+			return BenchCPI{Bench: w.Name, CPI: math.NaN(), Fault: f}, nil
 		}
-		return BenchCPI{Bench: suite[i].Name, CPI: rep.CPI(), Report: rep}, nil
+		return BenchCPI{Bench: w.Name, CPI: rep.CPI(), Report: rep}, nil
 	})
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, err
 	}
-	min, max, avg = suiteStats(per)
-	return per, min, max, avg, nil
+	out := make([]suite, len(cfgs))
+	for i := range out {
+		out[i] = cells[i*len(ws) : (i+1)*len(ws)]
+	}
+	return out, nil
 }
 
-// suiteStats summarises the healthy cells of a suite run; a fully faulted
-// suite reports NaN across the board (the per-cell annotations carry the
-// story).
-func suiteStats(per []BenchCPI) (min, max, avg float64) {
+// suite is one configuration's run over a workload suite, in suite order.
+type suite []BenchCPI
+
+// stats summarises the healthy cells; a fully faulted suite reports NaN
+// across the board (0/0 for the average; the per-cell annotations carry
+// the story).
+func (s suite) stats() (min, max, avg float64) {
 	var sum float64
 	n := 0
 	min, max = math.NaN(), math.NaN()
-	for _, b := range per {
+	for _, b := range s {
 		if b.Fault != nil {
 			continue
 		}
@@ -164,22 +174,37 @@ func suiteStats(per []BenchCPI) (min, max, avg float64) {
 		sum += b.CPI
 		n++
 	}
-	if n == 0 {
-		return math.NaN(), math.NaN(), math.NaN()
-	}
 	return min, max, sum / float64(n)
 }
 
-// countFaults counts the faulted cells of a suite run, for the fault
-// annotations partial figures print.
-func countFaults(per []BenchCPI) int {
+// avg is the healthy cells' average CPI (NaN when none is healthy).
+func (s suite) avg() float64 {
+	_, _, avg := s.stats()
+	return avg
+}
+
+// faults counts the faulted cells, for the [N faulted] row marks.
+func (s suite) faults() int {
 	n := 0
-	for _, b := range per {
+	for _, b := range s {
 		if b.Fault != nil {
 			n++
 		}
 	}
 	return n
+}
+
+// reports returns the healthy cells' reports in suite order. A rate
+// aggregated over an empty result is NaN, never 0: a dead suite must not
+// read as a perfect one.
+func (s suite) reports() []*core.Report {
+	var out []*core.Report
+	for _, b := range s {
+		if b.Report != nil {
+			out = append(out, b.Report)
+		}
+	}
+	return out
 }
 
 // BenchCPI is one benchmark's result within a configuration. A faulted cell

@@ -214,8 +214,11 @@ func TestWriteTrafficOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(wt["small"] > wt["baseline"] && wt["baseline"] > wt["large"]) {
-		t.Errorf("traffic ratios not decreasing: %v", wt)
+	if len(wt) != 3 || wt[0].Model != "small" || wt[1].Model != "baseline" || wt[2].Model != "large" {
+		t.Fatalf("traffic rows not in model order: %+v", wt)
+	}
+	if !(wt[0].Ratio > wt[1].Ratio && wt[1].Ratio > wt[2].Ratio) {
+		t.Errorf("traffic ratios not decreasing: %+v", wt)
 	}
 }
 

@@ -99,9 +99,9 @@ func TestMemoHitSharesReport(t *testing.T) {
 	}
 }
 
-func TestSuiteCPIEmptySuite(t *testing.T) {
-	if _, _, _, _, err := suiteCPI(context.Background(), NewRunner(1), core.Baseline(), nil, Quick()); err == nil {
-		t.Fatal("suiteCPI on an empty suite returned no error (was a NaN average)")
+func TestGridEmptySuite(t *testing.T) {
+	if _, err := grid(context.Background(), NewRunner(1), Quick(), nil, core.Baseline()); err == nil {
+		t.Fatal("grid over an empty suite returned no error (was a NaN average)")
 	}
 }
 
