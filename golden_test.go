@@ -78,8 +78,80 @@ func TestGoldenReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full golden matrix skipped in -short mode (covered by TestGoldenHeadlines)")
 	}
-	path := filepath.Join("testdata", "golden_reports.txt")
-	got := goldenCorpus(t)
+	checkGolden(t, filepath.Join("testdata", "golden_reports.txt"), goldenCorpus(t))
+}
+
+// ringConfigs are the odd queue sizes the Table 1 models never use: every
+// ring in the fetch queue, the IPU reorder buffer and the FPU's instruction,
+// store and reorder queues wraps at a size that is neither a power of two
+// nor the default, under each FPU issue policy, plus a gshare front end so
+// the predictor's scan over the fetch queue wraps too.
+func ringConfigs() []Config {
+	var out []Config
+	add := func(name string, edit func(*Config)) {
+		c := Baseline()
+		c.Name = name
+		edit(&c)
+		out = append(out, c.Normalize())
+	}
+	for _, n := range []int{2, 3, 5} {
+		add(fmt.Sprintf("fq%d", n), func(c *Config) { c.FetchQueue = n })
+	}
+	for _, n := range []int{1, 3} {
+		add(fmt.Sprintf("rob%d", n), func(c *Config) { c.ReorderBuffer = n })
+	}
+	for _, fp := range []struct {
+		tag string
+		pol FPUPolicy
+	}{{"inorder", FPUInOrder}, {"ooo1", FPUOOOSingle}, {"ooo2", FPUOOODual}} {
+		tag, pol := fp.tag, fp.pol
+		add(tag+"-iq1", func(c *Config) { c.FPU.Policy, c.FPU.InstrQueue = pol, 1 })
+		add(tag+"-iq3", func(c *Config) { c.FPU.Policy, c.FPU.InstrQueue = pol, 3 })
+		add(tag+"-sq1-rob1", func(c *Config) {
+			c.FPU.Policy, c.FPU.StoreQueue, c.FPU.ReorderBuffer = pol, 1, 1
+		})
+	}
+	add("gshare-fq3", func(c *Config) {
+		c.BPred = BPredConfig{Kind: BPredGShare}
+		c.FetchQueue = 3
+	})
+	return out
+}
+
+// ringKernels are two integer kernels and the four FP kernels that keep the
+// FPU busiest within the golden budget.
+var ringKernels = []string{"espresso", "li", "doduc", "mdljdp2", "nasa7", "ora"}
+
+// TestGoldenRingSizes pins every counter of the report under ringConfigs, so
+// a change to how any ring index wraps that moves a single modelled event
+// fails here. Regenerate only for a reviewed modelling change:
+//
+//	go test -run TestGoldenRingSizes -update-golden .
+func TestGoldenRingSizes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ring-size golden matrix skipped in -short mode")
+	}
+	var b strings.Builder
+	for _, cfg := range ringConfigs() {
+		for _, name := range ringKernels {
+			w, err := GetWorkload(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Run(context.Background(), cfg, w, RunOptions{Budget: goldenBudget})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, cfg.Name, err)
+			}
+			fmt.Fprintf(&b, "== %s/%s\n%s", cfg.Name, name, reportFingerprint(rep))
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "golden_rings.txt"), b.String())
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update-golden.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
