@@ -177,7 +177,7 @@ func TestDifferentialVMvsCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := p.Run(0)
+		rep, err := p.Run()
 		if err != nil {
 			t.Fatalf("seed %d on %s: timing run failed: %v", seed, cfg.Name, err)
 		}

@@ -74,7 +74,7 @@ func (w *WriteCache) lineAddr(addr uint32) uint32 {
 
 //aurora:hotpath
 func (w *WriteCache) wordBit(addr uint32) uint32 {
-	return 1 << (addr % uint32(w.lineBytes) / 4)
+	return 1 << (addr & uint32(w.lineBytes-1) >> 2)
 }
 
 //aurora:hotpath

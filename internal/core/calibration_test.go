@@ -34,7 +34,7 @@ func TestCalibrationTable(t *testing.T) {
 		for _, n := range names {
 			st := fullTrace(t, n)
 			p, _ := NewProcessor(model, st)
-			r, err := p.Run(0)
+			r, err := p.Run()
 			if err != nil {
 				t.Fatalf("%s/%s: %v", model.Name, n, err)
 			}

@@ -25,7 +25,7 @@ func TestRunContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.RunContext(ctx, 0)
+	rep, err := p.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled RunContext returned (%v, %v), want context.Canceled", rep, err)
 	}
@@ -39,7 +39,7 @@ func TestRunContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.RunContext(context.Background(), 0); err != nil {
+	if _, err := p2.RunContext(context.Background()); err != nil {
 		t.Fatalf("uncancelled run failed: %v", err)
 	}
 }

@@ -113,10 +113,10 @@ func NewProcessor(cfg Config, stream trace.Stream) (*Processor, error) {
 	return p, nil
 }
 
-// Run simulates until the trace drains, returning the report. maxCycles = 0
-// applies a generous default deadlock guard.
-func (p *Processor) Run(maxCycles uint64) (*Report, error) {
-	return p.RunContext(context.Background(), maxCycles)
+// Run simulates until the trace drains, returning the report. A run that
+// retires too few instructions for its cycle count fails as a runaway.
+func (p *Processor) Run() (*Report, error) {
+	return p.RunContext(context.Background())
 }
 
 // cancelCheckMask throttles context polling to one check every 4096 cycles:
@@ -128,7 +128,7 @@ const cancelCheckMask = 1<<12 - 1
 // RunContext is Run under a context: cancellation or deadline expiry stops
 // the simulation within a few thousand cycles and returns ctx.Err(). A
 // background (never-cancelled) context costs nothing in the loop.
-func (p *Processor) RunContext(ctx context.Context, maxCycles uint64) (*Report, error) {
+func (p *Processor) RunContext(ctx context.Context) (*Report, error) {
 	done := ctx.Done()
 	for !p.done() {
 		p.now++
@@ -137,11 +137,7 @@ func (p *Processor) RunContext(ctx context.Context, maxCycles uint64) (*Report, 
 				return nil, err
 			}
 		}
-		if maxCycles > 0 && p.now > maxCycles {
-			return nil, fmt.Errorf("core: exceeded %d cycles with %d instructions retired (deadlock?)",
-				maxCycles, p.instructions)
-		}
-		if maxCycles == 0 && p.now > 100*p.instructions+1_000_000 {
+		if p.now > 100*p.instructions+1_000_000 {
 			return nil, fmt.Errorf("core: runaway simulation at cycle %d (%d instructions)",
 				p.now, p.instructions)
 		}
@@ -218,7 +214,9 @@ func (p *Processor) retire() {
 			return
 		}
 		e.valid = false
-		p.robHead = (p.robHead + 1) % len(p.rob)
+		if p.robHead++; p.robHead == len(p.rob) {
+			p.robHead = 0
+		}
 		p.robUsed--
 	}
 }
@@ -229,7 +227,7 @@ func (p *Processor) retire() {
 //aurora:hotpath
 func (p *Processor) issue() {
 	issued := 0
-	var first trace.Record
+	var first *trace.Record
 	for issued < p.cfg.IssueWidth {
 		if p.redirectUntil > p.now {
 			// Mispredict redirect: the instructions behind the resolved
@@ -253,11 +251,13 @@ func (p *Processor) issue() {
 			}
 			break
 		}
-		fi := *p.ifu.QueueHead()
+		// The head slot stays intact through Consume: only the IFU's next
+		// Tick refills the ring, so first may point into it.
+		fi := p.ifu.QueueHead()
 		if issued == 1 && !pairAllowed(first, fi) {
 			break
 		}
-		cause, ok := p.canIssue(fi.Rec)
+		cause, ok := p.canIssue(&fi.Rec)
 		if !ok {
 			if issued == 0 {
 				p.stalls[cause]++
@@ -267,13 +267,13 @@ func (p *Processor) issue() {
 			}
 			break
 		}
-		p.doIssue(fi.Rec)
+		p.doIssue(&fi.Rec)
 		p.ifu.Consume(1)
 		p.instructions++
 		if fi.Redirect {
 			p.redirectUntil = p.now + p.redirectHold
 		}
-		first = fi.Rec
+		first = &fi.Rec
 		issued++
 	}
 	if issued == 2 {
@@ -287,7 +287,7 @@ func (p *Processor) issue() {
 // memory-access and one control-flow instruction.
 //
 //aurora:hotpath
-func pairAllowed(first trace.Record, second ipu.FetchedInstr) bool {
+func pairAllowed(first *trace.Record, second *ipu.FetchedInstr) bool {
 	if first.PC%8 != 0 || second.Rec.PC != first.PC+4 {
 		return false
 	}
@@ -307,7 +307,7 @@ func pairAllowed(first trace.Record, second ipu.FetchedInstr) bool {
 // returning the blocking cause when it cannot issue this cycle.
 //
 //aurora:hotpath
-func (p *Processor) canIssue(rec trace.Record) (StallCause, bool) {
+func (p *Processor) canIssue(rec *trace.Record) (StallCause, bool) {
 	// Operand readiness (integer scoreboard).
 	for _, s := range rec.SI.Deps.SrcInt {
 		if s == 0 {
@@ -374,7 +374,7 @@ func isFPQueueClass(c isa.Class) bool {
 // entry. FP arithmetic lives in the FPU's own reorder buffer instead.
 //
 //aurora:hotpath
-func (p *Processor) needsROB(rec trace.Record) bool {
+func (p *Processor) needsROB(rec *trace.Record) bool {
 	return !isFPQueueClass(rec.SI.Class)
 }
 
@@ -385,7 +385,10 @@ func (p *Processor) allocROB(completeAt uint64) int {
 	if p.robUsed >= len(p.rob) || faultinject.Fires(faultinject.CoreROBOverflow) {
 		panic("core: ROB overflow — canIssue checks missed")
 	}
-	slot := (p.robHead + p.robUsed) % len(p.rob)
+	slot := p.robHead + p.robUsed
+	if slot >= len(p.rob) {
+		slot -= len(p.rob)
+	}
 	p.rob[slot] = robEntry{completeAt: completeAt, valid: true}
 	p.robUsed++
 	return slot
@@ -409,7 +412,7 @@ func (p *Processor) setIntDest(reg uint8, at uint64, fromLoad, fromFP bool) uint
 // doIssue commits the issue of rec at the current cycle.
 //
 //aurora:hotpath
-func (p *Processor) doIssue(rec trace.Record) {
+func (p *Processor) doIssue(rec *trace.Record) {
 	now := p.now
 	switch rec.SI.Class {
 	case isa.ClassNop, isa.ClassSystem:

@@ -78,7 +78,7 @@ func mustRun(t *testing.T, cfg Config, st trace.Stream) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Run(0)
+	rep, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,8 +201,6 @@ type FPU struct {
 	// activeUntil.
 	activeUntil uint64
 
-	lastIssued trace.Record // first-slot instruction of the current cycle
-
 	probe *obs.Probe
 }
 
@@ -440,7 +438,7 @@ func (f *FPU) CanDispatchInstr() bool {
 // the instruction's eventual issue.
 //
 //aurora:hotpath
-func (f *FPU) DispatchInstr(rec trace.Record, now uint64) {
+func (f *FPU) DispatchInstr(rec *trace.Record, now uint64) {
 	if !f.CanDispatchInstr() || faultinject.Fires(faultinject.FPUInstrQueue) {
 		panic("fpu: dispatch to full instruction queue")
 	}
@@ -449,7 +447,8 @@ func (f *FPU) DispatchInstr(rec trace.Record, now uint64) {
 	case isa.OpCVTS, isa.OpCVTD, isa.OpCVTW:
 		srcDouble = rec.SI.In.CvtSrc == isa.CvtFromD
 	}
-	q := queued{rec: rec}
+	q := &f.iq[wrap(f.iqHead+f.iqLen, len(f.iq))]
+	*q = queued{rec: *rec}
 	q.srcSeq[0] = f.capture(rec.SI.Deps.SrcFP[0], srcDouble)
 	q.srcSeq[1] = f.capture(rec.SI.Deps.SrcFP[1], srcDouble)
 	if rec.SI.Deps.DstFP != isa.NoFPReg {
@@ -458,7 +457,6 @@ func (f *FPU) DispatchInstr(rec trace.Record, now uint64) {
 	if rec.SI.Deps.WritesFCC {
 		q.fccSeq = f.markFCCWriter()
 	}
-	f.iq[(f.iqHead+f.iqLen)%len(f.iq)] = q
 	f.iqLen++
 	f.stats.Dispatched++
 	if f.probe != nil {
@@ -511,7 +509,7 @@ func (f *FPU) DispatchStore(seq uint64) {
 	if !f.CanDispatchStore() || faultinject.Fires(faultinject.FPUStoreQueue) {
 		panic("fpu: dispatch to full store queue")
 	}
-	f.storeQ[(f.storeQHead+f.storeQLen)%len(f.storeQ)] = seq
+	f.storeQ[wrap(f.storeQHead+f.storeQLen, len(f.storeQ))] = seq
 	f.storeQLen++
 }
 
@@ -526,6 +524,17 @@ func (f *FPU) WriteFromIPU(reg uint8, now uint64) {
 
 // --- per-cycle engine -----------------------------------------------------
 
+// wrap folds a ring index i < 2n back into [0, n) with a compare instead
+// of a divide.
+//
+//aurora:hotpath
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
+
 // Tick advances the FPU by one cycle: retire, then issue.
 //
 //aurora:hotpath
@@ -536,7 +545,7 @@ func (f *FPU) Tick(now uint64) {
 	// Drain the store queue in order: a slot frees once its data is
 	// produced and handed to the write cache (one per cycle).
 	if f.storeQLen > 0 && f.seqDone(f.storeQ[f.storeQHead], now) {
-		f.storeQHead = (f.storeQHead + 1) % len(f.storeQ)
+		f.storeQHead = wrap(f.storeQHead+1, len(f.storeQ))
 		f.storeQLen--
 	}
 
@@ -547,7 +556,7 @@ func (f *FPU) Tick(now uint64) {
 			break
 		}
 		e.valid = false
-		f.robHead = (f.robHead + 1) % len(f.rob)
+		f.robHead = wrap(f.robHead+1, len(f.rob))
 		f.robUsed--
 		f.stats.Retired++
 	}
@@ -563,9 +572,8 @@ func (f *FPU) Tick(now uint64) {
 	case OutOfOrderSingle:
 		f.issueHead(now, nil)
 	case OutOfOrderDual:
-		if f.issueHead(now, nil) && f.iqLen > 0 {
-			first := f.lastIssued
-			if f.issueHead(now, &first) {
+		if first := f.issueHead(now, nil); first != nil && f.iqLen > 0 {
+			if f.issueHead(now, &first.rec) != nil {
 				f.stats.DualIssues++
 			}
 		}
@@ -585,7 +593,7 @@ func (f *FPU) tickInOrder(now uint64) {
 		f.stats.ROBFullStall++
 		return
 	}
-	head := f.iq[f.iqHead]
+	head := &f.iq[f.iqHead]
 	if !f.sourcesReady(head, now) {
 		f.stats.SrcNotReady++
 		return
@@ -594,7 +602,7 @@ func (f *FPU) tickInOrder(now uint64) {
 	lat := f.latencyOf(u)
 	f.complete(head, now+uint64(lat))
 	f.activeUntil = now + uint64(lat)
-	f.iqHead = (f.iqHead + 1) % len(f.iq)
+	f.iqHead = wrap(f.iqHead+1, len(f.iq))
 	f.iqLen--
 	f.stats.Issued++
 	if f.probe != nil {
@@ -606,41 +614,43 @@ func (f *FPU) tickInOrder(now uint64) {
 // issueHead attempts to issue the current queue head. For the second slot
 // of a dual-issue cycle, prev is the instruction issued in the first slot:
 // the pair must be independent (§5.8 lists data dependencies among the
-// dual-issue constraints). Returns whether the head issued.
+// dual-issue constraints). It returns the issued entry, or nil when the
+// head did not issue; the entry's slot is free but is not overwritten
+// before the next DispatchInstr.
 //
 //aurora:hotpath
-func (f *FPU) issueHead(now uint64, prev *trace.Record) bool {
+func (f *FPU) issueHead(now uint64, prev *trace.Record) *queued {
 	if f.iqLen == 0 {
-		return false
+		return nil
 	}
-	head := f.iq[f.iqHead]
-	rec := head.rec
-	if prev != nil && rec.SI.Deps.DependsOn(prev.SI.Deps) {
-		return false
+	head := &f.iq[f.iqHead]
+	si := head.rec.SI
+	if prev != nil && si.Deps.DependsOn(prev.SI.Deps) {
+		return nil
 	}
 	if f.robUsed >= len(f.rob) {
 		f.stats.ROBFullStall++
-		return false
+		return nil
 	}
 	if !f.sourcesReady(head, now) {
 		f.stats.SrcNotReady++
-		return false
+		return nil
 	}
-	u := unitOf(rec.SI.Class)
+	u := unitOf(si.Class)
 	if f.pipelined(u) {
 		if f.unitLastIssue[u] == now {
 			f.stats.UnitBusy++
-			return false
+			return nil
 		}
 	} else if f.unitBusyUntil[u] > now {
 		f.stats.UnitBusy++
-		return false
+		return nil
 	}
 	lat := uint64(f.latencyOf(u))
 	doneAt := now + lat
 	if f.busReserved(doneAt) >= f.cfg.ResultBuses {
 		f.stats.BusConflict++
-		return false
+		return nil
 	}
 
 	// Commit the issue.
@@ -650,30 +660,29 @@ func (f *FPU) issueHead(now uint64, prev *trace.Record) bool {
 		f.unitBusyUntil[u] = doneAt
 	}
 	f.complete(head, doneAt)
-	f.iqHead = (f.iqHead + 1) % len(f.iq)
+	f.iqHead = wrap(f.iqHead+1, len(f.iq))
 	f.iqLen--
-	f.lastIssued = rec
 	f.stats.Issued++
 	if f.probe != nil {
 		f.probe.Span(lat, "fpu", unitNames[u], unitTracks[u], 0)
 		f.probe.Counter("fpu", "fpu-iq", uint64(f.iqLen))
 	}
-	return true
+	return head
 }
 
 //aurora:hotpath
-func (f *FPU) sourcesReady(q queued, now uint64) bool {
+func (f *FPU) sourcesReady(q *queued, now uint64) bool {
 	return f.seqDone(q.srcSeq[0], now) && f.seqDone(q.srcSeq[1], now)
 }
 
 // complete allocates the ROB entry and schedules the result write.
 //
 //aurora:hotpath
-func (f *FPU) complete(q queued, doneAt uint64) {
+func (f *FPU) complete(q *queued, doneAt uint64) {
 	if f.robUsed >= len(f.rob) || faultinject.Fires(faultinject.FPUROBOverflow) {
 		panic("fpu: ROB overflow — issue checks missed")
 	}
-	slot := (f.robHead + f.robUsed) % len(f.rob)
+	slot := wrap(f.robHead+f.robUsed, len(f.rob))
 	f.rob[slot] = robEntry{completeAt: doneAt, valid: true}
 	f.robUsed++
 	f.scheduleSeq(q.dstSeq, doneAt)

@@ -8,9 +8,10 @@ import (
 )
 
 // mkFP builds a trace record for an FP arithmetic instruction.
-func mkFP(op isa.Op, fd, fs, ft uint8, double bool) trace.Record {
+func mkFP(op isa.Op, fd, fs, ft uint8, double bool) *trace.Record {
 	in := isa.Instruction{Op: op, Fd: fd, Fs: fs, Ft: ft, Double: double}
-	return trace.NewRecord(0, in)
+	r := trace.NewRecord(0, in)
+	return &r
 }
 
 func runCycles(f *FPU, from, to uint64) {
@@ -175,7 +176,7 @@ func TestResultBusConflict(t *testing.T) {
 	cvt := trace.NewRecord(0, isa.Instruction{
 		Op: isa.OpCVTD, Fd: 8, Fs: 10, Ft: isa.NoFPReg, CvtSrc: isa.CvtFromW, Double: true,
 	})
-	f.DispatchInstr(cvt, 0)
+	f.DispatchInstr(&cvt, 0)
 	f.Tick(1)
 	if f.Stats().DualIssues != 0 {
 		t.Error("dual issue despite single result bus")
@@ -288,7 +289,7 @@ func TestSqrtUsesDivideUnit(t *testing.T) {
 	sq := trace.NewRecord(0, isa.Instruction{
 		Op: isa.OpFSQRT, Fd: 2, Fs: 4, Ft: isa.NoFPReg, Double: true,
 	})
-	f.DispatchInstr(sq, 0)
+	f.DispatchInstr(&sq, 0)
 	f.DispatchInstr(mkFP(isa.OpFDIV, 6, 8, 10, true), 0)
 	runCycles(f, 1, 50)
 	// sqrt 1→20; div must wait for the shared unit: 20→39.

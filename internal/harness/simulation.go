@@ -115,7 +115,7 @@ func (s *Simulation) execute(fn func() error) (err error) {
 func (s *Simulation) Run() (*core.Report, error) {
 	var rep *core.Report
 	err := s.execute(func() (err error) {
-		rep, err = s.p.RunContext(s.ctx, 0)
+		rep, err = s.p.RunContext(s.ctx)
 		if err != nil {
 			err = fmt.Errorf("harness: %s on %s: %w", s.job.Workload, s.job.Config, err)
 		}

@@ -144,8 +144,9 @@ func (f *IFU) Stats() IFUStats { return f.stats }
 //aurora:hotpath
 func (f *IFU) QueueLen() int { return f.qLen }
 
-// QueueHead returns the oldest queued instruction; the pointer is valid
-// until the next Consume or Tick. The queue must be non-empty.
+// QueueHead returns the oldest queued instruction. The queue must be
+// non-empty. The pointer stays valid until the next Tick: Consume frees
+// the slot but only Tick refills it.
 //
 //aurora:hotpath
 func (f *IFU) QueueHead() *FetchedInstr { return &f.queue[f.qHead] }
@@ -154,8 +155,8 @@ func (f *IFU) QueueHead() *FetchedInstr { return &f.queue[f.qHead] }
 // order (tests and debugging; the issue path uses QueueHead).
 func (f *IFU) Queue() []FetchedInstr {
 	out := make([]FetchedInstr, f.qLen)
-	for i := 0; i < f.qLen; i++ {
-		out[i] = f.queue[(f.qHead+i)%len(f.queue)]
+	for i := range out {
+		out[i] = f.queue[f.slot(i)]
 	}
 	return out
 }
@@ -164,16 +165,29 @@ func (f *IFU) Queue() []FetchedInstr {
 //
 //aurora:hotpath
 func (f *IFU) Consume(n int) {
-	f.qHead = (f.qHead + n) % len(f.queue)
+	f.qHead = f.slot(n)
 	f.qLen -= n
 }
 
-// push appends a fetched instruction to the ring.
+// slot returns the ring index of the k-th queued entry, 0 <= k <= qLen,
+// wrapping with a compare instead of a divide.
 //
 //aurora:hotpath
-func (f *IFU) push(fi FetchedInstr) {
-	f.queue[(f.qHead+f.qLen)%len(f.queue)] = fi
+func (f *IFU) slot(k int) int {
+	i := f.qHead + k
+	if i >= len(f.queue) {
+		i -= len(f.queue)
+	}
+	return i
+}
+
+// push appends an entry to the ring and returns it for the caller to fill.
+//
+//aurora:hotpath
+func (f *IFU) push() *FetchedInstr {
+	fi := &f.queue[f.slot(f.qLen)]
 	f.qLen++
+	return fi
 }
 
 // Done reports whether the trace is exhausted and the queue drained.
@@ -209,9 +223,13 @@ func (f *IFU) Stalled(now uint64) bool {
 	return f.fillPending && f.fillReady > now
 }
 
+// fill tops the lookahead window up to the two records a fetch pair needs,
+// while the stream has them, and returns how many are buffered. Refilling
+// compacts the window, so it runs before any pointer into it is taken.
+//
 //aurora:hotpath
-func (f *IFU) peek(i int) (trace.Record, bool) {
-	for f.peekPos+i >= len(f.peeked) && !f.exhausted {
+func (f *IFU) fill() int {
+	for len(f.peeked)-f.peekPos < 2 && !f.exhausted {
 		// Compact the (at most 2) unconsumed records to the front before
 		// refilling, so the window never grows past its fixed capacity.
 		rem := copy(f.peeked, f.peeked[f.peekPos:])
@@ -224,10 +242,7 @@ func (f *IFU) peek(i int) (trace.Record, bool) {
 		}
 		f.peeked = f.peeked[:rem+n]
 	}
-	if idx := f.peekPos + i; idx < len(f.peeked) {
-		return f.peeked[idx], true
-	}
-	return trace.Record{}, false
+	return len(f.peeked) - f.peekPos
 }
 
 // advance consumes n peeked records — a cursor bump, no data movement.
@@ -256,10 +271,11 @@ func (f *IFU) Tick(now uint64) {
 	if f.qLen+2 > f.cfg.FetchQueue {
 		return // no room for a full pair this cycle
 	}
-	head, ok := f.peek(0)
-	if !ok {
+	buffered := f.fill()
+	if buffered == 0 {
 		return
 	}
+	head := &f.peeked[f.peekPos]
 
 	// Probe the instruction cache for the line holding the next pair.
 	if !f.ic.Lookup(head.PC) {
@@ -296,15 +312,18 @@ func (f *IFU) Tick(now uint64) {
 
 	// Hit: deliver the instruction, and its pair partner when the dynamic
 	// successor really is the other half of the aligned pair.
-	second, haveSecond := f.peek(1)
-	pair := haveSecond && head.PC%8 == 0 && second.PC == head.PC+4
-	f.push(FetchedInstr{Rec: head, PairHead: pair})
+	var second *trace.Record
+	if buffered > 1 {
+		second = &f.peeked[f.peekPos+1]
+	}
+	pair := second != nil && head.PC%8 == 0 && second.PC == head.PC+4
+	*f.push() = FetchedInstr{Rec: *head, PairHead: pair}
 	n := 1
 	if pair {
-		f.push(FetchedInstr{
-			Rec:       second,
+		*f.push() = FetchedInstr{
+			Rec:       *second,
 			DepOnPrev: second.SI.Deps.DependsOn(head.SI.Deps),
-		})
+		}
 		n = 2
 	}
 	f.advance(n)
@@ -319,7 +338,7 @@ func (f *IFU) Tick(now uint64) {
 		return
 	}
 	for k := f.qLen - n; k < f.qLen; k++ {
-		rec := f.queue[(f.qHead+k)%len(f.queue)].Rec
+		rec := &f.queue[f.slot(k)].Rec
 		indirect := rec.SI.Class == isa.ClassJump &&
 			(rec.SI.In.Op == isa.OpJR || rec.SI.In.Op == isa.OpJALR)
 		if rec.SI.Class.IsControl() && rec.Taken &&
@@ -352,10 +371,10 @@ func (f *IFU) Tick(now uint64) {
 //aurora:hotpath
 func (f *IFU) predictorScan(now uint64, n int) {
 	for k := f.qLen - n; k < f.qLen; k++ {
-		idx := (f.qHead + k) % len(f.queue)
-		rec := f.queue[idx].Rec
+		fi := &f.queue[f.slot(k)]
+		rec := &fi.Rec
 		if f.markRedirect {
-			f.queue[idx].Redirect = true
+			fi.Redirect = true
 			f.markRedirect = false
 		}
 		if rec.SI.Class.IsControl() && rec.Taken &&

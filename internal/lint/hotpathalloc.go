@@ -16,7 +16,10 @@ import (
 // literals, make/new, append growth, interface boxing at call sites, fmt,
 // string concatenation or conversion, defer, go — and every static call
 // they make to a module-local function must target another annotated
-// (hence equally checked) hot-path function. Annotations on callees in
+// (hence equally checked) hot-path function. It also bans integer division
+// and remainder by a non-constant divisor there: a ring index wraps with a
+// compare and a power-of-two size is a mask, so the loop never pays for a
+// hardware divide. Annotations on callees in
 // imported packages are carried across package boundaries as analysis
 // facts, so the whole per-cycle call graph is covered without whole-program
 // analysis. Dynamic calls (interface methods, func values) cannot be
@@ -36,7 +39,10 @@ type isHotPath struct{}
 func (*isHotPath) AFact()         {}
 func (*isHotPath) String() string { return "hotpath" }
 
-const allocTok = "alloc"
+const (
+	allocTok = "alloc"
+	divTok   = "div"
+)
 
 func runHotPathAlloc(pass *analysis.Pass) (interface{}, error) {
 	w := collectWaivers(pass)
@@ -107,15 +113,32 @@ func (c *hotChecker) checkBody(body ast.Node) {
 			if n.Op == token.ADD && !c.isConst(n) && isString(c.typeOf(n)) {
 				c.report(n.Pos(), "hot path: string concatenation allocates")
 			}
+			if n.Op == token.QUO || n.Op == token.REM {
+				c.checkDivision(n.OpPos, n.Op, n.X, n.Y)
+			}
 		case *ast.AssignStmt:
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isString(c.typeOf(n.Lhs[0])) {
 				c.report(n.Pos(), "hot path: string concatenation allocates")
+			}
+			if (n.Tok == token.QUO_ASSIGN || n.Tok == token.REM_ASSIGN) && len(n.Lhs) == 1 {
+				c.checkDivision(n.TokPos, n.Tok, n.Lhs[0], n.Rhs[0])
 			}
 		case *ast.CallExpr:
 			c.checkCall(n)
 		}
 		return true
 	})
+}
+
+// checkDivision reports an integer x/y or x%y whose divisor is not a
+// constant. Float division is allowed.
+func (c *hotChecker) checkDivision(pos token.Pos, op token.Token, x, y ast.Expr) {
+	if c.isConst(y) {
+		return
+	}
+	if b, ok := c.typeOf(x).Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
+		report(c.pass, c.w, pos, divTok, fmt.Sprintf("hot path: integer %s by a non-constant divisor", op))
+	}
 }
 
 func (c *hotChecker) typeOf(e ast.Expr) types.Type {

@@ -44,6 +44,16 @@ func bad(r *ring, bs []byte, s string) {
 }
 
 //aurora:hotpath
+func divide(r *ring, size int, w uint32) int {
+	i := (r.n + 1) % len(r.spill) // want `integer % by a non-constant divisor`
+	j := r.n / size               // want `integer / by a non-constant divisor`
+	w %= uint32(size)             // want `integer %= by a non-constant divisor`
+	//aurora:allow(alloc, an alloc waiver does not cover a division)
+	k := r.n / size // want `integer / by a non-constant divisor`
+	return i + j + k + int(w)
+}
+
+//aurora:hotpath
 func debugDump(r *ring) {
 	print(r.name, ": ", r.n) // println/print are allocation-free runtime calls
 }

@@ -21,6 +21,21 @@ func step(r *ring) uint64 {
 	return r.buf[0]
 }
 
+// wrap is the compliant ring step: a compare instead of a remainder,
+// constant divisors, a power-of-two mask, float rates, and a waived divide.
+//
+//aurora:hotpath
+func wrap(r *ring, size int, a, b float64) float64 {
+	i := r.n + 1
+	if i == len(r.buf) {
+		i = 0
+	}
+	r.n = i + r.n%8 + r.n/4 + r.n&(size-1)
+	//aurora:allow(div, fixture: a cold branch of a hot function)
+	r.n /= size
+	return a / b
+}
+
 // cold is not annotated, so nothing in it is checked.
 func cold(r *ring) []uint64 {
 	out := make([]uint64, 0, r.n)

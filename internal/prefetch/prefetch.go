@@ -72,6 +72,12 @@ type Buffers struct {
 	clock     uint64
 	genCtr    uint64
 
+	// idle latches Tick's finding that no valid buffer wants a line. Only
+	// a Probe hit (which consumes slots and escalates) or AllocateOnMiss
+	// can make a buffer want one again, so they clear it; until then Tick
+	// skips the scan. A disabled pool is idle for good.
+	idle bool
+
 	probes      uint64
 	hits        uint64
 	pendingHits uint64
@@ -94,6 +100,7 @@ func New(n, depth, lineBytes int) *Buffers {
 	}
 	p := &Buffers{
 		enabled:   n > 0,
+		idle:      n == 0,
 		lineBytes: uint32(lineBytes),
 		depth:     depth,
 		bufs:      make([]buffer, n),
@@ -138,6 +145,7 @@ func (p *Buffers) Probe(now uint64, lineAddr uint32) (ProbeResult, uint64) {
 				continue
 			}
 			p.clock++
+			p.idle = false
 			b.lru = p.clock
 			b.escalate = true
 			var ready uint64
@@ -207,6 +215,7 @@ func (p *Buffers) AllocateOnMiss(now uint64, missLineAddr uint32) {
 	victim.lru = p.clock
 	victim.escalate = false
 	victim.gen = p.genCtr
+	p.idle = false
 	p.allocs++
 	if p.probe != nil {
 		p.probe.Instant("prefetch", "alloc", "pfu", uint64(missLineAddr))
@@ -218,7 +227,7 @@ func (p *Buffers) AllocateOnMiss(now uint64, missLineAddr uint32) {
 //
 //aurora:hotpath
 func (p *Buffers) Tick(now uint64, f Fetcher) {
-	if !p.enabled || !f.SpareForPrefetch() || !f.CanAccept() {
+	if p.idle || !f.SpareForPrefetch() || !f.CanAccept() {
 		return
 	}
 	// Pick the most recently used buffer that wants a line: fresh
@@ -234,6 +243,7 @@ func (p *Buffers) Tick(now uint64, f Fetcher) {
 		}
 	}
 	if bi < 0 {
+		p.idle = true
 		return
 	}
 	best := &p.bufs[bi]

@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"aurora/internal/mem"
@@ -241,5 +243,104 @@ func TestStaleFillDropped(t *testing.T) {
 	}
 	if r, _ := p.Probe(131, 0x9020); r != Present {
 		t.Error("new stream line missing")
+	}
+}
+
+// scriptFetcher is a Fetcher whose answers the driver sets before each
+// Tick, so two pools see the same memory system however often they ask.
+// It logs every accepted read and holds it until the driver delivers it.
+type scriptFetcher struct {
+	spare, accept, ok bool
+	reads             []fakeReq
+	inflight          []fakeReq
+}
+
+func (f *scriptFetcher) SpareForPrefetch() bool { return f.spare }
+func (f *scriptFetcher) CanAccept() bool        { return f.accept }
+func (f *scriptFetcher) Read(now uint64, lineAddr uint32, client mem.ReadClient, tag uint64) (uint64, bool) {
+	if !f.ok {
+		return 0, false
+	}
+	r := fakeReq{doneAt: now + 5, lineAddr: lineAddr, tag: tag, client: client}
+	f.reads = append(f.reads, r)
+	f.inflight = append(f.inflight, r)
+	return r.doneAt, true
+}
+
+// TestIdleLatchMatchesForcedTick drives random Probe, AllocateOnMiss, Tick
+// and LineArrived sequences through two pools: one keeps its idle latch,
+// the other has the latch cleared before every Tick, so it scans every
+// cycle as before the latch existed. The latch is only a skip: both pools
+// must issue the same reads in the same order and answer every probe
+// alike, and whenever the latch is set no valid buffer may want a line.
+func TestIdleLatchMatchesForcedTick(t *testing.T) {
+	latchedTicks := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, depth := rng.Intn(5), 1+rng.Intn(4)
+		latched, forced := New(n, depth, 32), New(n, depth, 32)
+		lf, ff := &scriptFetcher{}, &scriptFetcher{}
+		check := func(step int, op string) {
+			t.Helper()
+			if latched.idle {
+				for i := range latched.bufs {
+					if b := &latched.bufs[i]; b.valid && latched.wantsFetch(b) {
+						t.Fatalf("seed %d step %d %s: idle latched while buffer %d wants a line", seed, step, op, i)
+					}
+				}
+			}
+			if len(lf.reads) != len(ff.reads) {
+				t.Fatalf("seed %d step %d %s: %d reads latched, %d forced", seed, step, op, len(lf.reads), len(ff.reads))
+			}
+			for i := range lf.reads {
+				a, b := lf.reads[i], ff.reads[i]
+				if a.doneAt != b.doneAt || a.lineAddr != b.lineAddr || a.tag != b.tag {
+					t.Fatalf("seed %d step %d %s: read %d differs: latched %+v, forced %+v", seed, step, op, i, a, b)
+				}
+			}
+		}
+		for step := 0; step < 2000; step++ {
+			now := uint64(step)
+			line := uint32(rng.Intn(16)) * 32
+			switch op := rng.Intn(10); {
+			case op < 2:
+				r1, at1 := latched.Probe(now, line)
+				r2, at2 := forced.Probe(now, line)
+				if r1 != r2 || at1 != at2 {
+					t.Fatalf("seed %d step %d: probe %#x = (%v, %d) latched, (%v, %d) forced", seed, step, line, r1, at1, r2, at2)
+				}
+				check(step, "Probe")
+			case op < 3:
+				latched.AllocateOnMiss(now, line)
+				forced.AllocateOnMiss(now, line)
+				check(step, "AllocateOnMiss")
+			case op < 4 && len(lf.inflight) > 0:
+				i := rng.Intn(len(lf.inflight))
+				for _, f := range []*scriptFetcher{lf, ff} {
+					r := f.inflight[i]
+					f.inflight = slices.Delete(f.inflight, i, i+1)
+					r.client.LineArrived(now, r.lineAddr, r.tag)
+				}
+				check(step, "LineArrived")
+			default:
+				spare, accept, ok := rng.Intn(4) != 0, rng.Intn(4) != 0, rng.Intn(4) != 0
+				lf.spare, lf.accept, lf.ok = spare, accept, ok
+				ff.spare, ff.accept, ff.ok = spare, accept, ok
+				if latched.idle {
+					latchedTicks++
+				}
+				forced.idle = false
+				latched.Tick(now, lf)
+				forced.Tick(now, ff)
+				check(step, "Tick")
+			}
+		}
+		if latched.Fetches() != forced.Fetches() || latched.Hits() != forced.Hits() ||
+			latched.Allocs() != forced.Allocs() || latched.Discarded() != forced.Discarded() {
+			t.Fatalf("seed %d: stats differ between latched and forced pools", seed)
+		}
+	}
+	if latchedTicks == 0 {
+		t.Fatal("the latch never engaged: the sequences do not exercise it")
 	}
 }

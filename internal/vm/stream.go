@@ -22,19 +22,18 @@ type Stream struct {
 // executes (0 = until the program halts).
 func (m *Machine) Stream(budget uint64) *Stream { return &Stream{m: m, budget: budget} }
 
-// NextBatch steps the machine to fill buf, keeping the step loop on
-// concrete types and amortising the stream interface dispatch across the
-// batch.
+// NextBatch steps the machine to fill buf, each step writing its record
+// straight into its slot, keeping the step loop on concrete types and
+// amortising the stream interface dispatch across the batch.
 func (s *Stream) NextBatch(buf []trace.Record) int {
 	n := 0
 	for n < len(buf) {
 		if s.err != nil || s.m.Halted() || (s.budget > 0 && s.n >= s.budget) {
 			break
 		}
-		rec, err := s.m.Step()
-		if err != nil {
+		if err := s.m.step(&buf[n]); err != nil {
 			// A clean halt ends the stream; a fault is kept so the run
-			// fails instead of reporting a truncated trace's CPI. Step
+			// fails instead of reporting a truncated trace's CPI. step
 			// marks the machine halted on faults too, so the clean end is
 			// told apart by the error, not by Halted().
 			if !errors.Is(err, errHaltReturn) {
@@ -43,7 +42,6 @@ func (s *Stream) NextBatch(buf []trace.Record) int {
 			break
 		}
 		s.n++
-		buf[n] = rec
 		n++
 	}
 	return n

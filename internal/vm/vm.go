@@ -93,21 +93,29 @@ func (m *Machine) PC() uint32 { return m.pc }
 
 // Step executes one instruction and returns its trace record.
 func (m *Machine) Step() (trace.Record, error) {
+	var rec trace.Record
+	err := m.step(&rec)
+	return rec, err
+}
+
+// step executes one instruction, writing its trace record into rec, so a
+// batch fills its buffer in place.
+func (m *Machine) step(rec *trace.Record) error {
 	if m.halted {
-		return trace.Record{}, fmt.Errorf("vm: machine halted")
+		return fmt.Errorf("vm: machine halted")
 	}
 	if m.pc == 0 { // return from main without syscall exit
 		m.halted = true
-		return trace.Record{}, errHaltReturn
+		return errHaltReturn
 	}
 	idx := (m.pc - asm.TextBase) / 4
 	if m.pc < asm.TextBase || int(idx) >= len(m.static) || m.pc&3 != 0 {
 		m.halted = true
-		return trace.Record{}, fmt.Errorf("vm: pc %#x outside text segment", m.pc)
+		return fmt.Errorf("vm: pc %#x outside text segment", m.pc)
 	}
 	st := &m.static[idx]
 	in := st.In
-	rec := trace.Record{SI: st, PC: m.pc}
+	*rec = trace.Record{SI: st, PC: m.pc}
 
 	curPC := m.pc
 	linkPC := curPC + 8 // return address skips the delay slot
@@ -134,7 +142,7 @@ func (m *Machine) Step() (trace.Record, error) {
 	case isa.OpADD:
 		sum := rs + rt
 		if addOverflows(rs, rt, sum) {
-			return rec, m.fault(curPC, "integer overflow in add")
+			return m.fault(curPC, "integer overflow in add")
 		}
 		m.set(in.Rd, sum)
 	case isa.OpADDU:
@@ -142,7 +150,7 @@ func (m *Machine) Step() (trace.Record, error) {
 	case isa.OpSUB:
 		diff := rs - rt
 		if subOverflows(rs, rt, diff) {
-			return rec, m.fault(curPC, "integer overflow in sub")
+			return m.fault(curPC, "integer overflow in sub")
 		}
 		m.set(in.Rd, diff)
 	case isa.OpSUBU:
@@ -162,7 +170,7 @@ func (m *Machine) Step() (trace.Record, error) {
 	case isa.OpADDI:
 		sum := rs + uint32(in.Imm)
 		if addOverflows(rs, uint32(in.Imm), sum) {
-			return rec, m.fault(curPC, "integer overflow in addi")
+			return m.fault(curPC, "integer overflow in addi")
 		}
 		m.set(in.Rt, sum)
 	case isa.OpADDIU:
@@ -216,21 +224,21 @@ func (m *Machine) Step() (trace.Record, error) {
 	case isa.OpLH:
 		addr := rs + uint32(in.Imm)
 		if addr&1 != 0 {
-			return rec, m.fault(curPC, "unaligned lh at %#x", addr)
+			return m.fault(curPC, "unaligned lh at %#x", addr)
 		}
 		rec.MemAddr = addr
 		m.set(in.Rt, uint32(int32(int16(m.Mem.LoadHalf(addr)))))
 	case isa.OpLHU:
 		addr := rs + uint32(in.Imm)
 		if addr&1 != 0 {
-			return rec, m.fault(curPC, "unaligned lhu at %#x", addr)
+			return m.fault(curPC, "unaligned lhu at %#x", addr)
 		}
 		rec.MemAddr = addr
 		m.set(in.Rt, uint32(m.Mem.LoadHalf(addr)))
 	case isa.OpLW:
 		addr := rs + uint32(in.Imm)
 		if addr&3 != 0 {
-			return rec, m.fault(curPC, "unaligned lw at %#x", addr)
+			return m.fault(curPC, "unaligned lw at %#x", addr)
 		}
 		rec.MemAddr = addr
 		m.set(in.Rt, m.Mem.LoadWord(addr))
@@ -241,14 +249,14 @@ func (m *Machine) Step() (trace.Record, error) {
 	case isa.OpSH:
 		addr := rs + uint32(in.Imm)
 		if addr&1 != 0 {
-			return rec, m.fault(curPC, "unaligned sh at %#x", addr)
+			return m.fault(curPC, "unaligned sh at %#x", addr)
 		}
 		rec.MemAddr = addr
 		m.Mem.StoreHalf(addr, uint16(rt))
 	case isa.OpSW:
 		addr := rs + uint32(in.Imm)
 		if addr&3 != 0 {
-			return rec, m.fault(curPC, "unaligned sw at %#x", addr)
+			return m.fault(curPC, "unaligned sw at %#x", addr)
 		}
 		rec.MemAddr = addr
 		m.Mem.StoreWord(addr, rt)
@@ -261,21 +269,21 @@ func (m *Machine) Step() (trace.Record, error) {
 	case isa.OpLWC1:
 		addr := rs + uint32(in.Imm)
 		if addr&3 != 0 {
-			return rec, m.fault(curPC, "unaligned lwc1 at %#x", addr)
+			return m.fault(curPC, "unaligned lwc1 at %#x", addr)
 		}
 		rec.MemAddr = addr
 		m.FReg[in.Ft] = m.Mem.LoadWord(addr)
 	case isa.OpSWC1:
 		addr := rs + uint32(in.Imm)
 		if addr&3 != 0 {
-			return rec, m.fault(curPC, "unaligned swc1 at %#x", addr)
+			return m.fault(curPC, "unaligned swc1 at %#x", addr)
 		}
 		rec.MemAddr = addr
 		m.Mem.StoreWord(addr, m.FReg[in.Ft])
 	case isa.OpLDC1:
 		addr := rs + uint32(in.Imm)
 		if addr&7 != 0 {
-			return rec, m.fault(curPC, "unaligned ldc1 at %#x", addr)
+			return m.fault(curPC, "unaligned ldc1 at %#x", addr)
 		}
 		rec.MemAddr = addr
 		v := m.Mem.LoadDouble(addr)
@@ -283,7 +291,7 @@ func (m *Machine) Step() (trace.Record, error) {
 	case isa.OpSDC1:
 		addr := rs + uint32(in.Imm)
 		if addr&7 != 0 {
-			return rec, m.fault(curPC, "unaligned sdc1 at %#x", addr)
+			return m.fault(curPC, "unaligned sdc1 at %#x", addr)
 		}
 		rec.MemAddr = addr
 		m.Mem.StoreDouble(addr, m.getD(in.Ft))
@@ -341,13 +349,13 @@ func (m *Machine) Step() (trace.Record, error) {
 
 	case isa.OpSyscall:
 		if err := m.syscall(); err != nil {
-			return rec, err
+			return err
 		}
 	case isa.OpBreak:
 		m.halted = true
 
 	default:
-		return rec, m.fault(curPC, "unimplemented op %v", in.Op)
+		return m.fault(curPC, "unimplemented op %v", in.Op)
 	}
 
 	// Branch targets: conditional branches encode a PC-relative offset.
@@ -362,7 +370,7 @@ func (m *Machine) Step() (trace.Record, error) {
 
 	m.pc, m.npc = m.npc, newNext
 	m.steps++
-	return rec, nil
+	return nil
 }
 
 func (m *Machine) fault(pc uint32, format string, args ...any) error {
