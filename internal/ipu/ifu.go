@@ -230,7 +230,7 @@ func (f *IFU) Stalled(now uint64) bool {
 //aurora:hotpath
 func (f *IFU) fill() int {
 	for len(f.peeked)-f.peekPos < 2 && !f.exhausted {
-		// Compact the (at most 2) unconsumed records to the front before
+		// Compact the (at most one) unconsumed record to the front before
 		// refilling, so the window never grows past its fixed capacity.
 		rem := copy(f.peeked, f.peeked[f.peekPos:])
 		f.peeked = f.peeked[:rem]

@@ -48,7 +48,7 @@ func divide(r *ring, size int, w uint32) int {
 	i := (r.n + 1) % len(r.spill) // want `integer % by a non-constant divisor`
 	j := r.n / size               // want `integer / by a non-constant divisor`
 	w %= uint32(size)             // want `integer %= by a non-constant divisor`
-	//aurora:allow(alloc, an alloc waiver does not cover a division)
+	//aurora:allow(alloc, no waiver covers a division)
 	k := r.n / size // want `integer / by a non-constant divisor`
 	return i + j + k + int(w)
 }

@@ -22,7 +22,7 @@ func step(r *ring) uint64 {
 }
 
 // wrap is the compliant ring step: a compare instead of a remainder,
-// constant divisors, a power-of-two mask, float rates, and a waived divide.
+// constant divisors, a power-of-two mask and float rates.
 //
 //aurora:hotpath
 func wrap(r *ring, size int, a, b float64) float64 {
@@ -31,8 +31,6 @@ func wrap(r *ring, size int, a, b float64) float64 {
 		i = 0
 	}
 	r.n = i + r.n%8 + r.n/4 + r.n&(size-1)
-	//aurora:allow(div, fixture: a cold branch of a hot function)
-	r.n /= size
 	return a / b
 }
 

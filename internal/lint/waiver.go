@@ -28,7 +28,6 @@ var Waiver = &analysis.Analyzer{
 // allowTokens is the registry of waivable analyzer tokens.
 var allowTokens = map[string]bool{
 	allocTok: true,
-	divTok:   true,
 	detTok:   true,
 	panicTok: true,
 	probeTok: true,
