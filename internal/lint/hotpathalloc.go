@@ -19,15 +19,14 @@ import (
 // (hence equally checked) hot-path function. It also bans integer division
 // and remainder by a non-constant divisor there: a ring index wraps with a
 // compare and a power-of-two size is a mask, so the loop never pays for a
-// hardware divide. Annotations on callees in
-// imported packages are carried across package boundaries as analysis
-// facts, so the whole per-cycle call graph is covered without whole-program
-// analysis. Dynamic calls (interface methods, func values) cannot be
-// resolved statically and are not checked; the benchmark guard
-// TestCycleLoopZeroAlloc remains the backstop for those.
+// hardware divide. Annotations on callees in imported packages are carried
+// across package boundaries as analysis facts, so the whole per-cycle call
+// graph is covered without whole-program analysis. Dynamic calls (interface
+// methods, func values) cannot be resolved statically and are not checked;
+// the benchmark guard TestCycleLoopZeroAlloc remains the backstop for those.
 var HotPathAlloc = &analysis.Analyzer{
 	Name:      "hotpathalloc",
-	Doc:       "check //aurora:hotpath functions for allocation-inducing constructs",
+	Doc:       "check //aurora:hotpath functions for allocation-inducing constructs and integer division",
 	Run:       runHotPathAlloc,
 	FactTypes: []analysis.Fact{new(isHotPath)},
 }
