@@ -59,10 +59,13 @@ bench-smoke:
 
 # sample-smoke is the fast sampled-mode gate: one end-to-end sampled run
 # asserting the estimate arrives with a positive error bound, the
-# back-to-back-window capture layout, plus the checkpoint byte-identity and
-# differential-bound tests in -short form (see docs/SIMULATION-MODES.md).
+# back-to-back-window capture layout, the compact checkpoint encoding
+# (round trip on every kernel, rejection of records it cannot hold), the
+# capped warm-log ring, zero allocations on window replay, plus the
+# checkpoint byte-identity and differential-bound tests in -short form
+# (see docs/SIMULATION-MODES.md).
 sample-smoke:
-	$(GO) test -run 'TestSampleSmoke|TestCheckpointSharedIdenticalToPrivate|TestCheckpointBackToBackWindows' -count=1 ./internal/sample/
+	$(GO) test -run 'TestSampleSmoke|TestCheckpointSharedIdenticalToPrivate|TestCheckpointBackToBackWindows|TestWindowRecordsRoundTrip|TestEncodeRecordRejects|TestWarmRingTruncation|TestReplayZeroAlloc' -count=1 ./internal/sample/
 	$(GO) test -short -run TestSampledCPIWithinBound -count=1 .
 
 # bpred-smoke is the predictor-axis gate: the differential/property/unit net

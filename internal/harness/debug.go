@@ -44,12 +44,13 @@ func ServeDebug(addr string, r *Runner) (string, error) {
 			}
 			s := r.Stats()
 			return map[string]any{
-				"workers":      r.Workers(),
-				"hits":         s.Hits,
-				"misses":       s.Misses,
-				"simulated":    s.Simulated,
-				"store_hits":   s.StoreHits,
-				"store_misses": s.StoreMisses,
+				"workers":              r.Workers(),
+				"hits":                 s.Hits,
+				"misses":               s.Misses,
+				"simulated":            s.Simulated,
+				"store_hits":           s.StoreHits,
+				"store_misses":         s.StoreMisses,
+				"checkpoint_evictions": s.CheckpointEvictions,
 			}
 		}))
 	})

@@ -127,24 +127,31 @@ func (r *Runner) Workers() int { return cap(r.sem) }
 // simulating: StoreHits counts entries served from disk, StoreMisses the
 // lookups that fell through, and Simulated the jobs actually run. A sweep
 // answered entirely from a warm store reports Simulated == 0.
+//
+// CheckpointEvictions counts sampled checkpoints dropped from the runner's
+// byte-bounded checkpoint cache; a sampled job that needs one again
+// recaptures it.
 type RunnerStats struct {
-	Hits        uint64
-	Misses      uint64
-	Simulated   uint64
-	StoreHits   uint64
-	StoreMisses uint64
+	Hits                uint64
+	Misses              uint64
+	Simulated           uint64
+	StoreHits           uint64
+	StoreMisses         uint64
+	CheckpointEvictions uint64
 }
 
 // Stats returns a snapshot of the memo-table counters.
 func (r *Runner) Stats() RunnerStats {
+	evictions := r.checkpoints.Stats().Evictions
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return RunnerStats{
-		Hits:        r.hits,
-		Misses:      r.misses,
-		Simulated:   r.simulated,
-		StoreHits:   r.storeHits,
-		StoreMisses: r.storeMisses,
+		Hits:                r.hits,
+		Misses:              r.misses,
+		Simulated:           r.simulated,
+		StoreHits:           r.storeHits,
+		StoreMisses:         r.storeMisses,
+		CheckpointEvictions: evictions,
 	}
 }
 

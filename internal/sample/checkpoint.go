@@ -4,20 +4,13 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"aurora/internal/core"
 	"aurora/internal/trace"
 	"aurora/internal/vm"
 	"aurora/internal/workloads"
 )
-
-// warmAccess is one fast-forwarded access in a checkpoint's replay log:
-// enough to reconstruct the warm cache contents of any configuration
-// geometry, and nothing more.
-type warmAccess struct {
-	addr uint32
-	kind core.WarmKind
-}
 
 // warmDedupBlock is the granularity at which consecutive accesses in the
 // warm log are coalesced: a run of same-kind accesses inside one aligned
@@ -39,8 +32,8 @@ const maxWarmLog = 1 << 20
 // records of the detailed window that follows them. The final segment of a
 // budget-bounded run may have an empty window.
 type segment struct {
-	warm []warmAccess
-	win  []trace.Record
+	warm []warmEntry
+	win  []winRec
 }
 
 // Checkpoint is one workload's functional pass, captured so that every
@@ -71,12 +64,32 @@ type Checkpoint struct {
 	Truncated bool
 
 	segs []segment
+	// static is the capture machine's predecoded text table: a window
+	// record's SI is &static[(pc-asm.TextBase)/4].
+	static []trace.StaticInstr
+}
+
+// size is the checkpoint's encoded bytes: its warm entries and window
+// records, which is what grows with the budget.
+func (cp *Checkpoint) size() int64 {
+	var n int64
+	for _, seg := range cp.segs {
+		n += int64(len(seg.warm))*int64(unsafe.Sizeof(warmEntry(0))) +
+			int64(len(seg.win))*int64(unsafe.Sizeof(winRec{}))
+	}
+	return n
 }
 
 // NewCheckpoint executes the workload's functional pass once under the
 // normalized sampling layout of p, capturing the warm-up footprint and
 // every window's records. ctx cancels a long capture.
 func NewCheckpoint(ctx context.Context, w *workloads.Workload, budget uint64, p Params) (*Checkpoint, error) {
+	return newCheckpoint(ctx, w, budget, p, maxWarmLog)
+}
+
+// newCheckpoint is NewCheckpoint with each segment's warm log capped at
+// maxLog entries.
+func newCheckpoint(ctx context.Context, w *workloads.Workload, budget uint64, p Params, maxLog int) (*Checkpoint, error) {
 	p = p.Normalize()
 	m, err := w.NewMachine()
 	if err != nil {
@@ -88,10 +101,12 @@ func NewCheckpoint(ctx context.Context, w *workloads.Workload, budget uint64, p 
 		Interval: p.Interval,
 		Window:   p.Window,
 		Budget:   budget,
+		static:   m.Static(),
 	}
+	ring := &warmRing{max: maxLog}
 
 	// Warm-up prefix: functional execution, warm log only.
-	if err := cp.captureWarm(ctx, m, p.WarmUp, w.Name); err != nil {
+	if err := cp.captureWarm(ctx, m, ring, p.WarmUp, w.Name); err != nil {
 		return nil, err
 	}
 
@@ -111,7 +126,7 @@ func NewCheckpoint(ctx context.Context, w *workloads.Workload, budget uint64, p 
 		if budget != 0 && m.Steps()+ff > budget {
 			ff = budget - m.Steps()
 		}
-		if err := cp.captureWarm(ctx, m, ff, w.Name); err != nil {
+		if err := cp.captureWarm(ctx, m, ring, ff, w.Name); err != nil {
 			return nil, err
 		}
 	}
@@ -131,20 +146,11 @@ func NewCheckpoint(ctx context.Context, w *workloads.Workload, budget uint64, p 
 const captureBatch = 256
 
 // captureWarm steps the VM n instructions (or to halt), appending the
-// deduplicated warm-access log as a new segment. n may be 0 (a layout with
-// Interval == Window has no fast-forward stretch); nothing is then read.
-func (cp *Checkpoint) captureWarm(ctx context.Context, m *vm.Machine, n uint64, name string) error {
-	ring := make([]warmAccess, 0, min(n/2+2, maxWarmLog))
-	start := 0
-	push := func(a warmAccess) {
-		if len(ring) < maxWarmLog {
-			ring = append(ring, a)
-			return
-		}
-		ring[start] = a
-		start = (start + 1) % maxWarmLog
-		cp.Truncated = true
-	}
+// deduplicated warm-access log as a new segment, collected in ring. n may
+// be 0 (a layout with Interval == Window has no fast-forward stretch);
+// nothing is then read.
+func (cp *Checkpoint) captureWarm(ctx context.Context, m *vm.Machine, ring *warmRing, n uint64, name string) error {
+	ring.reset()
 	// lastFetch/lastData hold the previous logged access per cache stream,
 	// +1 so the zero value never matches a real block.
 	var lastFetch, lastData uint64
@@ -155,16 +161,17 @@ func (cp *Checkpoint) captureWarm(ctx context.Context, m *vm.Machine, n uint64, 
 		if k == 0 {
 			break
 		}
-		for _, rec := range buf[:k] {
+		for i := range buf[:k] {
+			rec := &buf[i]
 			if blk := uint64(rec.PC/warmDedupBlock) + 1; blk != lastFetch {
 				lastFetch = blk
-				push(warmAccess{addr: rec.PC, kind: core.WarmFetch})
+				ring.push(packWarm(core.WarmFetch, rec.PC))
 			}
 			if rec.SI.Class.IsMem() {
 				kind := core.WarmKindOf(rec.SI.Class)
 				if key := (uint64(rec.MemAddr/warmDedupBlock)+1)<<2 | uint64(kind); key != lastData {
 					lastData = key
-					push(warmAccess{addr: rec.MemAddr, kind: kind})
+					ring.push(packWarm(kind, rec.MemAddr))
 				}
 			}
 		}
@@ -175,28 +182,29 @@ func (cp *Checkpoint) captureWarm(ctx context.Context, m *vm.Machine, n uint64, 
 	if err := s.Err(); err != nil {
 		return fmt.Errorf("sample: %s execution fault: %w", name, err)
 	}
-	log := ring
-	if start != 0 {
-		log = make([]warmAccess, 0, len(ring))
-		log = append(log, ring[start:]...)
-		log = append(log, ring[:start]...)
-	}
-	cp.segs = append(cp.segs, segment{warm: log})
+	cp.Truncated = cp.Truncated || ring.truncated
+	cp.segs = append(cp.segs, segment{warm: ring.log()})
 	return nil
 }
 
-// captureWindow steps the VM n instructions (or to halt), reading the
-// dynamic records straight into the current segment's window.
+// captureWindow steps the VM n instructions (or to halt), encoding the
+// dynamic records into the current segment's window.
 func (cp *Checkpoint) captureWindow(ctx context.Context, m *vm.Machine, n uint64, name string) error {
-	win := make([]trace.Record, n)
+	win := make([]winRec, 0, n)
+	var buf [captureBatch]trace.Record
 	s := m.Stream(n)
-	k := 0
-	for k < len(win) {
-		got := s.NextBatch(win[k:min(k+captureBatch, len(win))])
-		if got == 0 {
+	for uint64(len(win)) < n {
+		k := s.NextBatch(buf[:min(uint64(captureBatch), n-uint64(len(win)))])
+		if k == 0 {
 			break
 		}
-		k += got
+		for i := range buf[:k] {
+			r, err := encodeRecord(cp.static, &buf[i])
+			if err != nil {
+				return fmt.Errorf("sample: %s: %w", name, err)
+			}
+			win = append(win, r)
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -204,7 +212,11 @@ func (cp *Checkpoint) captureWindow(ctx context.Context, m *vm.Machine, n uint64
 	if err := s.Err(); err != nil {
 		return fmt.Errorf("sample: %s execution fault: %w", name, err)
 	}
-	cp.segs[len(cp.segs)-1].win = win[:k]
+	if len(win) < cap(win) {
+		// The kernel halted inside the window: keep only what it ran.
+		win = append([]winRec(nil), win...)
+	}
+	cp.segs[len(cp.segs)-1].win = win
 	return nil
 }
 
@@ -216,13 +228,29 @@ func (cp *Checkpoint) Matches(workload string, budget uint64, p Params) bool {
 		cp.Interval == p.Interval && cp.Window == p.Window && cp.Budget == budget
 }
 
+// checkpointCacheBytes bounds the encoded bytes of the completed
+// checkpoints one CheckpointCache holds: about five full sampled sweeps of
+// the 15 kernels at the default 2M-instruction budget.
+const checkpointCacheBytes = 256 << 20
+
 // CheckpointCache shares functional passes across the jobs of a sweep: one
 // checkpoint per (workload, layout, budget), built once under single-flight
 // (concurrent requesters of one key wait for the first builder). Failed and
 // cancelled builds are withdrawn, so a later request retries.
+//
+// Completed checkpoints are held within a byte budget: when a build takes
+// the total past it, the least recently requested completed entries are
+// dropped, and a later request for one rebuilds it. A build in flight is
+// never dropped, and dropping only forgets the map entry — a job already
+// holding the *Checkpoint keeps replaying it.
 type CheckpointCache struct {
-	mu sync.Mutex
-	m  map[cpKey]*cpEntry
+	mu        sync.Mutex
+	m         map[cpKey]*cpEntry
+	budget    int64  // bound on bytes, in encoded bytes
+	bytes     int64  // encoded bytes of the completed entries in m
+	clock     uint64 // request counter; an entry's used is its last tick
+	builds    uint64
+	evictions uint64
 }
 
 type cpKey struct {
@@ -237,11 +265,31 @@ type cpEntry struct {
 	done chan struct{}
 	cp   *Checkpoint
 	err  error
+	size int64  // encoded bytes once built; 0 while the build is in flight
+	used uint64 // CheckpointCache.clock at the entry's latest request
+}
+
+// CheckpointCacheStats counts a cache's builds and evictions. A request
+// that rebuilds an evicted checkpoint counts as a build.
+type CheckpointCacheStats struct {
+	Builds    uint64
+	Evictions uint64
 }
 
 // NewCheckpointCache returns an empty cache.
 func NewCheckpointCache() *CheckpointCache {
-	return &CheckpointCache{m: map[cpKey]*cpEntry{}}
+	return newCheckpointCache(checkpointCacheBytes)
+}
+
+func newCheckpointCache(budget int64) *CheckpointCache {
+	return &CheckpointCache{m: map[cpKey]*cpEntry{}, budget: budget}
+}
+
+// Stats returns a snapshot of the cache's counters.
+func (c *CheckpointCache) Stats() CheckpointCacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CheckpointCacheStats{Builds: c.builds, Evictions: c.evictions}
 }
 
 // Get returns the checkpoint for (w, budget, p), building it on first use.
@@ -253,24 +301,31 @@ func (c *CheckpointCache) Get(ctx context.Context, w *workloads.Workload, budget
 			return nil, err
 		}
 		c.mu.Lock()
+		c.clock++
 		e, ok := c.m[key]
 		if !ok {
-			e = &cpEntry{done: make(chan struct{})}
+			e = &cpEntry{done: make(chan struct{}), used: c.clock}
 			c.m[key] = e
+			c.builds++
 			c.mu.Unlock()
 			e.cp, e.err = NewCheckpoint(ctx, w, budget, p)
+			c.mu.Lock()
 			if e.err != nil {
 				// Errors (including cancellation) are not cached: withdraw
 				// the entry so the next requester rebuilds.
-				c.mu.Lock()
 				if c.m[key] == e {
 					delete(c.m, key)
 				}
-				c.mu.Unlock()
+			} else {
+				e.size = e.cp.size()
+				c.bytes += e.size
+				c.evict()
 			}
+			c.mu.Unlock()
 			close(e.done)
 			return e.cp, e.err
 		}
+		e.used = c.clock
 		c.mu.Unlock()
 		select {
 		case <-e.done:
@@ -281,5 +336,25 @@ func (c *CheckpointCache) Get(ctx context.Context, w *workloads.Workload, budget
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+	}
+}
+
+// evict drops the least recently requested completed entries until the
+// completed entries fit the budget. c.mu must be held.
+func (c *CheckpointCache) evict() {
+	for c.bytes > c.budget {
+		var oldKey cpKey
+		var old *cpEntry
+		for k, e := range c.m {
+			if e.size > 0 && (old == nil || e.used < old.used) {
+				oldKey, old = k, e
+			}
+		}
+		if old == nil {
+			return
+		}
+		delete(c.m, oldKey)
+		c.bytes -= old.size
+		c.evictions++
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"aurora/internal/core"
-	"aurora/internal/trace"
 	"aurora/internal/workloads"
 )
 
@@ -94,7 +93,7 @@ func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p
 
 	// stream replays one recorded window at a time: when a window's records
 	// run out the pipeline drains, and the next window refills the stream.
-	stream := &trace.SliceStream{}
+	stream := &windowStream{static: cp.static}
 	proc, err := core.NewProcessor(cfg, stream)
 	if err != nil {
 		return nil, err
@@ -114,8 +113,8 @@ func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p
 	for _, seg := range cp.segs {
 		// Fast-forward: replay the warm footprint into this configuration's
 		// caches at log speed. No cycles pass, nothing is counted.
-		for _, a := range seg.warm {
-			proc.WarmAccess(a.kind, a.addr)
+		for _, e := range seg.warm {
+			proc.WarmAccess(e.kind(), e.addr())
 		}
 		if len(seg.win) == 0 {
 			continue
@@ -126,8 +125,7 @@ func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p
 		// the warm-prefix boundary and at the last window instruction's
 		// retirement (before the drain, so drain cycles never contaminate
 		// the measurement).
-		stream.Records = seg.win
-		stream.Reset()
+		stream.load(seg.win)
 		proc.Reopen()
 		i0base := proc.Instructions()
 		warmTarget := i0base + p.WindowWarm

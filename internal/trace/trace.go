@@ -80,8 +80,7 @@ type Stream interface {
 	Err() error
 }
 
-// SliceStream adapts a []Record to a Stream: a test's synthetic trace, or a
-// sampled window's recorded records replayed through the core.
+// SliceStream adapts a []Record to a Stream: a test's synthetic trace.
 type SliceStream struct {
 	Records []Record
 	i       int

@@ -91,6 +91,10 @@ func (m *Machine) Steps() uint64 { return m.steps }
 // PC returns the current program counter.
 func (m *Machine) PC() uint32 { return m.pc }
 
+// Static returns the predecoded text table every record's SI points into,
+// indexed by (pc-asm.TextBase)/4. Callers must treat it as read-only.
+func (m *Machine) Static() []trace.StaticInstr { return m.static }
+
 // Step executes one instruction and returns its trace record.
 func (m *Machine) Step() (trace.Record, error) {
 	var rec trace.Record
