@@ -8,10 +8,10 @@ import (
 	"aurora/internal/trace"
 )
 
-// A checkpoint stores what it replays compactly: a warm access in 4 bytes
-// and a window record in 8, against 8 and 24 for the plain structs. Both
-// encodings are exact — a record that cannot round-trip fails the capture,
-// it is never replayed wrong.
+// A checkpoint stores what it replays compactly, since it holds every
+// window of a whole functional pass: a warm access in 4 bytes and a window
+// record in 8 (a trace.Record is 24). Both encodings are exact — a record
+// that cannot round-trip fails the capture, it is never replayed wrong.
 
 // warmEntry is one fast-forwarded access in a checkpoint's replay log: the
 // accessed address with its low 4 bits cleared, and its core.WarmKind in
@@ -104,15 +104,13 @@ func encodeRecord(static []trace.StaticInstr, rec *trace.Record) (winRec, error)
 	return winRec{pc: rec.PC, op: op}, nil
 }
 
-// windowStream replays one window's compact records as trace records, the
-// stream the detailed core fetches from. Reset it onto the next window with
-// load.
+// windowStream replays compact records as trace records, the stream the
+// detailed core fetches from; recs holds what is left of the current
+// window.
 type windowStream struct {
 	static []trace.StaticInstr
 	recs   []winRec
 }
-
-func (s *windowStream) load(recs []winRec) { s.recs = recs }
 
 // NextBatch decodes the next records into buf.
 //

@@ -69,7 +69,7 @@ func TestWindowRecordsRoundTrip(t *testing.T) {
 				}
 				windows++
 				ws := &windowStream{static: cp.static}
-				ws.load(seg.win)
+				ws.recs = seg.win
 				got := readStream(ws, 7)
 				want := readStream(m.Stream(uint64(len(seg.win))), captureBatch)
 				if len(got) != len(want) {
@@ -140,7 +140,7 @@ func TestEncodeRecordRejects(t *testing.T) {
 		recs[i] = r
 	}
 	ws := &windowStream{static: static}
-	ws.load(recs)
+	ws.recs = recs
 	got := readStream(ws, 3)
 	if len(got) != len(valid) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(valid))
@@ -252,7 +252,7 @@ func TestReplayZeroAlloc(t *testing.T) {
 			for _, e := range seg.warm {
 				proc.WarmAccess(e.kind(), e.addr())
 			}
-			stream.load(seg.win)
+			stream.recs = seg.win
 			for i := 0; i < 5_000; i++ {
 				if !proc.Step() {
 					t.Fatal("drained during warm-up")
@@ -366,5 +366,43 @@ func TestCheckpointCacheKeepsInFlight(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Evictions != 1 || len(cache.m) != 1 {
 		t.Errorf("%+v with %d entries left; want the one completed entry evicted", st, len(cache.m))
+	}
+}
+
+// TestCheckpointCacheConcurrentEviction: requesters racing over more keys
+// than the budget holds each get the checkpoint of the key they asked for,
+// while builds, hits and evictions interleave. Run it under -race.
+func TestCheckpointCacheConcurrentEviction(t *testing.T) {
+	ctx := context.Background()
+	p := testParams()
+	w := getWorkload(t, "li")
+	one, err := NewCheckpoint(ctx, w, 40_000, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newCheckpointCache(2 * one.size())
+	budgets := []uint64{40_000, 45_000, 50_000, 55_000}
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 12; i++ {
+				b := budgets[(g+i)%len(budgets)]
+				cp, err := cache.Get(ctx, w, b, p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !cp.Matches(w.Name, b, p) {
+					t.Errorf("requested budget %d, got a checkpoint of budget %d", b, cp.Budget)
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+	if st := cache.Stats(); st.Evictions == 0 || st.Builds < uint64(len(budgets)) {
+		t.Errorf("%+v: want every key built and some evicted", st)
 	}
 }

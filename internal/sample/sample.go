@@ -125,7 +125,7 @@ func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p
 		// the warm-prefix boundary and at the last window instruction's
 		// retirement (before the drain, so drain cycles never contaminate
 		// the measurement).
-		stream.load(seg.win)
+		stream.recs = seg.win
 		proc.Reopen()
 		i0base := proc.Instructions()
 		warmTarget := i0base + p.WindowWarm
