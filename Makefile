@@ -36,12 +36,13 @@ race:
 
 # faults runs the fault-isolation layer's tests under the race detector:
 # injected panics at every guarded site, the memo-poison regression, the
-# cancellation races, the per-cell keep-going rendering and the dead-suite
-# NaN rates.
+# cancellation races, Runner.Cell's keep-going rule in both modes, the
+# per-cell keep-going rendering (exact and sampled sweeps, aurora-serve's
+# fault objects) and the dead-suite NaN rates.
 faults:
 	$(GO) test -race -timeout 5m -count=1 \
-		-run 'TestFault|TestRunHonorsCancellation|TestJobDeadline|TestKeepGoing|TestFailFast|TestConcurrentRunRace|TestPredictorSweepAllFaulted' \
-		./internal/harness/ ./internal/simfault/
+		-run 'TestFault|TestRunHonorsCancellation|TestJobDeadline|TestCell|TestKeepGoing|TestFailFast|TestConcurrentRunRace|TestPredictorSweepAllFaulted|TestSweepFaulted' \
+		./internal/harness/ ./internal/simfault/ ./cmd/aurora-serve/
 	$(GO) test -race -timeout 5m -count=1 -run TestRunContextCancellation ./internal/core/
 
 # bench-smoke is the fast benchmark gate, and the whole of CI's bench-smoke

@@ -22,6 +22,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
 	"aurora/internal/bpred"
@@ -101,7 +102,17 @@ func run() int {
 	}
 
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	stray := "" // a -sample-* flag given without a sampled mode to use it
+	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if strings.HasPrefix(f.Name, "sample-") && !*sampled && !(*explore && *exploreSampled) {
+			stray = f.Name
+		}
+	})
+	if stray != "" {
+		fmt.Fprintf(os.Stderr, "aurora-experiments: -%s needs a sampled mode (-sample, or -explore with -explore-sampled)\n", stray)
+		return 2
+	}
 	opts := resolveOptions(*quick, set, *budget, *sweep)
 	opts.FailFast = *failFast
 	if *bpredSpec != "" {

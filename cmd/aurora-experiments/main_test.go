@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"aurora/internal/harness"
@@ -71,5 +72,28 @@ func TestStrayArgumentRejected(t *testing.T) {
 	flag.CommandLine.SetOutput(io.Discard)
 	if code := run(); code != 2 {
 		t.Fatalf("exit code %d, want 2", code)
+	}
+}
+
+// TestSampleFlagsNeedSampledMode: -sample-* flags outside a sampled mode
+// (-sample, or -explore with -explore-sampled) used to be silently ignored
+// — the exploration ran exact screens and exited 0. They are now a usage
+// error before anything runs.
+func TestSampleFlagsNeedSampledMode(t *testing.T) {
+	for _, args := range [][]string{
+		{"-explore", "-explore-grid", "tiny", "-explore-budget", "2000", "-sample-window", "5000", "-j", "1"},
+		{"-explore-sampled", "-quick", "-sample-interval", "8000", "-timeout", "1ns"},
+		{"-quick", "-sample-warmup", "1000", "-timeout", "1ns"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			oldArgs, oldFlags := os.Args, flag.CommandLine
+			t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
+			os.Args = append([]string{"aurora-experiments"}, args...)
+			flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+			flag.CommandLine.SetOutput(io.Discard)
+			if code := run(); code != 2 {
+				t.Fatalf("exit code %d, want 2", code)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,7 +13,6 @@ import (
 	"aurora/internal/harness"
 	"aurora/internal/resultstore"
 	"aurora/internal/sample"
-	"aurora/internal/simfault"
 	"aurora/internal/workloads"
 )
 
@@ -215,10 +213,9 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !req.Sampled && req.Sample != (sample.Params{}) {
-		// RunSampled's contract is "rejected, never silently ignored":
-		// sampling parameters on an exact submission would otherwise be
-		// dropped on the floor and the caller would read exact cells as
-		// the estimates it asked for.
+		// Rejected, never silently ignored: sampling parameters on an
+		// exact submission would otherwise be dropped on the floor and the
+		// caller would read exact cells as the estimates it asked for.
 		httpError(w, http.StatusBadRequest, "sample parameters require a sampled submission (set sampled:true)")
 		return
 	}
@@ -235,72 +232,32 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		reqBPred = bp
 	}
 
+	var sp *sample.Params
+	if req.Sampled {
+		sp = &req.Sample
+	}
+
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	type job struct {
-		cfg core.Config
-		wl  *workloads.Workload
-	}
-	jobs := make([]job, 0, len(cfgs)*len(ws))
-	for _, cfg := range cfgs {
-		for _, wl := range ws {
-			jobs = append(jobs, job{cfg, wl})
-		}
-	}
-
 	// One goroutine per cell: the runner's semaphore bounds actual
 	// simulation, and the store/memo answer most cells without a slot.
+	opts := harness.Options{Budget: req.Budget, Scheduled: req.Scheduled, BPred: reqBPred}
 	cells := make(chan sweepCell)
 	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			opts := harness.Options{Budget: req.Budget, Scheduled: req.Scheduled, BPred: reqBPred}
-			cell := sweepCell{
-				Model:     j.cfg.Name,
-				Workload:  j.wl.Name,
-				Budget:    req.Budget,
-				Scheduled: req.Scheduled,
-			}
-			if !reqBPred.IsDefault() {
-				cell.BPred = reqBPred.Normalize().Key()
-			}
-			var err error
-			if req.Sampled {
-				var srep *sample.Report
-				srep, err = s.runner.RunSampled(r.Context(), j.cfg, j.wl, opts, req.Sample)
-				if err == nil {
-					cell.CPI = srep.CPI
-					cell.CPIError = srep.CPIError
-					cell.Instructions = srep.Instructions
-					cell.Cycles = srep.EstimatedCycles
-					cell.Windows = srep.Windows
-					cell.SampleKey = srep.SampleKey
+	for _, cfg := range cfgs {
+		for _, wl := range ws {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := s.runner.Cell(r.Context(), cfg, wl, opts, sp)
+				select {
+				case cells <- wireCell(cfg.Name, wl.Name, opts, c, err):
+				case <-r.Context().Done():
 				}
-			} else {
-				var rep *core.Report
-				rep, err = s.runner.Run(r.Context(), j.cfg, j.wl, opts)
-				if err == nil {
-					cell.CPI = rep.CPI()
-					cell.Instructions = rep.Instructions
-					cell.Cycles = rep.Cycles
-				}
-			}
-			var f *simfault.Fault
-			switch {
-			case errors.As(err, &f):
-				cell.Fault = &wireFault{Subsystem: f.Subsystem, Cycle: f.Cycle, Cell: f.Cell()}
-			case err != nil:
-				cell.Error = err.Error()
-			}
-			select {
-			case cells <- cell:
-			case <-r.Context().Done():
-			}
-		}(j)
+			}()
+		}
 	}
 	go func() {
 		wg.Wait()
@@ -325,6 +282,33 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	enc.Encode(sum) //nolint:errcheck // stream end; client may be gone
+}
+
+// wireCell renders one Runner.Cell outcome as its stream line: the
+// headline numbers of an exact run or a sampled estimate, the fault object
+// of a faulted cell, or the text of any other error.
+func wireCell(model, workload string, opts harness.Options, c harness.BenchCPI, err error) sweepCell {
+	cell := sweepCell{Model: model, Workload: workload, Budget: opts.Budget, Scheduled: opts.Scheduled}
+	if !opts.BPred.IsDefault() {
+		cell.BPred = opts.BPred.Normalize().Key()
+	}
+	switch {
+	case err != nil:
+		cell.Error = err.Error()
+	case c.Fault != nil:
+		cell.Fault = &wireFault{Subsystem: c.Fault.Subsystem, Cycle: c.Fault.Cycle, Cell: c.Fault.Cell()}
+	case c.Sampled != nil:
+		cell.CPI, cell.CPIError = c.CPI, c.CPIError
+		cell.Instructions = c.Sampled.Instructions
+		cell.Cycles = c.Sampled.EstimatedCycles
+		cell.Windows = c.Sampled.Windows
+		cell.SampleKey = c.Sampled.SampleKey
+	default:
+		cell.CPI = c.CPI
+		cell.Instructions = c.Report.Instructions
+		cell.Cycles = c.Report.Cycles
+	}
+	return cell
 }
 
 // exploreRequest is one design-space exploration submission. Grid selects
@@ -388,12 +372,6 @@ func (s *server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req exploreRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad submission: %v", err)
-		return
-	}
-	if !req.Sampled && req.Sample != (sample.Params{}) {
-		// Same contract as the sweep: sampling parameters on an exact
-		// submission are rejected, never silently ignored.
-		httpError(w, http.StatusBadRequest, "sample parameters require a sampled submission (set sampled:true)")
 		return
 	}
 	// Resolve up front: once the stream starts the status is spent.

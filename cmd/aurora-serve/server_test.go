@@ -219,6 +219,29 @@ func TestSweepFaultedCellWireShape(t *testing.T) {
 	}
 }
 
+// TestSweepFaultedSampledCells: a sampled submission with a hot-path site
+// armed streams one fault object per cell, with no estimate fields, and the
+// summary counts every cell as faulted.
+func TestSweepFaultedSampledCells(t *testing.T) {
+	faultinject.Arm(faultinject.LSUDispatch)
+	defer faultinject.Reset()
+
+	_, ts := newTestServer(t, "")
+	cells, sum := postSweep(t, ts, `{"models":["small","baseline"],"workloads":["espresso"],"budget":120000,`+
+		`"sampled":true,"sample":{"warm_up":20000,"interval":10000,"window":2000}}`)
+	if sum.Cells != 2 || sum.Faulted != 2 || sum.Errors != 0 {
+		t.Fatalf("summary %+v, want 2 faulted cells", sum)
+	}
+	for _, c := range cells {
+		if c.Fault == nil || c.Fault.Subsystem != "ipu" || c.Fault.Cell != fmt.Sprintf("FAULT(ipu@%d)", c.Fault.Cycle) {
+			t.Errorf("cell %+v, want an ipu fault object", c)
+		}
+		if c.CPI != 0 || c.CPIError != 0 || c.Windows != 0 || c.SampleKey != "" {
+			t.Errorf("faulted sampled cell leaked estimate fields: %+v", c)
+		}
+	}
+}
+
 func TestFigureEndpointDeterministicAndCached(t *testing.T) {
 	dir := t.TempDir()
 	fetch := func(ts *httptest.Server, name string) (int, string) {

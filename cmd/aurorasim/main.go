@@ -67,6 +67,16 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
+	stray := "" // a -sample-* flag given without -sample to use it
+	flag.Visit(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "sample-") && !*sampled {
+			stray = f.Name
+		}
+	})
+	if stray != "" {
+		fmt.Fprintf(os.Stderr, "aurorasim: -%s needs -sample\n", stray)
+		return 2
+	}
 
 	// SIGINT (and an optional -timeout) cancel the simulation; partial
 	// -metrics-out / -trace-out data is still flushed on the way out.

@@ -283,12 +283,11 @@ func (c Config) Fingerprint() string {
 	return fp
 }
 
-// CostRBE returns the configuration's integer-side cost in Table 2 RBE.
-// A branch predictor's storage is priced at the SRAM rate on top of the
-// IPU structures; the default folding front end adds nothing (its NEXT
-// field is part of the pre-decoded instruction cache already costed).
-func (c Config) CostRBE() (int, error) {
-	total, err := rbe.IPUCost{
+// IPUCost maps the configuration onto the Table 2 cost model's integer-side
+// structures: the one Config-to-RBE mapping, priced by CostRBE and itemized
+// by the explorer.
+func (c Config) IPUCost() rbe.IPUCost {
+	return rbe.IPUCost{
 		ICacheBytes:     c.ICacheBytes,
 		WriteCacheLines: c.WriteCacheLines,
 		PrefetchBuffers: c.PrefetchBuffers,
@@ -296,7 +295,15 @@ func (c Config) CostRBE() (int, error) {
 		ReorderEntries:  c.ReorderBuffer,
 		MSHREntries:     c.MSHRs,
 		Pipelines:       c.IssueWidth,
-	}.Total()
+	}
+}
+
+// CostRBE returns the configuration's integer-side cost in Table 2 RBE.
+// A branch predictor's storage is priced at the SRAM rate on top of the
+// IPU structures; the default folding front end adds nothing (its NEXT
+// field is part of the pre-decoded instruction cache already costed).
+func (c Config) CostRBE() (int, error) {
+	total, err := c.IPUCost().Total()
 	if err != nil {
 		return 0, err
 	}

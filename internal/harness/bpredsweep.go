@@ -97,11 +97,11 @@ func PredictorSweep(ctx context.Context, r *Runner, model core.Config, opts Opti
 		pts[i] = BPredPoint{Label: specs[i], Key: bp.Key(), Bits: bp.StorageBits(), CostRBE: cost}
 		cfgs[i] = cfg
 	}
-	intS, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	intS, err := grid(ctx, r, opts, nil, workloads.Integer(), cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	fpS, err := grid(ctx, r, opts, workloads.FP(), cfgs...)
+	fpS, err := grid(ctx, r, opts, nil, workloads.FP(), cfgs...)
 	if err != nil {
 		return nil, err
 	}

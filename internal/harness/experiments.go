@@ -90,7 +90,7 @@ func Fig4(ctx context.Context, r *Runner, opts Options) ([]Fig4Point, error) {
 			}
 		}
 	}
-	suites, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	suites, err := grid(ctx, r, opts, nil, workloads.Integer(), cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ type RateTable struct {
 func rateTable(ctx context.Context, r *Runner, name string, opts Options, metric func(*core.Report) float64) (*RateTable, error) {
 	ws := workloads.Integer()
 	models := core.Models()
-	suites, err := grid(ctx, r, opts, ws, models...)
+	suites, err := grid(ctx, r, opts, nil, ws, models...)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ type TrafficRow struct {
 // order (paper: 44% small, 30% base, 22% large).
 func WriteTraffic(ctx context.Context, r *Runner, opts Options) ([]TrafficRow, error) {
 	models := core.Models()
-	suites, err := grid(ctx, r, opts, workloads.Integer(), models...)
+	suites, err := grid(ctx, r, opts, nil, workloads.Integer(), models...)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +238,7 @@ func Fig5(ctx context.Context, r *Runner, opts Options) ([]Fig5Point, error) {
 			cfgs = append(cfgs, on, on.WithoutPrefetch())
 		}
 	}
-	suites, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	suites, err := grid(ctx, r, opts, nil, workloads.Integer(), cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +269,7 @@ type Fig6Row struct {
 // Fig6 computes the average stall breakdown.
 func Fig6(ctx context.Context, r *Runner, opts Options) ([]Fig6Row, error) {
 	models := core.Models()
-	suites, err := grid(ctx, r, opts, workloads.Integer(), models...)
+	suites, err := grid(ctx, r, opts, nil, workloads.Integer(), models...)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +334,7 @@ func mshrSweep(ctx context.Context, r *Runner, opts Options, counts []int) ([]Fi
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	suites, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	suites, err := grid(ctx, r, opts, nil, workloads.Integer(), cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -437,7 +437,7 @@ func Fig8(ctx context.Context, r *Runner, opts Options) ([]Fig8Point, error) {
 			CostRBE: cost,
 		}
 	}
-	suites, err := grid(ctx, r, opts, []*workloads.Workload{w}, cfgs...)
+	suites, err := grid(ctx, r, opts, nil, []*workloads.Workload{w}, cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -463,7 +463,7 @@ type Table6Row struct {
 // Table6 runs the three §5.8 policies.
 func Table6(ctx context.Context, r *Runner, opts Options) ([]Table6Row, error) {
 	base := core.Baseline()
-	suites, err := grid(ctx, r, opts, workloads.FP(),
+	suites, err := grid(ctx, r, opts, nil, workloads.FP(),
 		withFPUPolicy(base, fpu.InOrderComplete),
 		withFPUPolicy(base, fpu.OutOfOrderSingle),
 		withFPUPolicy(base, fpu.OutOfOrderDual))
@@ -510,7 +510,7 @@ func fpSweep(ctx context.Context, r *Runner, opts Options, vals []int, apply fun
 		cfgs[i] = core.Baseline()
 		cfgs[i].FPU = f
 	}
-	suites, err := grid(ctx, r, opts.sweep(), workloads.FP(), cfgs...)
+	suites, err := grid(ctx, r, opts.sweep(), nil, workloads.FP(), cfgs...)
 	if err != nil {
 		return nil, err
 	}

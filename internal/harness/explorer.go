@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"aurora/internal/bpred"
@@ -163,7 +162,9 @@ func TinyExploreSpec() ExploreSpec {
 // and overlays the schedule fields over sets: a non-zero workload, final
 // budget, rung count, halving divisor, slack or cost cap replaces the
 // preset's, and over.Sampled turns on sampled screening with over.Sample.
-// An unknown grid or workload is an error before anything runs.
+// An unknown grid or workload is an error before anything runs, and so is
+// an over.Sample without over.Sampled: sampling parameters are rejected,
+// never silently ignored.
 // aurora-experiments' -explore-* flags and aurora-serve's POST /v1/explore
 // both resolve through it.
 func ExploreSpecFor(grid string, over ExploreSpec) (ExploreSpec, error) {
@@ -174,6 +175,9 @@ func ExploreSpecFor(grid string, over ExploreSpec) (ExploreSpec, error) {
 		spec = TinyExploreSpec()
 	default:
 		return ExploreSpec{}, fmt.Errorf("unknown grid %q (want default or tiny)", grid)
+	}
+	if !over.Sampled && over.Sample != (sample.Params{}) {
+		return ExploreSpec{}, errors.New("sample parameters require a sampled submission (set sampled:true)")
 	}
 	if over.Workload != "" {
 		if _, err := workloads.Get(over.Workload); err != nil {
@@ -266,15 +270,7 @@ func (s ExploreSpec) candidates() (cands []ExploreCandidate, pruned int, err err
 								if err := cfg.Validate(); err != nil {
 									return nil, 0, fmt.Errorf("harness: explore candidate %s: %w", label, err)
 								}
-								bd, err := rbe.IPUCost{
-									ICacheBytes:     cfg.ICacheBytes,
-									WriteCacheLines: cfg.WriteCacheLines,
-									PrefetchBuffers: cfg.PrefetchBuffers,
-									PrefetchDepth:   cfg.PrefetchDepth,
-									ReorderEntries:  cfg.ReorderBuffer,
-									MSHREntries:     cfg.MSHRs,
-									Pipelines:       cfg.IssueWidth,
-								}.Breakdown()
+								bd, err := cfg.IPUCost().Breakdown()
 								if err != nil {
 									return nil, 0, fmt.Errorf("harness: explore candidate %s: %w", label, err)
 								}
@@ -427,8 +423,11 @@ func (e *Explorer) Run(ctx context.Context) (*ExploreResult, error) {
 	budgets := spec.budgets()
 	for rung, budget := range budgets {
 		last := rung == len(budgets)-1
-		sampledRung := spec.Sampled && !last
-		scored, err := e.evaluate(ctx, w, alive, rung, budget, sampledRung, spec.Sample)
+		var sp *sample.Params
+		if spec.Sampled && !last {
+			sp = &spec.Sample
+		}
+		scored, err := e.evaluate(ctx, w, alive, rung, budget, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -451,7 +450,7 @@ func (e *Explorer) Run(ctx context.Context) (*ExploreResult, error) {
 			survivors = slackSurvivors(healthy, spec.Slack)
 		}
 		res.Rungs = append(res.Rungs, ExploreRung{
-			Rung: rung, Budget: budget, Sampled: sampledRung,
+			Rung: rung, Budget: budget, Sampled: sp != nil,
 			Entered:  len(scored),
 			Promoted: len(survivors),
 			Dropped:  len(healthy) - len(survivors),
@@ -498,43 +497,24 @@ func (e *Explorer) Run(ctx context.Context) (*ExploreResult, error) {
 	return res, nil
 }
 
-// evaluate measures every candidate at one rung budget through the runner,
-// in candidate order. Faults become data (keep-going); other errors abort.
-func (e *Explorer) evaluate(ctx context.Context, w *workloads.Workload, cands []ExploreCandidate, rung int, budget uint64, sampled bool, sp sample.Params) ([]scoredCandidate, error) {
+// evaluate measures every candidate at one rung budget through
+// Runner.Cell — sampled under *sp, exact when sp is nil — in candidate
+// order. Faults become data (keep-going); other errors abort.
+func (e *Explorer) evaluate(ctx context.Context, w *workloads.Workload, cands []ExploreCandidate, rung int, budget uint64, sp *sample.Params) ([]scoredCandidate, error) {
 	return each(ctx, Options{}, len(cands), func(ctx context.Context, i int) (scoredCandidate, error) {
 		c := cands[i]
-		opts := Options{Budget: budget}
-		var cpi, cpiErr float64
-		var err error
-		if sampled {
-			var rep *sample.Report
-			rep, err = e.Runner.RunSampled(ctx, c.Config, w, opts, sp)
-			if err == nil {
-				cpi, cpiErr = rep.CPI, rep.CPIError
-			}
-		} else {
-			var rep *core.Report
-			rep, err = e.Runner.Run(ctx, c.Config, w, opts)
-			if err == nil {
-				cpi = rep.CPI()
-			}
-		}
-		f, err := faultCell(Options{}, err)
+		cell, err := e.Runner.Cell(ctx, c.Config, w, Options{Budget: budget}, sp)
 		if err != nil {
 			return scoredCandidate{}, err
 		}
-		sc := scoredCandidate{cand: c, cpi: cpi, fault: f}
-		if f != nil {
-			sc.cpi = math.NaN()
-		}
 		if e.Observe != nil {
 			e.Observe(ExploreEvent{
-				Rung: rung, Budget: budget, Sampled: sampled,
+				Rung: rung, Budget: budget, Sampled: sp != nil,
 				Label: c.Label, CostRBE: c.CostRBE,
-				CPI: sc.cpi, CPIError: cpiErr, Fault: f,
+				CPI: cell.CPI, CPIError: cell.CPIError, Fault: cell.Fault,
 			})
 		}
-		return sc, nil
+		return scoredCandidate{cand: c, cpi: cell.CPI, fault: cell.Fault}, nil
 	})
 }
 

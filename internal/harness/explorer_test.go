@@ -265,6 +265,9 @@ func TestExploreSpecPresets(t *testing.T) {
 	if _, err := ExploreSpecFor("tiny", ExploreSpec{Workload: "warp9"}); err == nil {
 		t.Error("unknown workload accepted")
 	}
+	if _, err := ExploreSpecFor("tiny", ExploreSpec{Sample: sample.Params{Window: 5000}}); err == nil {
+		t.Error("sample parameters without sampled screening were silently ignored")
+	}
 	tiny, err := ExploreSpecFor("tiny", ExploreSpec{})
 	if err != nil {
 		t.Fatal(err)

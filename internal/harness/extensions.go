@@ -63,7 +63,7 @@ func LatencyScaling(ctx context.Context, r *Runner, opts Options, latencies []in
 			cfgs = append(cfgs, model.WithLatency(lat))
 		}
 	}
-	suites, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	suites, err := grid(ctx, r, opts, nil, workloads.Integer(), cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func BranchFolding(ctx context.Context, r *Runner, opts Options) ([]BranchFoldin
 		ab.DisableBranchFolding = true
 		cfgs = append(cfgs, model, ab)
 	}
-	suites, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	suites, err := grid(ctx, r, opts, nil, workloads.Integer(), cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func WriteCacheSweep(ctx context.Context, r *Runner, opts Options) ([]WriteCache
 		out = append(out, WriteCachePoint{Lines: lines, CostRBE: cost})
 		cfgs = append(cfgs, cfg)
 	}
-	suites, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	suites, err := grid(ctx, r, opts, nil, workloads.Integer(), cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +188,7 @@ type ClockedPoint struct {
 // AreaAwareClock reruns the model comparison with cycle-time penalties.
 func AreaAwareClock(ctx context.Context, r *Runner, opts Options) ([]ClockedPoint, error) {
 	models := core.Models()
-	suites, err := grid(ctx, r, opts, workloads.Integer(), models...)
+	suites, err := grid(ctx, r, opts, nil, workloads.Integer(), models...)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +222,7 @@ func PreciseExceptions(ctx context.Context, r *Runner, opts Options) ([]PreciseP
 	f := prec.FPU.Normalize()
 	f.Precise = true
 	prec.FPU = f
-	suites, err := grid(ctx, r, opts, workloads.FP(), core.Baseline(), prec)
+	suites, err := grid(ctx, r, opts, nil, workloads.FP(), core.Baseline(), prec)
 	if err != nil {
 		return nil, err
 	}
@@ -279,13 +279,13 @@ type SchedulingPoint struct {
 // model.
 func CompilerScheduling(ctx context.Context, r *Runner, opts Options) ([]SchedulingPoint, error) {
 	models := core.Models()
-	base, err := grid(ctx, r, opts, workloads.Integer(), models...)
+	base, err := grid(ctx, r, opts, nil, workloads.Integer(), models...)
 	if err != nil {
 		return nil, err
 	}
 	sopts := opts
 	sopts.Scheduled = true
-	sched, err := grid(ctx, r, sopts, workloads.Integer(), models...)
+	sched, err := grid(ctx, r, sopts, nil, workloads.Integer(), models...)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +349,7 @@ func VictimCacheStudy(ctx context.Context, r *Runner, opts Options) ([]VictimPoi
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	suites, err := grid(ctx, r, opts, workloads.FP(), cfgs...)
+	suites, err := grid(ctx, r, opts, nil, workloads.FP(), cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +411,7 @@ func MMUSensitivity(ctx context.Context, r *Runner, opts Options) ([]MMUPoint, e
 		cfg.MMU = mc
 		cfgs = append(cfgs, cfg)
 	}
-	suites, err := grid(ctx, r, opts, workloads.Integer(), cfgs...)
+	suites, err := grid(ctx, r, opts, nil, workloads.Integer(), cfgs...)
 	if err != nil {
 		return nil, err
 	}

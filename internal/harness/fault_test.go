@@ -13,6 +13,7 @@ import (
 
 	"aurora/internal/core"
 	"aurora/internal/faultinject"
+	"aurora/internal/sample"
 	"aurora/internal/simfault"
 	"aurora/internal/workloads"
 )
@@ -439,6 +440,117 @@ func TestFailFastAbortsSweep(t *testing.T) {
 				t.Fatalf("fail-fast %s returned %T, want *simfault.Fault: %v", a.Name, err, err)
 			}
 		})
+	}
+}
+
+// TestCellModesAndPolicies pins Runner.Cell, the one place a cell picks
+// its mode and the keep-going rule applies: exact and sampled cells come
+// back in one shape; under keep-going a fault is a marked cell and under
+// fail-fast it is the error, in either mode; and a non-fault error is an
+// error under both policies.
+func TestCellModesAndPolicies(t *testing.T) {
+	defer faultinject.Reset()
+	w := workloads.Integer()[0]
+	sp := sampledTestParams()
+	for _, tc := range []struct {
+		name      string
+		sp        *sample.Params
+		opts      Options
+		arm       bool
+		wantFault bool // a marked cell, nil error
+		wantErr   bool
+	}{
+		{name: "exact", opts: Options{Budget: 20_000}},
+		{name: "sampled", sp: &sp, opts: Options{Budget: 120_000}},
+		{name: "exact-fault-keep-going", opts: Options{Budget: 20_000}, arm: true, wantFault: true},
+		{name: "sampled-fault-keep-going", sp: &sp, opts: Options{Budget: 120_000}, arm: true, wantFault: true},
+		{name: "exact-fault-fail-fast", opts: Options{Budget: 20_000, FailFast: true}, arm: true, wantErr: true},
+		{name: "sampled-fault-fail-fast", sp: &sp, opts: Options{Budget: 120_000, FailFast: true}, arm: true, wantErr: true},
+		{name: "sampled-error-keep-going", sp: &sp, opts: Options{Budget: 120_000, Scheduled: true}, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faultinject.Reset()
+			if tc.arm {
+				faultinject.Arm(faultinject.LSUDispatch)
+			}
+			c, err := NewRunner(1).Cell(context.Background(), core.Baseline(), w, tc.opts, tc.sp)
+			switch {
+			case tc.wantErr:
+				var f *simfault.Fault
+				if err == nil || (tc.arm && !errors.As(err, &f)) {
+					t.Fatalf("got (%+v, %v), want the job's error", c, err)
+				}
+				if c != (BenchCPI{}) {
+					t.Errorf("failed cell carries data: %+v", c)
+				}
+			case err != nil:
+				t.Fatal(err)
+			case tc.wantFault:
+				if c.Fault == nil || !strings.HasPrefix(c.Fault.Cell(), "FAULT(ipu@") {
+					t.Fatalf("cell %+v, want an ipu fault", c)
+				}
+				if !math.IsNaN(c.CPI) || c.Report != nil || c.Sampled != nil || c.CPIError != 0 {
+					t.Errorf("faulted cell carries data: %+v", c)
+				}
+			case tc.sp == nil:
+				if c.Report == nil || c.Sampled != nil || c.CPI != c.Report.CPI() || c.CPIError != 0 {
+					t.Errorf("exact cell %+v", c)
+				}
+			default:
+				if c.Sampled == nil || c.Report != nil || c.CPI != c.Sampled.CPI ||
+					c.CPIError != c.Sampled.CPIError || c.CPIError <= 0 {
+					t.Errorf("sampled cell %+v", c)
+				}
+			}
+			if c.Bench != "" && c.Bench != w.Name {
+				t.Errorf("cell bench %q, want %q", c.Bench, w.Name)
+			}
+		})
+	}
+}
+
+// TestKeepGoingSampledSweep: with a hot-path site armed, a keep-going
+// sampled sweep completes with every one of its cells marked
+// FAULT(ipu@...), and the rendering lists each fault.
+func TestKeepGoingSampledSweep(t *testing.T) {
+	faultinject.Reset()
+	faultinject.Arm(faultinject.LSUDispatch)
+	defer faultinject.Reset()
+
+	res, err := SampledSweep(context.Background(), NewRunner(2), Options{Budget: 120_000}, sampledTestParams())
+	if err != nil {
+		t.Fatalf("keep-going sampled sweep aborted: %v", err)
+	}
+	cells := 0
+	for i, m := range res.Models {
+		for _, c := range res.Cells[i] {
+			cells++
+			if c.Fault == nil || !strings.HasPrefix(c.Fault.Cell(), "FAULT(ipu@") || !math.IsNaN(c.CPI) {
+				t.Errorf("cell %s/%s = %+v, want an ipu fault", m, c.Bench, c)
+			}
+		}
+	}
+	if want := len(res.Models) * len(res.Benches); cells != want {
+		t.Fatalf("sweep returned %d cells, want %d", cells, want)
+	}
+	var buf bytes.Buffer
+	PrintSampledSweep(&buf, res)
+	if n := strings.Count(buf.String(), "  fault: "); n != cells {
+		t.Errorf("rendering lists %d faults, want %d:\n%s", n, cells, buf.String())
+	}
+}
+
+// TestFailFastSampledSweep: under FailFast the same armed site aborts the
+// sampled sweep with the fault as its error.
+func TestFailFastSampledSweep(t *testing.T) {
+	faultinject.Reset()
+	faultinject.Arm(faultinject.LSUDispatch)
+	defer faultinject.Reset()
+
+	res, err := SampledSweep(context.Background(), NewRunner(2), Options{Budget: 120_000, FailFast: true}, sampledTestParams())
+	var f *simfault.Fault
+	if res != nil || !errors.As(err, &f) {
+		t.Fatalf("fail-fast sampled sweep returned (%v, %T %v), want a *simfault.Fault", res, err, err)
 	}
 }
 

@@ -276,16 +276,16 @@ func PrintSampledSweep(w io.Writer, r *SampledSweepResult) {
 				faults++
 				continue
 			}
-			fmt.Fprintf(w, " %6.3f±%.3f", c.Report.CPI, c.Report.CPIError)
-			detailed += c.Report.DetailedInstructions
-			total += c.Report.Instructions
+			fmt.Fprintf(w, " %6.3f±%.3f", c.CPI, c.CPIError)
+			detailed += c.Sampled.DetailedInstructions
+			total += c.Sampled.Instructions
 		}
 		fmt.Fprintln(w)
 	}
-	for i := range r.Models {
+	for i, m := range r.Models {
 		for _, c := range r.Cells[i] {
 			if c.Fault != nil {
-				fmt.Fprintf(w, "  fault: %s/%s: %v\n", c.Model, c.Bench, c.Fault)
+				fmt.Fprintf(w, "  fault: %s/%s: %v\n", m, c.Bench, c.Fault)
 			}
 		}
 	}

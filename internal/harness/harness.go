@@ -14,6 +14,7 @@ import (
 	"aurora/internal/bpred"
 	"aurora/internal/core"
 	"aurora/internal/fpu"
+	"aurora/internal/sample"
 	"aurora/internal/simfault"
 	"aurora/internal/workloads"
 )
@@ -103,43 +104,46 @@ func effectiveBudget(w *workloads.Workload, opts Options) uint64 {
 	return w.DefaultBudget * 4
 }
 
-// faultCell classifies a job error under the sweep policy: in keep-going
-// mode (the default) a *simfault.Fault is data — the caller marks that cell
-// and keeps the rest of the table — while fail-fast mode and non-fault
-// errors (configuration mistakes, I/O, cancellation) abort the sweep.
-func faultCell(opts Options, err error) (*simfault.Fault, error) {
+// Cell runs one (configuration, workload) cell in the mode sp selects —
+// exact when sp is nil, a sampled estimate under *sp otherwise — and returns
+// it in the one shape every table, sweep, search and stream reads. It is
+// also where the keep-going rule lives: unless opts.FailFast, a
+// *simfault.Fault is data — the cell comes back with Fault set, CPI NaN and
+// no report, so the caller marks it and keeps the rest of the study — while
+// fail-fast mode and non-fault errors (configuration mistakes, I/O,
+// cancellation) return the error.
+func (r *Runner) Cell(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, sp *sample.Params) (BenchCPI, error) {
+	c := BenchCPI{Bench: w.Name}
+	var err error
+	if sp == nil {
+		if c.Report, err = r.Run(ctx, cfg, w, opts); err == nil {
+			c.CPI = c.Report.CPI()
+		}
+	} else if c.Sampled, err = r.RunSampled(ctx, cfg, w, opts, *sp); err == nil {
+		c.CPI, c.CPIError = c.Sampled.CPI, c.Sampled.CPIError
+	}
 	if err == nil {
-		return nil, nil
+		return c, nil
 	}
 	var f *simfault.Fault
 	if !opts.FailFast && errors.As(err, &f) {
-		return f, nil
+		return BenchCPI{Bench: w.Name, CPI: math.NaN(), Fault: f}, nil
 	}
-	return nil, err
+	return BenchCPI{}, err
 }
 
-// grid runs every configuration over the workload suite ws through the
-// runner and returns one suite per configuration, in input order. It is
-// the one place an experiment reaches the runner: a single flat fan-out
-// over len(cfgs)*len(ws) cells in configuration-major order, so fail-fast
-// reports the first non-cancellation error in input order. In keep-going
-// mode a faulted cell comes back annotated (Fault set, CPI NaN) and the
-// rest of the grid completes.
-func grid(ctx context.Context, r *Runner, opts Options, ws []*workloads.Workload, cfgs ...core.Config) ([]suite, error) {
+// grid runs every configuration over the workload suite ws through
+// Runner.Cell, in the mode sp selects, and returns one suite per
+// configuration, in input order. It is the one place an experiment reaches
+// the runner: a single flat fan-out over len(cfgs)*len(ws) cells in
+// configuration-major order, so fail-fast reports the first non-cancellation
+// error in input order.
+func grid(ctx context.Context, r *Runner, opts Options, sp *sample.Params, ws []*workloads.Workload, cfgs ...core.Config) ([]suite, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("harness: empty workload suite for %d configurations", len(cfgs))
 	}
 	cells, err := each(ctx, opts, len(cfgs)*len(ws), func(ctx context.Context, i int) (BenchCPI, error) {
-		w := ws[i%len(ws)]
-		rep, err := r.Run(ctx, cfgs[i/len(ws)], w, opts)
-		f, err := faultCell(opts, err)
-		if err != nil {
-			return BenchCPI{}, err
-		}
-		if f != nil {
-			return BenchCPI{Bench: w.Name, CPI: math.NaN(), Fault: f}, nil
-		}
-		return BenchCPI{Bench: w.Name, CPI: rep.CPI(), Report: rep}, nil
+		return r.Cell(ctx, cfgs[i/len(ws)], ws[i%len(ws)], opts, sp)
 	})
 	if err != nil {
 		return nil, err
@@ -207,13 +211,17 @@ func (s suite) reports() []*core.Report {
 	return out
 }
 
-// BenchCPI is one benchmark's result within a configuration. A faulted cell
-// has Fault set, CPI NaN and a nil Report.
+// BenchCPI is one benchmark's result within a configuration. An exact cell
+// has Report set; a sampled cell has Sampled set and CPIError, the
+// confidence bound on its estimated CPI. A faulted cell has Fault set, CPI
+// NaN and neither report.
 type BenchCPI struct {
-	Bench  string
-	CPI    float64
-	Report *core.Report
-	Fault  *simfault.Fault
+	Bench    string
+	CPI      float64
+	CPIError float64
+	Report   *core.Report
+	Sampled  *sample.Report
+	Fault    *simfault.Fault
 }
 
 // withFPUPolicy returns cfg with the FPU policy (and matching FP issue

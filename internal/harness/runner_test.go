@@ -100,7 +100,7 @@ func TestMemoHitSharesReport(t *testing.T) {
 }
 
 func TestGridEmptySuite(t *testing.T) {
-	if _, err := grid(context.Background(), NewRunner(1), Quick(), nil, core.Baseline()); err == nil {
+	if _, err := grid(context.Background(), NewRunner(1), Quick(), nil, nil, core.Baseline()); err == nil {
 		t.Fatal("grid over an empty suite returned no error (was a NaN average)")
 	}
 }

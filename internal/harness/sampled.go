@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 
 	"aurora/internal/core"
 	"aurora/internal/resultstore"
 	"aurora/internal/sample"
-	"aurora/internal/simfault"
 	"aurora/internal/workloads"
 )
 
@@ -33,40 +31,25 @@ func (r *Runner) RunSampled(ctx context.Context, cfg core.Config, w *workloads.W
 	p = p.Normalize()
 	opts.Budget = effectiveBudget(w, opts)
 	j := job{key: r.key(cfg, w, opts, p.Key()), config: cfg.Name}
-	j.compute = func(ctx context.Context) (resultstore.Result, uint64, error) {
-		rep, err := runSampled(ctx, r.checkpoints, cfg, w, opts.Budget, p, j.fault())
-		return resultstore.Result{Sampled: rep}, 0, err
+	j.compute = func(ctx context.Context) (res resultstore.Result, _ uint64, err error) {
+		// A sampled job reports no cycle count: a panic or deadline inside
+		// the capture or the replayed windows is annotated at cycle 0.
+		err = guard(j.fault(), func() uint64 { return 0 }, func() error {
+			cp, err := r.checkpoints.Get(ctx, w, opts.Budget, p)
+			if err != nil {
+				return err
+			}
+			rep, err := cp.Run(ctx, cfg, opts.Budget, p)
+			if err != nil {
+				return fmt.Errorf("harness: %s on %s (sampled): %w", w.Name, cfg.Name, err)
+			}
+			res.Sampled = rep
+			return nil
+		})
+		return res, 0, err
 	}
 	res, err := r.do(ctx, j)
 	return res.Sampled, err
-}
-
-// runSampled is the sampled fault boundary: a panic inside the VM capture
-// or the replayed timing core comes back as a typed *simfault.Fault.
-func runSampled(ctx context.Context, cache *sample.CheckpointCache, cfg core.Config, w *workloads.Workload, budget uint64, p sample.Params, job simfault.Job) (rep *sample.Report, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			rep, err = nil, simfault.FromPanic(rec, job, 0, debug.Stack())
-		}
-	}()
-	cp, err := cache.Get(ctx, w, budget, p)
-	if err != nil {
-		return nil, err
-	}
-	rep, err = cp.Run(ctx, cfg, budget, p)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s on %s (sampled): %w", w.Name, cfg.Name, err)
-	}
-	return rep, nil
-}
-
-// SampledCell is one (model, workload) estimate of a sampled sweep. A
-// faulted cell has Fault set and a nil Report, mirroring BenchCPI.
-type SampledCell struct {
-	Model  string
-	Bench  string
-	Report *sample.Report
-	Fault  *simfault.Fault
 }
 
 // SampledSweepResult is the sampled counterpart of the paper's CPI tables:
@@ -79,40 +62,31 @@ type SampledSweepResult struct {
 	Models  []string
 	Benches []string
 	// Cells is model-major: Cells[i][j] estimates Models[i] on Benches[j].
-	Cells [][]SampledCell
+	Cells []suite
 }
 
-// SampledSweep estimates the full models x workloads grid in sampled mode
-// through the runner. Fault policy matches the exact sweeps: keep-going
+// SampledSweep estimates the full models x workloads grid in sampled mode:
+// one grid call, so the fault policy is the exact sweeps' — keep-going
 // marks the cell, fail-fast aborts.
 func SampledSweep(ctx context.Context, r *Runner, opts Options, p sample.Params) (*SampledSweepResult, error) {
 	p = p.Normalize()
 	models := append(core.Models(), core.RecommendedE())
-	benches := workloads.Names()
-	res := &SampledSweepResult{Params: p, Benches: benches}
+	res := &SampledSweepResult{Params: p, Benches: workloads.Names()}
 	for _, m := range models {
 		res.Models = append(res.Models, m.Name)
 	}
-	flat, err := each(ctx, opts, len(models)*len(benches), func(ctx context.Context, i int) (SampledCell, error) {
-		cfg := models[i/len(benches)]
-		w, err := workloads.Get(benches[i%len(benches)])
+	ws := make([]*workloads.Workload, len(res.Benches))
+	for i, name := range res.Benches {
+		w, err := workloads.Get(name)
 		if err != nil {
-			return SampledCell{}, err
+			return nil, err
 		}
-		cell := SampledCell{Model: cfg.Name, Bench: w.Name}
-		rep, err := r.RunSampled(ctx, cfg, w, opts, p)
-		f, err := faultCell(opts, err)
-		if err != nil {
-			return SampledCell{}, err
-		}
-		cell.Report, cell.Fault = rep, f
-		return cell, nil
-	})
+		ws[i] = w
+	}
+	cells, err := grid(ctx, r, opts, &p, ws, models...)
 	if err != nil {
 		return nil, err
 	}
-	for i := range models {
-		res.Cells = append(res.Cells, flat[i*len(benches):(i+1)*len(benches)])
-	}
+	res.Cells = cells
 	return res, nil
 }

@@ -148,7 +148,11 @@ func TestRunSampledSharesCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		private, err := sample.Run(ctx, cfg, w, opts.Budget, p)
+		cp, err := sample.NewCheckpoint(ctx, w, opts.Budget, p.Normalize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		private, err := cp.Run(ctx, cfg, opts.Budget, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,12 +181,12 @@ func TestSampledSweepGrid(t *testing.T) {
 	}
 	for i, m := range res.Models {
 		for j, c := range res.Cells[i] {
-			if c.Fault != nil || c.Report == nil {
+			if c.Fault != nil || c.Sampled == nil {
 				t.Errorf("cell %s/%s unhealthy: %+v", m, res.Benches[j], c)
 				continue
 			}
-			if c.Report.CPI <= 0 || c.Report.CPIError <= 0 {
-				t.Errorf("cell %s/%s estimate incomplete: %+v", m, res.Benches[j], c.Report)
+			if c.CPI <= 0 || c.CPIError <= 0 {
+				t.Errorf("cell %s/%s estimate incomplete: %+v", m, res.Benches[j], c.Sampled)
 			}
 		}
 	}

@@ -41,7 +41,7 @@ const cancelMask = 1<<12 - 1
 func NewSimulation(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, sink obs.Sink) (*Simulation, error) {
 	cfg = applyBPred(cfg, opts)
 	s := newSimulation(ctx, cfg, w.Name, opts.Scheduled)
-	err := s.execute(func() error {
+	err := guard(s.job, s.Cycles, func() error {
 		m, err := w.NewMachine()
 		if err != nil {
 			return err
@@ -64,7 +64,7 @@ func NewSimulation(ctx context.Context, cfg core.Config, w *workloads.Workload, 
 // every other exact run; its faults name the workload "trace".
 func RunTrace(ctx context.Context, cfg core.Config, src trace.Stream) (*core.Report, error) {
 	s := newSimulation(ctx, cfg, "trace", false)
-	if err := s.execute(func() error { return s.build(cfg, src, nil) }); err != nil {
+	if err := guard(s.job, s.Cycles, func() error { return s.build(cfg, src, nil) }); err != nil {
 		return nil, err
 	}
 	return s.Run()
@@ -95,15 +95,16 @@ func (s *Simulation) build(cfg core.Config, src trace.Stream, sink obs.Sink) err
 	return nil
 }
 
-// execute is the exact-path fault boundary: fn — machine construction or
-// the cycle loop — runs with any panic recovered into a typed
-// *simfault.Fault carrying the job identity, the simulated cycle it fired
-// at and the stack. The job fails; the process and every other job
-// survive.
-func (s *Simulation) execute(fn func() error) (err error) {
+// guard is the one fault boundary every job runs behind, exact or
+// sampled: fn (machine construction, the cycle loop, or a sampled capture
+// and replay) runs with any panic recovered into a typed *simfault.Fault
+// carrying the job identity, the simulated cycle it fired at (cycles, read
+// after the panic) and the stack. The job fails; the process and every
+// other job survive.
+func guard(job simfault.Job, cycles func() uint64, fn func() error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			err = simfault.FromPanic(rec, s.job, s.Cycles(), debug.Stack())
+			err = simfault.FromPanic(rec, job, cycles(), debug.Stack())
 		}
 	}()
 	return fn()
@@ -114,7 +115,7 @@ func (s *Simulation) execute(fn func() error) (err error) {
 // but wrong CPI.
 func (s *Simulation) Run() (*core.Report, error) {
 	var rep *core.Report
-	err := s.execute(func() (err error) {
+	err := guard(s.job, s.Cycles, func() (err error) {
 		rep, err = s.p.RunContext(s.ctx)
 		if err != nil {
 			err = fmt.Errorf("harness: %s on %s: %w", s.job.Workload, s.job.Config, err)

@@ -217,8 +217,11 @@ func (l *LSU) Dispatch(tmpl MemOp, now uint64) {
 	} else {
 		l.stats.Loads++
 	}
-	//aurora:allow(alloc, bounded by the MemOp pool; backing array reaches steady-state capacity)
-	l.ops = append(l.ops, op)
+	// Every active op holds a pool slot, so ops never outgrows the pool:
+	// the reslice stays within capacity (and panics if that ever breaks).
+	n := len(l.ops)
+	l.ops = l.ops[:n+1]
+	l.ops[n] = op
 }
 
 // Busy reports whether any operation is active (for drain detection).
@@ -251,18 +254,20 @@ func (l *LSU) Tick(now uint64) {
 			}
 		}
 	}
-	// Compact completed operations, returning their pool slots.
-	live := l.ops[:0]
+	// Compact completed operations in place and return their pool slots;
+	// the free list, too, grows by reslicing within its pool-sized capacity.
+	live := 0
 	for _, op := range l.ops {
 		if op.state != opDone {
-			//aurora:allow(alloc, compacts into l.ops[:0]; never exceeds the existing backing array)
-			live = append(live, op)
+			l.ops[live] = op
+			live++
 		} else {
-			//aurora:allow(alloc, free list bounded by the MemOp pool size)
-			l.free = append(l.free, op.poolIdx)
+			n := len(l.free)
+			l.free = l.free[:n+1]
+			l.free[n] = op.poolIdx
 		}
 	}
-	l.ops = live
+	l.ops = l.ops[:live]
 }
 
 // access performs the cache-port access for op at cycle now.

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"aurora/internal/core"
-	"aurora/internal/workloads"
 )
 
 // Report is the result of one sampled run. It is a pure function of
@@ -51,21 +50,6 @@ type Report struct {
 	// instructions: round(CPI × Instructions).
 	EstimatedCycles uint64 `json:"estimated_cycles"`
 	Halted          bool   `json:"halted"` // the kernel ran to natural completion
-}
-
-// Run executes one sampled run, building a private checkpoint for the
-// functional pass. Sweeps over many configurations should build one
-// Checkpoint (or use a CheckpointCache) and call Checkpoint.Run instead —
-// the result is byte-identical (both paths replay a capture of the same
-// pass), and the functional pass runs once instead of once per design
-// point.
-func Run(ctx context.Context, cfg core.Config, w *workloads.Workload, budget uint64, p Params) (*Report, error) {
-	p = p.Normalize()
-	cp, err := NewCheckpoint(ctx, w, budget, p)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Run(ctx, cfg, budget, p)
 }
 
 // ctxCheckMask throttles context polling in the window replay loop,

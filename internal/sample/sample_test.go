@@ -23,6 +23,17 @@ func getWorkload(t *testing.T, name string) *workloads.Workload {
 	return w
 }
 
+// runPrivate is one sampled run on a checkpoint of its own: capture, then
+// replay through cfg.
+func runPrivate(ctx context.Context, cfg core.Config, w *workloads.Workload, budget uint64, p Params) (*Report, error) {
+	p = p.Normalize()
+	cp, err := NewCheckpoint(ctx, w, budget, p)
+	if err != nil {
+		return nil, err
+	}
+	return cp.Run(ctx, cfg, budget, p)
+}
+
 func TestParamsNormalize(t *testing.T) {
 	p := Params{}.Normalize()
 	want := Params{
@@ -93,7 +104,7 @@ func TestTQuantile(t *testing.T) {
 // detailed fraction actually is a fraction.
 func TestSampleSmoke(t *testing.T) {
 	w := getWorkload(t, "espresso")
-	rep, err := Run(context.Background(), core.Baseline(), w, 120_000, testParams())
+	rep, err := runPrivate(context.Background(), core.Baseline(), w, 120_000, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +131,8 @@ func TestSampleSmoke(t *testing.T) {
 
 // TestCheckpointSharedIdenticalToPrivate is the checkpoint-sharing
 // regression: a sweep replaying one shared checkpoint must produce
-// byte-identical sampled reports to per-config private checkpoints
-// (sample.Run), for every configuration.
+// byte-identical sampled reports to a private checkpoint captured afresh
+// for each configuration.
 func TestCheckpointSharedIdenticalToPrivate(t *testing.T) {
 	ctx := context.Background()
 	w := getWorkload(t, "espresso")
@@ -137,7 +148,7 @@ func TestCheckpointSharedIdenticalToPrivate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: shared run: %v", cfg.Name, err)
 		}
-		want, err := Run(ctx, cfg, w, budget, p)
+		want, err := runPrivate(ctx, cfg, w, budget, p)
 		if err != nil {
 			t.Fatalf("%s: private run: %v", cfg.Name, err)
 		}
@@ -277,7 +288,7 @@ func TestRunHaltedKernel(t *testing.T) {
 	w := getWorkload(t, "li")
 	// A budget beyond any kernel's natural length: li halts first.
 	p := Params{WarmUp: 5_000, Interval: 4_000, Window: 1_000}.Normalize()
-	rep, err := Run(context.Background(), core.Baseline(), w, 0, p)
+	rep, err := runPrivate(context.Background(), core.Baseline(), w, 0, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +305,7 @@ func TestRunHaltedKernel(t *testing.T) {
 func TestRunTooFewWindows(t *testing.T) {
 	w := getWorkload(t, "espresso")
 	p := Params{WarmUp: 50_000, Interval: 30_000, Window: 3_000}
-	_, err := Run(context.Background(), core.Baseline(), w, 60_000, p)
+	_, err := runPrivate(context.Background(), core.Baseline(), w, 60_000, p)
 	if err == nil {
 		t.Fatal("sampled run with <2 windows returned a report")
 	}

@@ -107,7 +107,7 @@ func TestFaultPersistable(t *testing.T) {
 }
 
 // TestFaultErrorsAs: a Fault wrapped like any job error unwraps with
-// errors.As, which is how faultCell classifies keep-going cells.
+// errors.As, which is how Runner.Cell classifies keep-going cells.
 func TestFaultErrorsAs(t *testing.T) {
 	orig := FromPanic("cache: unbalanced MSHR release", Job{Workload: "tiny"}, 3, nil)
 	var f *Fault
