@@ -49,9 +49,13 @@ faults:
 # job: assert zero allocations on the cycle loop (synthetic trace, every
 # predictor, every VM-fed kernel) and on the disabled probe path, run the
 # cycle-loop and probe benchmarks briefly (allocs/op must print 0), and
-# replay the checked-in fuzz corpora.
+# replay the checked-in fuzz corpora — among them the seed corpus of
+# FuzzSkipMatchesForcedTick, the proof that jumping quiet cycles changes no
+# result, with the unit-level next-event and idle-latch tests beside it.
 bench-smoke:
 	$(GO) test -run TestCycleLoopZeroAlloc -count=1 -v .
+	$(GO) test -run 'FuzzSkipMatchesForcedTick|TestRunContextCancelledWhileSkipping' -count=1 ./internal/core/
+	$(GO) test -run 'NextEvent|IdleLatchMatchesForcedTick' -count=1 ./internal/fpu/ ./internal/ipu/ ./internal/mem/ ./internal/prefetch/
 	$(GO) test -run TestNilProbeZeroAllocs -count=1 -v ./internal/obs/
 	$(GO) test -run '^$$' -bench BenchmarkCycleLoop -benchtime 20000x .
 	$(GO) test -run '^$$' -bench 'BenchmarkNilProbe|BenchmarkEnabledProbe' -benchtime 20000x ./internal/obs/

@@ -175,12 +175,13 @@ func Run(ctx context.Context, cfg Config, w *Workload, opts RunOptions) (*Report
 }
 
 // Simulation is an incrementally-stepped timing run: the same machine Run
-// drives, exposed one cycle at a time (Step, Cycles, Instructions, Err,
-// FastForward). Benchmarks use it to warm a processor up and then time the
-// steady-state cycle loop in isolation.
+// drives, exposed one tick at a time (Step, Cycles, Instructions, Err,
+// FastForward). A Step may jump the clock over quiet cycles first, so
+// Cycles can advance by more than one. Benchmarks use it to warm a
+// processor up and then time the steady-state cycle loop in isolation.
 type Simulation = harness.Simulation
 
-// NewSimulation prepares a workload run for cycle-by-cycle stepping. Once
+// NewSimulation prepares a workload run for tick-by-tick stepping. Once
 // ctx is cancelled, Step returns false within a few thousand cycles and
 // Err reports ctx.Err().
 func NewSimulation(ctx context.Context, cfg Config, w *Workload, opts RunOptions) (*Simulation, error) {

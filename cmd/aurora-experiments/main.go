@@ -102,15 +102,18 @@ func run() int {
 	}
 
 	set := map[string]bool{}
-	stray := "" // a -sample-* flag given without a sampled mode to use it
+	stray := "" // a mode's flag given without the mode: the reason it is unused
 	flag.Visit(func(f *flag.Flag) {
 		set[f.Name] = true
-		if strings.HasPrefix(f.Name, "sample-") && !*sampled && !(*explore && *exploreSampled) {
-			stray = f.Name
+		switch {
+		case strings.HasPrefix(f.Name, "explore-") && !*explore:
+			stray = "-" + f.Name + " needs -explore"
+		case strings.HasPrefix(f.Name, "sample-") && !*sampled && !(*explore && *exploreSampled):
+			stray = "-" + f.Name + " needs a sampled mode (-sample, or -explore with -explore-sampled)"
 		}
 	})
 	if stray != "" {
-		fmt.Fprintf(os.Stderr, "aurora-experiments: -%s needs a sampled mode (-sample, or -explore with -explore-sampled)\n", stray)
+		fmt.Fprintln(os.Stderr, "aurora-experiments:", stray)
 		return 2
 	}
 	opts := resolveOptions(*quick, set, *budget, *sweep)

@@ -75,6 +75,28 @@ func TestStrayArgumentRejected(t *testing.T) {
 	}
 }
 
+// TestExploreFlagsNeedExplore: an -explore-* flag without -explore used to
+// be silently ignored — the run rendered the paper figures and exited 0.
+// It is now a usage error before anything runs.
+func TestExploreFlagsNeedExplore(t *testing.T) {
+	for _, args := range [][]string{
+		{"-explore-sampled", "-quick", "-timeout", "1ns"},
+		{"-explore-grid", "tiny", "-quick", "-timeout", "1ns"},
+		{"-quick", "-explore-budget", "2000", "-explore-rungs", "2", "-timeout", "1ns"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			oldArgs, oldFlags := os.Args, flag.CommandLine
+			t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
+			os.Args = append([]string{"aurora-experiments"}, args...)
+			flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+			flag.CommandLine.SetOutput(io.Discard)
+			if code := run(); code != 2 {
+				t.Fatalf("exit code %d, want 2", code)
+			}
+		})
+	}
+}
+
 // TestSampleFlagsNeedSampledMode: -sample-* flags outside a sampled mode
 // (-sample, or -explore with -explore-sampled) used to be silently ignored
 // — the exploration ran exact screens and exited 0. They are now a usage

@@ -627,3 +627,24 @@ func TestExploreValidation(t *testing.T) {
 		t.Fatalf("GET explore returned %d, want 405", resp.StatusCode)
 	}
 }
+
+// TestExploreRejectsShortSampledScreens: a sampled exploration whose first
+// screen cannot yield two windows — the tiny grid screens at 10k
+// instructions, below the default 50k warm-up — is a 400 carrying
+// ExploreSpecFor's message, before the stream starts.
+func TestExploreRejectsShortSampledScreens(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	resp, err := http.Post(ts.URL+"/v1/explore", "application/json",
+		strings.NewReader(`{"grid":"tiny","sampled":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (body %s)", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "sampled screens need at least 2 windows: the first rung's budget 10000") {
+		t.Errorf("body %q does not carry the rung budget and the windows it needs", body)
+	}
+}

@@ -131,13 +131,20 @@ func TestSimulationStepMatchesRun(t *testing.T) {
 	}
 }
 
-// BenchmarkCycleLoop times the steady-state per-cycle step over a warmed-up
-// machine; allocs/op must report 0.
+// BenchmarkCycleLoop times the steady-state cycle loop over a warmed-up
+// machine; allocs/op must report 0. One op is one Step, which may jump
+// the clock over quiet cycles, so the loop's cost per simulated cycle is
+// reported separately as ns/cycle.
 func BenchmarkCycleLoop(b *testing.B) {
 	p := newWarmCycleLoop(b, Baseline())
+	start := p.Cycles()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Step()
+	}
+	b.StopTimer()
+	if cycles := p.Cycles() - start; cycles > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 	}
 }

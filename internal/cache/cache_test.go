@@ -119,7 +119,7 @@ func TestMSHRFile(t *testing.T) {
 	if f.Peak() != 2 || f.Allocs() != 2 {
 		t.Errorf("peak=%d allocs=%d", f.Peak(), f.Allocs())
 	}
-	f.TickOccupancy()
+	f.TickOccupancy(1)
 	if f.Utilisation(1) != 1.0 {
 		t.Errorf("utilisation = %f", f.Utilisation(1))
 	}

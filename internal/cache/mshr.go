@@ -80,10 +80,12 @@ func (f *MSHRFile) Release() {
 	}
 }
 
-// TickOccupancy accumulates the occupancy integral; call once per cycle.
+// TickOccupancy accumulates the occupancy integral over the given number
+// of cycles at the current occupancy; call once per cycle with 1, or once
+// for a stretch of cycles over which nothing allocates or releases.
 //
 //aurora:hotpath
-func (f *MSHRFile) TickOccupancy() { f.cycleInUse += uint64(f.inUse) }
+func (f *MSHRFile) TickOccupancy(cycles uint64) { f.cycleInUse += uint64(f.inUse) * cycles }
 
 // Allocs returns the total number of allocations.
 func (f *MSHRFile) Allocs() uint64 { return f.allocs }

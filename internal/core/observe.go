@@ -75,7 +75,7 @@ func (p *Processor) emitSample() {
 	wc := p.lsu.WriteCache()
 	ms := p.lsu.MSHR()
 	vc := p.lsu.Victim()
-	fps := p.fp.Stats()
+	fps := p.fp.Stats(p.now)
 	bs := p.biu.Stats()
 
 	if p.now != p.lastSampleAt || !p.sampledAny {

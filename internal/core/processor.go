@@ -51,6 +51,13 @@ type Processor struct {
 	dualIssues   uint64
 	stalls       [NumStallCauses]uint64
 
+	// stalled records that the last cycle's issue issued nothing: only
+	// then does advance look for quiet cycles to jump over. quietStall is
+	// the stall counter issue bumps on each of them (nil for none), as
+	// nextEvent found it for skip.
+	stalled    bool
+	quietStall *uint64
+
 	// Mispredict redirect (branch-predictor extension): issue stalls
 	// through redirectUntil after a mispredicted branch's delay slot
 	// issues — the branch resolved at execute and the correct path must
@@ -119,11 +126,19 @@ func (p *Processor) Run() (*Report, error) {
 	return p.RunContext(context.Background())
 }
 
-// cancelCheckMask throttles context polling to one check every 4096 cycles:
-// frequent enough that cancellation and per-job deadlines land within
-// microseconds of wall time, rare enough that the cycle loop's cost and
-// zero-allocation property are untouched.
-const cancelCheckMask = 1<<12 - 1
+// PollInterval is how often, in simulated cycles, every cycle loop polls
+// its context: frequent enough that cancellation and per-job deadlines land
+// within microseconds of wall time, rare enough that the cycle loop's cost
+// and zero-allocation property are untouched.
+const PollInterval = 1 << 12
+
+// PollDue reports whether the clock's move from cycle from to cycle to
+// crossed a multiple of PollInterval — the point at which a cycle loop
+// polls its context. Testing the crossing rather than the landing keeps
+// the poll when the clock jumps over quiet cycles.
+//
+//aurora:hotpath
+func PollDue(from, to uint64) bool { return from/PollInterval != to/PollInterval }
 
 // RunContext is Run under a context: cancellation or deadline expiry stops
 // the simulation within a few thousand cycles and returns ctx.Err(). A
@@ -131,18 +146,26 @@ const cancelCheckMask = 1<<12 - 1
 func (p *Processor) RunContext(ctx context.Context) (*Report, error) {
 	done := ctx.Done()
 	for !p.done() {
-		p.now++
-		if done != nil && p.now&cancelCheckMask == 0 {
+		from, limit := p.now, 100*p.instructions+1_000_000
+		p.advance(limit)
+		if done != nil && PollDue(from, p.now) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		if p.now > 100*p.instructions+1_000_000 {
+		if p.now > limit {
 			return nil, fmt.Errorf("core: runaway simulation at cycle %d (%d instructions)",
 				p.now, p.instructions)
 		}
 		p.tick()
 	}
+	return p.finish()
+}
+
+// finish is the end-of-run accounting shared by every loop that runs the
+// machine to its end: it fails a faulted trace, flushes the write cache and
+// closes the interval series, then assembles the report.
+func (p *Processor) finish() (*Report, error) {
 	// A trace that ended because the producer faulted must fail the run:
 	// the retired prefix would otherwise report a plausible but wrong CPI.
 	if err := p.stream.Err(); err != nil {
@@ -156,6 +179,114 @@ func (p *Processor) RunContext(ctx context.Context) (*Report, error) {
 		p.emitSample()
 	}
 	return p.report(), nil
+}
+
+// advance moves the clock to the next cycle that needs a tick: after a
+// cycle in which issue stalled, with no probe attached, past any quiet
+// cycles first (see jump). Small enough to inline into the loops.
+//
+//aurora:hotpath
+func (p *Processor) advance(limit uint64) {
+	if p.stalled && p.probe == nil {
+		p.jump(limit)
+	}
+	p.now++
+}
+
+// jump asks every unit for its next event; when that lies beyond the next
+// cycle, the clock jumps over the quiet cycles in between (never past
+// limit), and the counters their ticks would have bumped are added in
+// bulk. A machine with no future event ticks on one cycle at a time.
+//
+//aurora:hotpath
+func (p *Processor) jump(limit uint64) {
+	if next := p.nextEvent(); next > p.now+1 && next < farFuture {
+		if to := min(next-1, limit); to > p.now {
+			p.skip(to)
+		}
+	}
+}
+
+// nextEvent returns the first cycle after now at which some unit's tick
+// could do more than bump a counter; a result at or before now+1 means the
+// next cycle is not quiet. Units are asked in order of how often they
+// answer now+1, and the first such answer ends the search.
+//
+//aurora:hotpath
+func (p *Processor) nextEvent() uint64 {
+	at := p.now + 1
+	next := p.lsu.NextEvent(p.now)
+	if next > at {
+		next = min(next, p.fp.NextEvent(p.now))
+	}
+	if next > at {
+		var t uint64
+		t, p.quietStall = p.issueWait(at)
+		next = min(next, t)
+	}
+	if next > at && p.robUsed > 0 {
+		next = min(next, p.rob[p.robHead].completeAt)
+	}
+	if next > at {
+		next = min(next, p.ifu.NextEvent(p.now))
+	}
+	if next > at {
+		next = min(next, p.biu.NextEvent())
+	}
+	if next > at {
+		next = min(next, p.pfu.NextEvent(p.now, p.biu))
+	}
+	return next
+}
+
+// skip jumps the clock to cycle to over the quiet cycles nextEvent found,
+// adding what each unit's tick would have counted on them.
+//
+//aurora:hotpath
+func (p *Processor) skip(to uint64) {
+	n := to - p.now
+	if p.quietStall != nil {
+		*p.quietStall += n
+	}
+	p.ifu.Skip(p.now, n)
+	p.lsu.Skip(p.now, to)
+	p.fp.Skip(n)
+	p.now = to
+}
+
+// issueWait classifies issue at cycle at without acting, testing what
+// issue and canIssue test in the same order: the first cycle issue could
+// do more than count a stall, and the stall counter it bumps until then
+// (nil for none). A wait on another unit (a load's data, a queue or
+// reorder-buffer slot, fetch) answers farFuture or later: that unit's own
+// event ends it.
+//
+//aurora:hotpath
+func (p *Processor) issueWait(at uint64) (uint64, *uint64) {
+	if p.redirectUntil > at {
+		return p.redirectUntil, &p.stalls[StallICache]
+	}
+	if p.ifu.QueueLen() == 0 {
+		if p.ifu.Done() {
+			return farFuture, nil
+		}
+		return farFuture, &p.stalls[StallICache]
+	}
+	rec := &p.ifu.QueueHead().Rec
+	for _, s := range rec.SI.Deps.SrcInt {
+		if s != 0 && p.intReadyAt[s] > at {
+			return p.intReadyAt[s], &p.stalls[p.srcStall(s)]
+		}
+	}
+	if t := p.fpReadAt(rec); t > at {
+		return t, &p.stalls[StallFPU]
+	}
+	// Operands are ready at cycle at: only a structure another unit's
+	// event frees can still block.
+	if cause, ok := p.canIssue(rec, at); !ok {
+		return farFuture, &p.stalls[cause]
+	}
+	return at, nil
 }
 
 // tick runs one cycle of the machine: memory system first, then retire and
@@ -177,17 +308,19 @@ func (p *Processor) tick() {
 	}
 }
 
-// Step advances the simulation by exactly one cycle, reporting whether the
-// machine still has work. It is Run's loop body without the deadlock guards
-// and end-of-run accounting — the hook benchmarks use to time the
-// steady-state cycle loop in isolation.
+// Step runs the machine's next tick, reporting whether the machine still
+// has work. It is Run's loop body without the deadlock guards and
+// end-of-run accounting — the hook the sampled mode's window replay and
+// the benchmarks use. Like Run, it first jumps the clock over quiet
+// cycles, so one Step can advance Cycles by more than one; every cycle on
+// which the machine's state changes is still a Step of its own.
 //
 //aurora:hotpath
 func (p *Processor) Step() bool {
 	if p.done() {
 		return false
 	}
-	p.now++
+	p.advance(farFuture)
 	p.tick()
 	return true
 }
@@ -257,7 +390,7 @@ func (p *Processor) issue() {
 		if issued == 1 && !pairAllowed(first, fi) {
 			break
 		}
-		cause, ok := p.canIssue(&fi.Rec)
+		cause, ok := p.canIssue(&fi.Rec, p.now)
 		if !ok {
 			if issued == 0 {
 				p.stalls[cause]++
@@ -279,6 +412,7 @@ func (p *Processor) issue() {
 	if issued == 2 {
 		p.dualIssues++
 	}
+	p.stalled = issued == 0
 }
 
 // pairAllowed applies the dual-issue constraints of §2 (IFU): the pair must
@@ -303,32 +437,18 @@ func pairAllowed(first *trace.Record, second *ipu.FetchedInstr) bool {
 	return true
 }
 
-// canIssue checks every resource and operand the instruction needs,
-// returning the blocking cause when it cannot issue this cycle.
+// canIssue checks every resource and operand the instruction needs at
+// cycle at, returning the blocking cause when it cannot issue then.
 //
 //aurora:hotpath
-func (p *Processor) canIssue(rec *trace.Record) (StallCause, bool) {
+func (p *Processor) canIssue(rec *trace.Record, at uint64) (StallCause, bool) {
 	// Operand readiness (integer scoreboard).
 	for _, s := range rec.SI.Deps.SrcInt {
-		if s == 0 {
-			continue
-		}
-		if p.intReadyAt[s] > p.now {
-			switch {
-			case p.writerLoad[s]:
-				return StallLoad, false
-			case p.writerFP[s]:
-				return StallFPU, false
-			default:
-				return StallOther, false
-			}
+		if s != 0 && p.intReadyAt[s] > at {
+			return p.srcStall(s), false
 		}
 	}
-	// Decoupling reads: MFC1 and FP-condition branches wait on the FPU.
-	if rec.SI.Deps.ReadsFCC && !p.fp.FCCReady(p.now) {
-		return StallFPU, false
-	}
-	if rec.SI.In.Op == isa.OpMFC1 && !p.fp.RegReady(rec.SI.In.Fs, false, p.now) {
+	if (rec.SI.Deps.ReadsFCC || rec.SI.In.Op == isa.OpMFC1) && p.fpReadAt(rec) > at {
 		return StallFPU, false
 	}
 	// FP store data readiness is *not* checked here: the store decouples
@@ -356,6 +476,34 @@ func (p *Processor) canIssue(rec *trace.Record) (StallCause, bool) {
 		return StallFPU, false
 	}
 	return 0, true
+}
+
+// srcStall attributes a wait on integer register s to its producer.
+//
+//aurora:hotpath
+func (p *Processor) srcStall(s uint8) StallCause {
+	switch {
+	case p.writerLoad[s]:
+		return StallLoad
+	case p.writerFP[s]:
+		return StallFPU
+	}
+	return StallOther
+}
+
+// fpReadAt returns the first cycle rec's decoupling read of the FPU can
+// go ahead: MFC1 waits on its register, FP-condition branches on the flag.
+//
+//aurora:hotpath
+func (p *Processor) fpReadAt(rec *trace.Record) uint64 {
+	var at uint64
+	if rec.SI.Deps.ReadsFCC {
+		at = p.fp.FCCReadyAt()
+	}
+	if rec.SI.In.Op == isa.OpMFC1 {
+		at = max(at, p.fp.RegReadyAt(rec.SI.In.Fs, false))
+	}
+	return at
 }
 
 // isFPQueueClass reports whether the instruction is transferred to the FPU
@@ -475,7 +623,7 @@ func (p *Processor) doIssue(rec *trace.Record) {
 		// The store's data token: the last FP write to the source register
 		// at dispatch time. The write cache accepts the store immediately;
 		// the FPU store queue holds a slot until the data is produced.
-		p.fp.DispatchStore(p.fp.CaptureWriter(rec.SI.In.Ft, rec.SI.FPDouble))
+		p.fp.DispatchStore(p.fp.CaptureWriter(rec.SI.In.Ft, rec.SI.FPDouble), now)
 		p.lsu.Dispatch(ipu.MemOp{
 			Addr:  rec.MemAddr,
 			Store: true, FP: true, FPDouble: rec.SI.FPDouble, FPReg: rec.SI.In.Ft,
@@ -556,7 +704,7 @@ func (p *Processor) report() *Report {
 		BranchMispredicts: p.ifu.Stats().BranchMispredicts,
 
 		BIU: p.biu.Stats(),
-		FPU: p.fp.Stats(),
+		FPU: p.fp.Stats(p.now),
 		MMU: p.mmu.Stats(),
 	}
 	return r

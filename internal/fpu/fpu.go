@@ -10,6 +10,8 @@
 package fpu
 
 import (
+	"math"
+
 	"aurora/internal/faultinject"
 	"aurora/internal/isa"
 	"aurora/internal/obs"
@@ -201,6 +203,19 @@ type FPU struct {
 	// activeUntil.
 	activeUntil uint64
 
+	// idle latches Tick's finding that the FPU is drained: no queued
+	// instruction, reorder-buffer entry or pending store. Such a tick only
+	// counts an empty-queue cycle, so Tick skips it and the skipped cycles
+	// from idleFrom on are settled in bulk when a dispatch clears the latch
+	// (or counted into Stats). Load arrivals and IPU moves need no tick and
+	// leave the latch set.
+	idle     bool
+	idleFrom uint64
+
+	// quiet is the issue stall counter NextEvent found each quiet cycle
+	// bumps (nil for none), kept for the Skip that follows it.
+	quiet *uint64
+
 	probe *obs.Probe
 }
 
@@ -266,10 +281,31 @@ func (f *FPU) busReserve(at uint64) {
 // Config returns the active configuration.
 func (f *FPU) Config() Config { return f.cfg }
 
-// Stats returns the accumulated statistics.
+// Stats returns the statistics accumulated through cycle now, counting
+// the cycles an idle FPU has skipped.
 //
 //aurora:hotpath
-func (f *FPU) Stats() Stats { return f.stats }
+func (f *FPU) Stats(now uint64) Stats {
+	s := f.stats
+	if f.idle && now >= f.idleFrom {
+		n := now + 1 - f.idleFrom
+		s.Cycles += n
+		s.QueueEmpty += n
+	}
+	return s
+}
+
+// wake clears the idle latch at cycle now, settling the ticks it skipped
+// through now: each counted a cycle with an empty queue.
+//
+//aurora:hotpath
+func (f *FPU) wake(now uint64) {
+	if !f.idle {
+		return
+	}
+	f.stats = f.Stats(now)
+	f.idle = false
+}
 
 // unitOf maps an instruction class to its functional unit.
 //
@@ -371,23 +407,30 @@ func (f *FPU) scheduleSeq(seq, at uint64) {
 	f.slotDoneAt[i] = at
 }
 
-// seqDone reports whether write seq has completed by cycle now.
+// seqAt returns the first cycle at which write seq has completed: 0 for
+// no write or an ancient one, math.MaxUint64 for one not yet scheduled
+// (an FP load still waiting for its data).
 //
 //aurora:hotpath
-func (f *FPU) seqDone(seq, now uint64) bool {
+func (f *FPU) seqAt(seq uint64) uint64 {
 	if seq == 0 {
-		return true
+		return 0
 	}
 	i := seq % seqWindow
 	switch {
 	case f.slotSeq[i] == seq:
-		return f.slotDoneAt[i] <= now
+		return f.slotDoneAt[i]
 	case f.slotSeq[i] > seq:
-		return true // ancient write, long since completed
+		return 0 // ancient write, long since completed
 	default:
-		return false // not yet scheduled
+		return math.MaxUint64 // not yet scheduled
 	}
 }
+
+// seqDone reports whether write seq has completed by cycle now.
+//
+//aurora:hotpath
+func (f *FPU) seqDone(seq, now uint64) bool { return f.seqAt(seq) <= now }
 
 // CaptureWriter returns a token for the last writer of the register (pair);
 // pass it to SeqDone to poll for the data (FP store synchronisation).
@@ -400,21 +443,24 @@ func (f *FPU) CaptureWriter(reg uint8, double bool) uint64 {
 // SeqDone polls a CaptureWriter token.
 func (f *FPU) SeqDone(seq, now uint64) bool { return f.seqDone(seq, now) }
 
-// RegReady reports whether an FP register's value is available at cycle now.
-// Valid for in-order readers (MFC1 blocks the IPU, so no younger FP write
-// can slip in while it polls); decoupled readers must capture a token.
+// RegReadyAt returns the first cycle at which an FP register's value is
+// available (math.MaxUint64 while its last write is an FP load still
+// waiting for data). Valid for in-order readers (MFC1 blocks the IPU, so no
+// younger FP write can slip in while it polls); decoupled readers must
+// capture a token.
 //
 //aurora:hotpath
-func (f *FPU) RegReady(reg uint8, double bool, now uint64) bool {
-	return f.seqDone(f.capture(reg, double), now)
+func (f *FPU) RegReadyAt(reg uint8, double bool) uint64 {
+	return f.seqAt(f.capture(reg, double))
 }
 
-// FCCReady reports whether the FP condition flag is resolved at cycle now
-// (polled by the IPU before issuing BC1T/BC1F — also an in-order reader).
+// FCCReadyAt returns the first cycle at which the FP condition flag is
+// resolved (polled by the IPU before issuing BC1T/BC1F — also an in-order
+// reader).
 //
 //aurora:hotpath
-func (f *FPU) FCCReady(now uint64) bool {
-	return f.seqDone(f.lastWriter[fccIndex], now)
+func (f *FPU) FCCReadyAt() uint64 {
+	return f.seqAt(f.lastWriter[fccIndex])
 }
 
 // --- IPU-facing dispatch interface ---------------------------------------
@@ -442,6 +488,7 @@ func (f *FPU) DispatchInstr(rec *trace.Record, now uint64) {
 	if !f.CanDispatchInstr() || faultinject.Fires(faultinject.FPUInstrQueue) {
 		panic("fpu: dispatch to full instruction queue")
 	}
+	f.wake(now)
 	srcDouble := rec.SI.FPDouble
 	switch rec.SI.In.Op {
 	case isa.OpCVTS, isa.OpCVTD, isa.OpCVTW:
@@ -502,13 +549,14 @@ func (f *FPU) CanDispatchStore() bool { return f.storeQLen < f.cfg.StoreQueue }
 // write cache holds the store's line until the FPU delivers the data
 // (§2.3 "Floating Point Support"); the slot frees once the writer sequence
 // completes (in Tick), modelling that synchronisation. seq is the token
-// from CaptureWriter at dispatch.
+// from CaptureWriter at dispatch, and now the dispatch cycle.
 //
 //aurora:hotpath
-func (f *FPU) DispatchStore(seq uint64) {
+func (f *FPU) DispatchStore(seq, now uint64) {
 	if !f.CanDispatchStore() || faultinject.Fires(faultinject.FPUStoreQueue) {
 		panic("fpu: dispatch to full store queue")
 	}
+	f.wake(now)
 	f.storeQ[wrap(f.storeQHead+f.storeQLen, len(f.storeQ))] = seq
 	f.storeQLen++
 }
@@ -535,10 +583,18 @@ func wrap(i, n int) int {
 	return i
 }
 
-// Tick advances the FPU by one cycle: retire, then issue.
+// Tick advances the FPU by one cycle: retire, then issue. An idle FPU
+// skips it (see FPU.idle).
 //
 //aurora:hotpath
 func (f *FPU) Tick(now uint64) {
+	if !f.idle {
+		f.tick(now)
+	}
+}
+
+//aurora:hotpath
+func (f *FPU) tick(now uint64) {
 	f.stats.Cycles++
 	f.stats.OccupancySum += uint64(f.iqLen)
 
@@ -563,6 +619,9 @@ func (f *FPU) Tick(now uint64) {
 
 	if f.iqLen == 0 {
 		f.stats.QueueEmpty++
+		if f.robUsed == 0 && f.storeQLen == 0 {
+			f.idle, f.idleFrom = true, now+1
+		}
 		return
 	}
 
@@ -668,6 +727,79 @@ func (f *FPU) issueHead(now uint64, prev *trace.Record) *queued {
 		f.probe.Counter("fpu", "fpu-iq", uint64(f.iqLen))
 	}
 	return head
+}
+
+// NextEvent returns the first cycle after now at which Tick could do more
+// than count: a store's data, the reorder-buffer head's completion, or the
+// cycle the queue head could issue. A result at or before now+1 means Tick
+// may act next cycle; math.MaxUint64 means the FPU is idle or waits only on
+// other units (an FP load's data, a dispatch).
+//
+//aurora:hotpath
+func (f *FPU) NextEvent(now uint64) uint64 {
+	if f.idle {
+		return math.MaxUint64
+	}
+	return f.nextEvent(now)
+}
+
+//aurora:hotpath
+func (f *FPU) nextEvent(now uint64) uint64 {
+	next, quiet := f.wait(now + 1)
+	f.quiet = quiet
+	if f.storeQLen > 0 {
+		next = min(next, f.seqAt(f.storeQ[f.storeQHead]))
+	}
+	if f.robUsed > 0 {
+		next = min(next, f.rob[f.robHead].completeAt)
+	}
+	return next
+}
+
+// Skip adds the counters of the n quiet cycles after the last NextEvent,
+// which the caller jumps over without ticking: cycles, queue occupancy,
+// and the issue stall NextEvent found each of those ticks would count. An
+// idle FPU settles its skipped cycles itself.
+//
+//aurora:hotpath
+func (f *FPU) Skip(n uint64) {
+	if f.idle {
+		return
+	}
+	f.stats.Cycles += n
+	f.stats.OccupancySum += uint64(f.iqLen) * n
+	if f.quiet != nil {
+		*f.quiet += n
+	}
+}
+
+// wait classifies Tick's issue step at cycle at without acting, in the
+// order tickInOrder and issueHead test: the first cycle the queue head
+// could issue, and the stall counter each tick bumps until then (nil for
+// none). A head that could issue, or that meets a result-bus conflict (its
+// completion slot moves with the cycle), answers at itself.
+//
+//aurora:hotpath
+func (f *FPU) wait(at uint64) (uint64, *uint64) {
+	if f.iqLen == 0 {
+		return math.MaxUint64, &f.stats.QueueEmpty
+	}
+	inOrder := f.cfg.Policy == InOrderComplete
+	if inOrder && f.activeUntil > at {
+		return f.activeUntil, &f.stats.UnitBusy
+	}
+	if f.robUsed >= len(f.rob) {
+		return math.MaxUint64, &f.stats.ROBFullStall // retiring the head frees a slot
+	}
+	head := &f.iq[f.iqHead]
+	if t := max(f.seqAt(head.srcSeq[0]), f.seqAt(head.srcSeq[1])); t > at {
+		return t, &f.stats.SrcNotReady
+	}
+	// A pipelined unit is busy only in its issue cycle, which is past.
+	if u := unitOf(head.rec.SI.Class); !inOrder && !f.pipelined(u) && f.unitBusyUntil[u] > at {
+		return f.unitBusyUntil[u], &f.stats.UnitBusy
+	}
+	return at, nil
 }
 
 //aurora:hotpath

@@ -41,22 +41,22 @@ func TestSingleAddLatency(t *testing.T) {
 	r := mkFP(isa.OpFADD, 2, 4, 6, true)
 	f.DispatchInstr(r, 0)
 	// Destination must be unavailable until issue + latency.
-	if f.RegReady(2, true, 0) {
+	if f.RegReadyAt(2, true) <= 0 {
 		t.Error("dest ready before issue")
 	}
 	f.Tick(1) // issues at 1, completes at 4
-	if f.RegReady(2, true, 3) {
+	if f.RegReadyAt(2, true) <= 3 {
 		t.Error("dest ready too early")
 	}
-	if !f.RegReady(2, true, 4) {
+	if f.RegReadyAt(2, true) > 4 {
 		t.Error("dest not ready at completion")
 	}
 	runCycles(f, 2, 6)
 	if !f.Drained(7) {
 		t.Error("FPU not drained")
 	}
-	if f.Stats().Issued != 1 || f.Stats().Retired != 1 {
-		t.Errorf("stats %+v", f.Stats())
+	if f.stats.Issued != 1 || f.stats.Retired != 1 {
+		t.Errorf("stats %+v", f.stats)
 	}
 }
 
@@ -68,10 +68,10 @@ func TestDependentChainSerialises(t *testing.T) {
 	f.DispatchInstr(mkFP(isa.OpFMUL, 8, 2, 2, true), 0)
 	runCycles(f, 1, 30)
 	// add issues at 1 → f2 at 4; mul issues at 4 → f8 at 9.
-	if !f.RegReady(8, true, 9) {
+	if f.RegReadyAt(8, true) > 9 {
 		t.Error("chain result not ready at 9")
 	}
-	if f.RegReady(8, true, 8) {
+	if f.RegReadyAt(8, true) <= 8 {
 		t.Error("chain result ready too early — dependence ignored")
 	}
 }
@@ -86,7 +86,7 @@ func TestIndependentOpsOverlapOOO(t *testing.T) {
 		f.DispatchInstr(mkFP(isa.OpFADD, 2, 4, 6, true), 0)
 		for now := uint64(1); now < 40; now++ {
 			f.Tick(now)
-			if f.RegReady(2, true, now) && f.RegReady(8, true, now) {
+			if f.RegReadyAt(2, true) <= now && f.RegReadyAt(8, true) <= now {
 				return now
 			}
 		}
@@ -116,8 +116,8 @@ func TestDualIssueTwoUnits(t *testing.T) {
 	if f.QueueLen() != 0 {
 		t.Errorf("queue len %d after dual issue, want 0", f.QueueLen())
 	}
-	if f.Stats().DualIssues != 1 {
-		t.Errorf("dualIssues = %d", f.Stats().DualIssues)
+	if f.stats.DualIssues != 1 {
+		t.Errorf("dualIssues = %d", f.stats.DualIssues)
 	}
 }
 
@@ -139,13 +139,13 @@ func TestNonPipelinedUnitBlocksBackToBack(t *testing.T) {
 	f.DispatchInstr(mkFP(isa.OpFMUL, 8, 10, 12, true), 0)
 	runCycles(f, 1, 20)
 	// first mul 1→6; second can only issue at 6 → ready 11.
-	if f.RegReady(8, true, 10) {
+	if f.RegReadyAt(8, true) <= 10 {
 		t.Error("iterative multiplier accepted back-to-back issues")
 	}
-	if !f.RegReady(8, true, 11) {
+	if f.RegReadyAt(8, true) > 11 {
 		t.Error("second multiply result late")
 	}
-	if f.Stats().UnitBusy == 0 {
+	if f.stats.UnitBusy == 0 {
 		t.Error("unit-busy stalls not counted")
 	}
 }
@@ -160,7 +160,7 @@ func TestPipelinedUnitAcceptsPerCycle(t *testing.T) {
 	// issues at 1,2,3 → ready 4,5,6.
 	for i, want := range []uint64{4, 5, 6} {
 		reg := uint8(2 + 2*i)
-		if !f.RegReady(reg, true, want) || f.RegReady(reg, true, want-1) {
+		if f.RegReadyAt(reg, true) > want || f.RegReadyAt(reg, true) <= want-1 {
 			t.Errorf("add %d not ready exactly at %d", i, want)
 		}
 	}
@@ -178,10 +178,10 @@ func TestResultBusConflict(t *testing.T) {
 	})
 	f.DispatchInstr(&cvt, 0)
 	f.Tick(1)
-	if f.Stats().DualIssues != 0 {
+	if f.stats.DualIssues != 0 {
 		t.Error("dual issue despite single result bus")
 	}
-	if f.Stats().BusConflict == 0 {
+	if f.stats.BusConflict == 0 {
 		t.Error("bus conflict not counted")
 	}
 	runCycles(f, 2, 12)
@@ -197,10 +197,10 @@ func TestROBFullBlocksIssue(t *testing.T) {
 	f.DispatchInstr(mkFP(isa.OpFADD, 8, 10, 12, true), 0)
 	f.Tick(1)
 	f.Tick(2)
-	if f.Stats().Issued != 1 {
-		t.Errorf("issued %d with 1-entry ROB", f.Stats().Issued)
+	if f.stats.Issued != 1 {
+		t.Errorf("issued %d with 1-entry ROB", f.stats.Issued)
 	}
-	if f.Stats().ROBFullStall == 0 {
+	if f.stats.ROBFullStall == 0 {
 		t.Error("ROB-full stalls not counted")
 	}
 }
@@ -215,17 +215,17 @@ func TestLoadQueue(t *testing.T) {
 	if f.CanDispatchLoad() {
 		t.Error("load queue should be full")
 	}
-	if f.RegReady(2, true, 100) {
+	if f.RegReadyAt(2, true) <= 100 {
 		t.Error("load dest ready before arrival")
 	}
 	f.LoadArrived(seq2, 50)
 	if !f.CanDispatchLoad() {
 		t.Error("slot not freed on arrival")
 	}
-	if f.RegReady(2, true, 50) {
+	if f.RegReadyAt(2, true) <= 50 {
 		t.Error("ready same cycle as arrival (should be +1)")
 	}
-	if !f.RegReady(2, true, 51) {
+	if f.RegReadyAt(2, true) > 51 {
 		t.Error("not ready after write")
 	}
 }
@@ -237,7 +237,7 @@ func TestStoreQueue(t *testing.T) {
 		AddLatency: 3, AddPipelined: true})
 	f.DispatchInstr(mkFP(isa.OpFADD, 2, 4, 6, true), 0)
 	seq := f.CaptureWriter(2, true)
-	f.DispatchStore(seq)
+	f.DispatchStore(seq, 0)
 	if f.CanDispatchStore() {
 		t.Error("store queue should be full")
 	}
@@ -251,7 +251,7 @@ func TestStoreQueue(t *testing.T) {
 		t.Error("slot not freed after data completion")
 	}
 	// A store of an already-ready register drains immediately.
-	f.DispatchStore(f.CaptureWriter(2, true))
+	f.DispatchStore(f.CaptureWriter(2, true), 5)
 	f.Tick(6)
 	if !f.CanDispatchStore() {
 		t.Error("ready-data store slot not freed")
@@ -262,12 +262,12 @@ func TestFCCAndCompare(t *testing.T) {
 	f := New(Config{Policy: OutOfOrderSingle, AddLatency: 3, AddPipelined: true})
 	cmp := mkFP(isa.OpCLT, 0, 2, 4, true)
 	f.DispatchInstr(cmp, 0)
-	if f.FCCReady(0) {
+	if f.FCCReadyAt() <= 0 {
 		t.Error("FCC ready with pending compare")
 	}
 	runCycles(f, 1, 5)
 	// compare issues at 1 on the add unit → FCC at 4.
-	if !f.FCCReady(4) {
+	if f.FCCReadyAt() > 4 {
 		t.Error("FCC not ready at 4")
 	}
 }
@@ -275,10 +275,10 @@ func TestFCCAndCompare(t *testing.T) {
 func TestMTC1Write(t *testing.T) {
 	f := New(Config{})
 	f.WriteFromIPU(6, 10)
-	if f.RegReady(6, false, 10) {
+	if f.RegReadyAt(6, false) <= 10 {
 		t.Error("mtc1 data visible instantly")
 	}
-	if !f.RegReady(6, false, 11) {
+	if f.RegReadyAt(6, false) > 11 {
 		t.Error("mtc1 data not visible after transfer")
 	}
 }
@@ -293,7 +293,7 @@ func TestSqrtUsesDivideUnit(t *testing.T) {
 	f.DispatchInstr(mkFP(isa.OpFDIV, 6, 8, 10, true), 0)
 	runCycles(f, 1, 50)
 	// sqrt 1→20; div must wait for the shared unit: 20→39.
-	if !f.RegReady(6, true, 39) || f.RegReady(6, true, 38) {
+	if f.RegReadyAt(6, true) > 39 || f.RegReadyAt(6, true) <= 38 {
 		t.Error("divide did not serialise behind sqrt on the shared unit")
 	}
 }

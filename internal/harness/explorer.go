@@ -164,7 +164,8 @@ func TinyExploreSpec() ExploreSpec {
 // preset's, and over.Sampled turns on sampled screening with over.Sample.
 // An unknown grid or workload is an error before anything runs, and so is
 // an over.Sample without over.Sampled: sampling parameters are rejected,
-// never silently ignored.
+// never silently ignored. So is a sampled search whose smallest screen
+// budget cannot yield the two windows the estimator's variance needs.
 // aurora-experiments' -explore-* flags and aurora-serve's POST /v1/explore
 // both resolve through it.
 func ExploreSpecFor(grid string, over ExploreSpec) (ExploreSpec, error) {
@@ -192,6 +193,13 @@ func ExploreSpecFor(grid string, over ExploreSpec) (ExploreSpec, error) {
 	overlay(&spec.MaxCostRBE, over.MaxCostRBE)
 	if over.Sampled {
 		spec.Sampled, spec.Sample = true, over.Sample
+		if n := spec.Normalize(); n.Rungs > 1 {
+			if b, need := n.budgets()[0], n.Sample.MinBudget(2); b < need {
+				return ExploreSpec{}, fmt.Errorf(
+					"sampled screens need at least 2 windows: the first rung's budget %d is below the %d instructions warm-up %d, interval %d and window %d need; raise the final budget or shrink the sampling parameters",
+					b, need, n.Sample.WarmUp, n.Sample.Interval, n.Sample.Window)
+			}
+		}
 	}
 	return spec, nil
 }

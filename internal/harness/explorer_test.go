@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -297,8 +298,40 @@ func TestExploreSpecPresets(t *testing.T) {
 	if len(got.ICacheKB) != 2 {
 		t.Errorf("overlay replaced the tiny grid's axes: %+v", got.ICacheKB)
 	}
-	over = ExploreSpec{Sampled: true, Sample: sample.Params{Window: 500}}
+	over = ExploreSpec{Sampled: true, Sample: sample.Params{WarmUp: 2_000, Interval: 3_000, Window: 500}}
 	if got, _ := ExploreSpecFor("tiny", over); !got.Sampled || got.Sample.Window != 500 {
 		t.Errorf("sampled overlay = %+v, want sampled screens with the given window", got)
+	}
+}
+
+// TestExploreSpecRejectsShortSampledScreens: a sampled search whose first
+// screen budget fits fewer than two windows used to start and then fail
+// mid-search; the tiny grid screens at 10k instructions, below the default
+// 50k warm-up alone. It is rejected before anything runs, naming the rung
+// budget and the parameters it falls short of.
+func TestExploreSpecRejectsShortSampledScreens(t *testing.T) {
+	_, err := ExploreSpecFor("tiny", ExploreSpec{Sampled: true})
+	if err == nil {
+		t.Fatal("tiny grid with default sampling accepted")
+	}
+	for _, want := range []string{"10000", "warm-up 50000", "interval 30000"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	// The boundary: the smallest screen budget that fits two windows passes.
+	p := sample.Params{WarmUp: 2_000, Interval: 3_000, Window: 1_000}
+	need := p.MinBudget(2)
+	ok := ExploreSpec{Sampled: true, Sample: p, FullBudget: 4 * need, Rungs: 2, Halve: 4}
+	if _, err := ExploreSpecFor("tiny", ok); err != nil {
+		t.Errorf("screen budget %d = MinBudget(2) rejected: %v", need, err)
+	}
+	ok.FullBudget--
+	if _, err := ExploreSpecFor("tiny", ok); err == nil {
+		t.Errorf("screen budget %d, one short of MinBudget(2), accepted", (4*need-1)/4)
+	}
+	// Without screening rungs nothing runs sampled.
+	if _, err := ExploreSpecFor("tiny", ExploreSpec{Sampled: true, Rungs: 1}); err != nil {
+		t.Errorf("a one-rung (all exact) sampled search rejected: %v", err)
 	}
 }

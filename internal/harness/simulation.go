@@ -15,7 +15,7 @@ import (
 
 // Simulation is one exact timing run: a workload's functional VM (or a
 // given trace) feeding the timing core. Runner.Run drives one to
-// completion per distinct job; the root API also exposes it one cycle at a
+// completion per distinct job; the root API also exposes it one tick at a
 // time, so benchmarks can warm a processor up and then time the
 // steady-state cycle loop in isolation.
 type Simulation struct {
@@ -28,9 +28,6 @@ type Simulation struct {
 	done <-chan struct{} // nil without a cancellable context
 	err  error
 }
-
-// cancelMask matches the core cycle loop's cancellation-poll interval.
-const cancelMask = 1<<12 - 1
 
 // NewSimulation builds the machine for one exact job: the workload's
 // functional VM feeding the timing core, through the §6 scheduling pass
@@ -128,9 +125,16 @@ func (s *Simulation) Run() (*core.Report, error) {
 	return rep, nil
 }
 
-// Step advances the machine one cycle, reporting whether work remains.
+// Step runs the machine's next tick, reporting whether work remains. Like
+// core.Processor.Step it may first jump the clock over quiet cycles, so
+// Cycles can advance by more than one. It polls the context whenever the
+// clock crosses a core.PollInterval boundary.
 func (s *Simulation) Step() bool {
-	if s.done != nil && s.p.Cycles()&cancelMask == 0 {
+	from := s.p.Cycles()
+	if !s.p.Step() {
+		return false
+	}
+	if s.done != nil && core.PollDue(from, s.p.Cycles()) {
 		select {
 		case <-s.done:
 			s.err = s.ctx.Err()
@@ -138,7 +142,7 @@ func (s *Simulation) Step() bool {
 		default:
 		}
 	}
-	return s.p.Step()
+	return true
 }
 
 // Err reports why stepping stopped: the context's error after a

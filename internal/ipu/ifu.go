@@ -1,6 +1,8 @@
 package ipu
 
 import (
+	"math"
+
 	"aurora/internal/bpred"
 	"aurora/internal/cache"
 	"aurora/internal/isa"
@@ -221,6 +223,38 @@ func (f *IFU) LineArrived(arrival uint64, lineAddr uint32, _ uint64) {
 // used by the core for stall attribution.
 func (f *IFU) Stalled(now uint64) bool {
 	return f.fillPending && f.fillReady > now
+}
+
+// NextEvent returns the first cycle after now at which Tick could do more
+// than count: a pending fill's arrival (math.MaxUint64 until the BIU
+// delivers it) or the end of a fetch bubble. A result at or before now+1
+// means Tick may act next cycle; math.MaxUint64 also answers while the
+// queue has no room for a pair (issue frees it) or the stream is spent.
+//
+//aurora:hotpath
+func (f *IFU) NextEvent(now uint64) uint64 {
+	if f.fillPending {
+		return f.fillReady
+	}
+	if f.bubbleUntil > now+1 {
+		return f.bubbleUntil
+	}
+	if f.qLen+2 > f.cfg.FetchQueue || f.exhausted && f.peekPos >= len(f.peeked) {
+		return math.MaxUint64
+	}
+	return now + 1
+}
+
+// Skip adds the counters of the n quiet cycles after now, which the caller
+// jumps over without ticking: each counts a fetch cycle, and a stall while
+// fetch waits on a fill or a bubble.
+//
+//aurora:hotpath
+func (f *IFU) Skip(now, n uint64) {
+	f.stats.FetchCycles += n
+	if f.fillPending && f.fillReady > now+1 || f.bubbleUntil > now+1 {
+		f.stats.StallCycles += n
+	}
 }
 
 // fill tops the lookahead window up to the two records a fetch pair needs,

@@ -7,6 +7,8 @@
 package ipu
 
 import (
+	"math"
+
 	"aurora/internal/cache"
 	"aurora/internal/faultinject"
 	"aurora/internal/mem"
@@ -233,7 +235,7 @@ func (l *LSU) Busy() bool { return len(l.ops) > 0 }
 //
 //aurora:hotpath
 func (l *LSU) Tick(now uint64) {
-	l.mshr.TickOccupancy()
+	l.mshr.TickOccupancy(1)
 	for _, op := range l.ops {
 		switch op.state {
 		case opWaitPort:
@@ -268,6 +270,40 @@ func (l *LSU) Tick(now uint64) {
 		}
 	}
 	l.ops = l.ops[:live]
+}
+
+// NextEvent returns the first cycle after now at which Tick could do more
+// than count: the earliest port access (an op's start, once the port is
+// free) or data return. A result at or before now+1 means Tick may act
+// next cycle. An op waiting on its line read waits on the BIU's event
+// instead; math.MaxUint64 means every op does, or none is active.
+//
+//aurora:hotpath
+func (l *LSU) NextEvent(now uint64) uint64 {
+	next := uint64(math.MaxUint64)
+	for _, op := range l.ops {
+		switch op.state {
+		case opWaitPort:
+			next = min(next, max(op.startAt, l.portFreeAt))
+		case opWaitData:
+			next = min(next, op.dataAt)
+		}
+	}
+	return next
+}
+
+// Skip adds the counters of the quiet cycles now+1 through to, which the
+// caller jumps over without ticking: MSHR occupancy, and a port conflict
+// for every cycle a started op finds the port held.
+//
+//aurora:hotpath
+func (l *LSU) Skip(now, to uint64) {
+	l.mshr.TickOccupancy(to - now)
+	for _, op := range l.ops {
+		if from := max(op.startAt, now+1); op.state == opWaitPort && from <= to {
+			l.stats.PortConflicts += to - from + 1
+		}
+	}
 }
 
 // access performs the cache-port access for op at cycle now.

@@ -6,7 +6,11 @@
 // transactions); bus occupancy does not.
 package mem
 
-import "aurora/internal/obs"
+import (
+	"math"
+
+	"aurora/internal/obs"
+)
 
 // Config parameterises the memory system.
 type Config struct {
@@ -216,6 +220,17 @@ func (b *BIU) Tick(now uint64) {
 		p := &b.scratch[i]
 		p.client.LineArrived(now, p.lineAddr, p.tag)
 	}
+}
+
+// NextEvent returns the cycle the oldest in-flight read completes — the
+// next cycle Tick has work — or math.MaxUint64 with none in flight.
+//
+//aurora:hotpath
+func (b *BIU) NextEvent() uint64 {
+	if len(b.inflight) == 0 {
+		return math.MaxUint64
+	}
+	return b.inflight[0].doneAt
 }
 
 // AvgReadLatency returns the mean request→data latency observed so far.

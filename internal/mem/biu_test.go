@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestSingleReadLatency(t *testing.T) {
 	b := New(Config{Latency: 17, LineTransfer: 4, MaxOutstanding: 8})
@@ -138,5 +141,34 @@ func TestDefaultsApplied(t *testing.T) {
 	c := b.Config()
 	if c.Latency != 17 || c.LineTransfer != 4 || c.MaxOutstanding != 8 {
 		t.Errorf("defaults not applied: %+v", c)
+	}
+}
+
+// TestNextEventIsFirstCompletion: NextEvent names the cycle of the first
+// completion Tick will deliver — a Tick before it delivers nothing, a
+// Tick at it delivers — and math.MaxUint64 with nothing in flight.
+func TestNextEventIsFirstCompletion(t *testing.T) {
+	b := New(Config{Latency: 9, LineTransfer: 3, MaxOutstanding: 4})
+	if b.NextEvent() != math.MaxUint64 {
+		t.Fatalf("idle BIU NextEvent = %d, want math.MaxUint64", b.NextEvent())
+	}
+	var got []uint64
+	client := FuncClient(func(now uint64, _ uint32, _ uint64) { got = append(got, now) })
+	for now := uint64(1); now < 400; now++ {
+		next := b.NextEvent()
+		before := len(got)
+		b.Tick(now)
+		switch {
+		case now < next && len(got) != before:
+			t.Fatalf("cycle %d: Tick delivered before NextEvent %d", now, next)
+		case now == next && len(got) == before:
+			t.Fatalf("cycle %d: NextEvent named this cycle but Tick delivered nothing", now)
+		}
+		if now%7 == 0 || now%11 == 0 {
+			b.Read(now, uint32(now)*32, client, 0)
+		}
+	}
+	if len(got) == 0 {
+		t.Fatal("no read completed; the test exercises nothing")
 	}
 }

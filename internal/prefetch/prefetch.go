@@ -10,6 +10,8 @@
 package prefetch
 
 import (
+	"math"
+
 	"aurora/internal/mem"
 	"aurora/internal/obs"
 )
@@ -270,6 +272,18 @@ func (p *Buffers) Tick(now uint64, f Fetcher) {
 	if p.probe != nil {
 		p.probe.Span(doneAt-now, "prefetch", "fetch", "pfu", uint64(lineAddr))
 	}
+}
+
+// NextEvent returns now+1 when Tick could issue a prefetch or latch idle
+// next cycle, and math.MaxUint64 when the pool is idle or waits for f to
+// spare a transaction slot (a BIU completion, the BIU's own event).
+//
+//aurora:hotpath
+func (p *Buffers) NextEvent(now uint64, f Fetcher) uint64 {
+	if p.idle || !f.SpareForPrefetch() || !f.CanAccept() {
+		return math.MaxUint64
+	}
+	return now + 1
 }
 
 //aurora:hotpath

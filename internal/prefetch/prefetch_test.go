@@ -344,3 +344,45 @@ func TestIdleLatchMatchesForcedTick(t *testing.T) {
 		t.Fatal("the latch never engaged: the sequences do not exercise it")
 	}
 }
+
+// TestNextEventQuiet: whenever NextEvent says the pool has nothing to do
+// before a later cycle, a Tick in between issues no read and changes
+// nothing — random Probe, AllocateOnMiss, LineArrived and Tick sequences
+// against random BIU answers.
+func TestNextEventQuiet(t *testing.T) {
+	quiet := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := New(rng.Intn(5), 1+rng.Intn(4), 32)
+		f := &scriptFetcher{}
+		for step := 0; step < 1000; step++ {
+			now := uint64(step)
+			line := uint32(rng.Intn(16)) * 32
+			switch op := rng.Intn(10); {
+			case op < 2:
+				p.Probe(now, line)
+			case op < 3:
+				p.AllocateOnMiss(now, line)
+			case op < 4 && len(f.inflight) > 0:
+				r := f.inflight[0]
+				f.inflight = f.inflight[1:]
+				r.client.LineArrived(now, r.lineAddr, r.tag)
+			default:
+				f.spare, f.accept, f.ok = rng.Intn(4) != 0, rng.Intn(4) != 0, rng.Intn(4) != 0
+				if p.NextEvent(now-1, f) <= now {
+					p.Tick(now, f)
+					continue
+				}
+				quiet++
+				idle, reads, fetches := p.idle, len(f.reads), p.Fetches()
+				p.Tick(now, f)
+				if p.idle != idle || len(f.reads) != reads || p.Fetches() != fetches {
+					t.Fatalf("seed %d step %d: Tick acted on a cycle NextEvent called quiet", seed, step)
+				}
+			}
+		}
+	}
+	if quiet == 0 {
+		t.Fatal("NextEvent never answered quiet; the test exercises nothing")
+	}
+}

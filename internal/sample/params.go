@@ -99,6 +99,14 @@ func (p Params) Normalize() Params {
 	return p
 }
 
+// MinBudget returns the smallest instruction budget whose capture holds the
+// given number (at least 1) of full windows, for a kernel that runs that
+// long: the warm-up, windows-1 sampling intervals and one more window.
+func (p Params) MinBudget(windows uint64) uint64 {
+	p = p.Normalize()
+	return p.WarmUp + (windows-1)*p.Interval + p.Window
+}
+
 // Key renders the normalized parameters as a canonical string — the sampled
 // discriminator of memo and result-store keys. It is versioned: a change to
 // the sampling algorithm that keeps Params unchanged must bump the prefix,

@@ -52,10 +52,6 @@ type Report struct {
 	Halted          bool   `json:"halted"` // the kernel ran to natural completion
 }
 
-// ctxCheckMask throttles context polling in the window replay loop,
-// mirroring the core cycle loop's interval.
-const ctxCheckMask = 1<<12 - 1
-
 // Run replays the checkpoint through one configuration's cycle-accurate
 // core. budget and p must be exactly what the checkpoint was built from —
 // any other combination is an invalidated-checkpoint error, never a
@@ -116,7 +112,7 @@ func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p
 		endTarget := i0base + uint64(len(seg.win))
 		var c0, i0, c1, i1 uint64
 		marked, ended := false, false
-		for proc.Step() {
+		for from := proc.Cycles(); proc.Step(); from = proc.Cycles() {
 			n := proc.Instructions()
 			if !marked && n >= warmTarget {
 				c0, i0, marked = proc.Cycles(), n, true
@@ -124,7 +120,7 @@ func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p
 			if !ended && n >= endTarget {
 				c1, i1, ended = proc.Cycles(), n, true
 			}
-			if proc.Cycles()&ctxCheckMask == 0 {
+			if core.PollDue(from, proc.Cycles()) {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}

@@ -313,3 +313,22 @@ func TestRunTooFewWindows(t *testing.T) {
 		t.Errorf("error %q does not explain the window shortfall", err)
 	}
 }
+
+// TestMinBudgetYieldsTwoWindows pins MinBudget to the capture layout: at
+// MinBudget(2) a run measures two windows, and a budget that cuts the
+// second window back to its warm prefix measures one and fails.
+func TestMinBudgetYieldsTwoWindows(t *testing.T) {
+	p := Params{WarmUp: 2_000, Interval: 3_000, Window: 1_000}.Normalize()
+	w := getWorkload(t, "espresso")
+	rep, err := runPrivate(context.Background(), core.Baseline(), w, p.MinBudget(2), p)
+	if err != nil {
+		t.Fatalf("budget MinBudget(2) = %d: %v", p.MinBudget(2), err)
+	}
+	if rep.Windows != 2 {
+		t.Errorf("budget MinBudget(2) = %d measured %d windows, want 2", p.MinBudget(2), rep.Windows)
+	}
+	short := p.WarmUp + p.Interval + p.WindowWarm
+	if _, err := runPrivate(context.Background(), core.Baseline(), w, short, p); err == nil {
+		t.Errorf("budget %d, a second window of only its warm prefix, measured two windows", short)
+	}
+}
