@@ -231,10 +231,18 @@ func (l *LSU) Dispatch(tmpl MemOp, now uint64) {
 //aurora:hotpath
 func (l *LSU) Busy() bool { return len(l.ops) > 0 }
 
-// Tick advances the unit one cycle.
+// Tick advances the unit one cycle. With no active op there is nothing to
+// do: the MSHR file is empty, so even its occupancy integral stands.
 //
 //aurora:hotpath
 func (l *LSU) Tick(now uint64) {
+	if len(l.ops) != 0 {
+		l.tick(now)
+	}
+}
+
+//aurora:hotpath
+func (l *LSU) tick(now uint64) {
 	l.mshr.TickOccupancy(1)
 	for _, op := range l.ops {
 		switch op.state {

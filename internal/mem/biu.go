@@ -196,16 +196,21 @@ func (b *BIU) insert(p pending) {
 }
 
 // Tick fires the completion callbacks of all reads that have finished by
-// cycle now. Call once per cycle before the consumers tick.
+// cycle now. Call once per cycle before the consumers tick. The test for
+// a due read inlines into the caller; deliver does the rest.
 //
 //aurora:hotpath
 func (b *BIU) Tick(now uint64) {
+	if len(b.inflight) != 0 && b.inflight[0].doneAt <= now {
+		b.deliver(now)
+	}
+}
+
+//aurora:hotpath
+func (b *BIU) deliver(now uint64) {
 	n := 0
 	for n < len(b.inflight) && b.inflight[n].doneAt <= now {
 		n++
-	}
-	if n == 0 {
-		return
 	}
 	// Move the completed batch aside before firing notifications, so a
 	// client issuing a new read from LineArrived cannot disturb the walk.

@@ -225,11 +225,19 @@ func (p *Buffers) AllocateOnMiss(now uint64, missLineAddr uint32) {
 }
 
 // Tick issues at most one prefetch request per cycle, using spare bus
-// bandwidth only. Call once per cycle.
+// bandwidth only. Call once per cycle. The idle test inlines into the
+// caller.
 //
 //aurora:hotpath
 func (p *Buffers) Tick(now uint64, f Fetcher) {
-	if p.idle || !f.SpareForPrefetch() || !f.CanAccept() {
+	if !p.idle {
+		p.tick(now, f)
+	}
+}
+
+//aurora:hotpath
+func (p *Buffers) tick(now uint64, f Fetcher) {
+	if !f.SpareForPrefetch() || !f.CanAccept() {
 		return
 	}
 	// Pick the most recently used buffer that wants a line: fresh
