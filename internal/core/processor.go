@@ -248,8 +248,7 @@ func (p *Processor) skip(to uint64) {
 	if p.quietStall != nil {
 		*p.quietStall += n
 	}
-	p.ifu.Skip(p.now, n)
-	p.lsu.Skip(p.now, to)
+	p.lsu.Skip(n)
 	p.fp.Skip(n)
 	p.now = to
 }

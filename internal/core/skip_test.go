@@ -29,8 +29,8 @@ func forcedRun(p *Processor) (*Report, error) {
 	return p.finish()
 }
 
-// unitCounters holds the counters the Report leaves out but quiet cycles
-// still bump: fetch cycles and stalls, port conflicts, MSHR occupancy.
+// unitCounters holds the unit counters the Report leaves out, among them
+// the MSHR occupancy integral quiet cycles still bump.
 type unitCounters struct {
 	IFU  ipu.IFUStats
 	LSU  ipu.LSUStats

