@@ -54,7 +54,7 @@ faults:
 # result, with the unit-level next-event and idle-latch tests beside it.
 bench-smoke:
 	$(GO) test -run TestCycleLoopZeroAlloc -count=1 -v .
-	$(GO) test -run 'FuzzSkipMatchesForcedTick|TestRunContextCancelledWhileSkipping' -count=1 ./internal/core/
+	$(GO) test -run 'FuzzSkipMatchesForcedTick|TestSkipWakesOnYoungerProducer|TestRunContextCancelledWhileSkipping' -count=1 ./internal/core/
 	$(GO) test -run 'NextEvent|IdleLatchMatchesForcedTick' -count=1 ./internal/fpu/ ./internal/ipu/ ./internal/mem/ ./internal/prefetch/
 	$(GO) test -run TestNilProbeZeroAllocs -count=1 -v ./internal/obs/
 	$(GO) test -run '^$$' -bench BenchmarkCycleLoop -benchtime 20000x .

@@ -9,6 +9,7 @@ import (
 	"aurora/internal/bpred"
 	"aurora/internal/fpu"
 	"aurora/internal/ipu"
+	"aurora/internal/isa"
 	"aurora/internal/mmu"
 	"aurora/internal/trace"
 	"aurora/internal/workloads"
@@ -216,4 +217,60 @@ func FuzzSkipMatchesForcedTick(f *testing.F) {
 				name, cfg.Fingerprint(), bits, budget, jr, jc, fr, fc)
 		}
 	})
+}
+
+// TestSkipWakesOnYoungerProducer: issue waiting on a value whose producer
+// completes before an older instruction — a multiply behind a load that
+// misses to memory, an MFC1 of an add and an FP-condition branch on a
+// compare, each behind an FP divide — must wake on the producer's cycle,
+// not the older one's. The kernels rarely line this up, so it is pinned
+// here, on the cycle every instruction issues at: the divide unit sets the
+// pace, so a late wake can leave the Report itself unchanged.
+func TestSkipWakesOnYoungerProducer(t *testing.T) {
+	build := func() trace.Stream {
+		b := newTB()
+		addr := uint32(0x20_0000)
+		b.loop(300, func() {
+			b.load(10, 29, addr)
+			addr += 4096
+			b.push(isa.Instruction{Op: isa.OpMULT, Rs: 11, Rt: 12}, 0, 0, false, 0)
+			b.push(isa.Instruction{Op: isa.OpMFLO, Rd: 13}, 0, 0, false, 0)
+			b.alu(9, 10, 13) // wait out the load: the FP cases start unblocked
+			b.push(isa.Instruction{Op: isa.OpFDIV, Fd: 2, Fs: 4, Ft: 6, Double: true}, 0, 0, false, 0)
+			b.push(isa.Instruction{Op: isa.OpFMUL, Fd: 24, Fs: 4, Ft: 6, Double: true}, 0, 0, false, 0)
+			b.push(isa.Instruction{Op: isa.OpFADD, Fd: 20, Fs: 24, Ft: 6, Double: true}, 0, 0, false, 0)
+			b.push(isa.Instruction{Op: isa.OpMFC1, Rt: 14, Fs: 20}, 0, 0, false, 0)
+			b.alu(15, 14, 13)
+			b.push(isa.Instruction{Op: isa.OpFDIV, Fd: 22, Fs: 4, Ft: 6, Double: true}, 0, 0, false, 0)
+			b.push(isa.Instruction{Op: isa.OpFMUL, Fd: 26, Fs: 4, Ft: 6, Double: true}, 0, 0, false, 0)
+			b.push(isa.Instruction{Op: isa.OpCLT, Fs: 26, Ft: 10, Double: true}, 0, 0, false, 0)
+			b.push(isa.Instruction{Op: isa.OpBC1T}, 0, 0, false, 0)
+			b.alu(18, 15, 0)
+		})
+		return b.stream()
+	}
+	for _, cfg := range []Config{bigCache(), Baseline(), Small().WithLatency(35), bigCache().WithoutPrefetch()} {
+		cfg.FPU.Policy = fpu.OutOfOrderDual // the FP producers finish out of order
+		var traj [2][]uint64
+		var reps [2]*Report
+		for i, step := range []func(*Processor) bool{(*Processor).Step, forcedStep} {
+			p, err := NewProcessor(cfg, build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for last := uint64(0); step(p); {
+				if n := p.Instructions(); n != last {
+					traj[i] = append(traj[i], p.Cycles(), n)
+					last = n
+				}
+			}
+			if reps[i], err = p.finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(traj[0], traj[1]) || !reflect.DeepEqual(reps[0], reps[1]) {
+			t.Fatalf("%s: the jumping loop issues or reports differently from the forced one\njumped: %+v\nforced: %+v",
+				cfg.Name, reps[0], reps[1])
+		}
+	}
 }
