@@ -223,9 +223,9 @@ func (f *IFU) Stalled(now uint64) bool {
 	return f.fillPending && f.fillReady > now
 }
 
-// NextEvent returns the first cycle after now at which Tick could do more
-// than count: a pending fill's arrival (math.MaxUint64 until the BIU
-// delivers it) or the end of a fetch bubble. A result at or before now+1
+// NextEvent returns the first cycle after now at which Tick could act: a
+// pending fill's arrival (math.MaxUint64 until the BIU delivers it) or
+// the end of a fetch bubble. A result at or before now+1
 // means Tick may act next cycle; math.MaxUint64 also answers while the
 // queue has no room for a pair (issue frees it) or the stream is spent.
 //
