@@ -205,6 +205,32 @@ func TestROBFullBlocksIssue(t *testing.T) {
 	}
 }
 
+// TestInOrderStallAttribution pins how in-order completion charges its
+// stalls. With a one-entry reorder buffer, the buffer is full on every
+// cycle an instruction is active: those cycles count as UnitBusy, not
+// ROBFullStall. With one instruction active at a time, neither a
+// result-bus conflict nor a dual issue can occur, over pipelined and
+// iterative units alike.
+func TestInOrderStallAttribution(t *testing.T) {
+	f := New(Config{Policy: InOrderComplete, ReorderBuffer: 1, InstrQueue: 4, ResultBuses: 1,
+		AddLatency: 3, AddPipelined: true, MulLatency: 5, MulPipelined: false})
+	f.DispatchInstr(mkFP(isa.OpFADD, 2, 4, 6, true), 0)
+	f.DispatchInstr(mkFP(isa.OpFMUL, 8, 10, 12, true), 0)
+	f.DispatchInstr(mkFP(isa.OpFADD, 14, 16, 18, true), 0)
+	f.DispatchInstr(mkFP(isa.OpFMUL, 20, 22, 24, true), 0)
+	runCycles(f, 1, 30)
+	// add 1→4, mul 4→9, add 9→12, mul 12→17: the queue holds a waiting
+	// instruction through 2+4+2 active cycles.
+	s := f.Stats(30)
+	if s.Issued != 4 || s.UnitBusy != 8 {
+		t.Errorf("issued %d with %d unit-busy cycles, want 4 and 8", s.Issued, s.UnitBusy)
+	}
+	if s.ROBFullStall != 0 || s.BusConflict != 0 || s.DualIssues != 0 {
+		t.Errorf("ROB-full %d, bus conflicts %d, dual issues %d; want all 0",
+			s.ROBFullStall, s.BusConflict, s.DualIssues)
+	}
+}
+
 func TestLoadQueue(t *testing.T) {
 	f := New(Config{LoadQueue: 2, Policy: OutOfOrderSingle})
 	if !f.CanDispatchLoad() {
