@@ -53,10 +53,10 @@ type Processor struct {
 
 	// stalled records that the last cycle's issue issued nothing: only
 	// then does advance look for quiet cycles to jump over. quietStall is
-	// the stall counter issue bumps on each of them (nil for none), as
+	// the stall issue counts on each of them (noStall for none), as
 	// nextEvent found it for skip.
 	stalled    bool
-	quietStall *uint64
+	quietStall StallCause
 
 	// Mispredict redirect (branch-predictor extension): issue stalls
 	// through redirectUntil after a mispredicted branch's delay slot
@@ -245,47 +245,37 @@ func (p *Processor) nextEvent() uint64 {
 //aurora:hotpath
 func (p *Processor) skip(to uint64) {
 	n := to - p.now
-	if p.quietStall != nil {
-		*p.quietStall += n
+	if p.quietStall != noStall {
+		p.stalls[p.quietStall] += n
 	}
 	p.lsu.Skip(n)
 	p.fp.Skip(n)
 	p.now = to
 }
 
-// issueWait classifies issue at cycle at without acting, testing what
-// issue and canIssue test in the same order: the first cycle issue could
-// do more than count a stall, and the stall counter it bumps until then
-// (nil for none). A wait on another unit (a load's data, a queue or
-// reorder-buffer slot, fetch) answers farFuture or later: that unit's own
-// event ends it.
+// issueWait classifies issue at cycle at without acting: the first cycle
+// issue could do more than count a stall, and the stall it counts until
+// then (noStall for none). issue takes its decision from here at the
+// current cycle, and nextEvent asks about the next. A wait on another unit
+// (a load's data, a queue or reorder-buffer slot, fetch) answers farFuture
+// or later: that unit's own event ends it.
 //
 //aurora:hotpath
-func (p *Processor) issueWait(at uint64) (uint64, *uint64) {
+func (p *Processor) issueWait(at uint64) (uint64, StallCause) {
 	if p.redirectUntil > at {
-		return p.redirectUntil, &p.stalls[StallICache]
+		// Mispredict redirect: the instructions behind the resolved branch
+		// are squashed wrong-path fetches; the refetched correct path
+		// arrives when the redirect completes. Charged to the ICache
+		// (front-end) bucket like other fetch holes.
+		return p.redirectUntil, StallICache
 	}
 	if p.ifu.QueueLen() == 0 {
 		if p.ifu.Done() {
-			return farFuture, nil
+			return farFuture, noStall
 		}
-		return farFuture, &p.stalls[StallICache]
+		return farFuture, StallICache
 	}
-	rec := &p.ifu.QueueHead().Rec
-	for _, s := range rec.SI.Deps.SrcInt {
-		if s != 0 && p.intReadyAt[s] > at {
-			return p.intReadyAt[s], &p.stalls[p.srcStall(s)]
-		}
-	}
-	if t := p.fpReadAt(rec); t > at {
-		return t, &p.stalls[StallFPU]
-	}
-	// Operands are ready at cycle at: only a structure another unit's
-	// event frees can still block.
-	if cause, ok := p.canIssue(rec, at); !ok {
-		return farFuture, &p.stalls[cause]
-	}
-	return at, nil
+	return p.readyAt(&p.ifu.QueueHead().Rec, at)
 }
 
 // tick runs one cycle of the machine: memory system first, then retire and
@@ -353,65 +343,49 @@ func (p *Processor) retire() {
 	}
 }
 
-// issue attempts to issue up to IssueWidth instructions this cycle and
-// attributes the stall cause when nothing issues.
+// issue issues the queue head when issueWait finds it ready and counts
+// the stall when it does not; a second instruction follows it when the
+// pair may dual-issue and is ready too.
 //
 //aurora:hotpath
 func (p *Processor) issue() {
-	issued := 0
-	var first *trace.Record
-	for issued < p.cfg.IssueWidth {
-		if p.redirectUntil > p.now {
-			// Mispredict redirect: the instructions behind the resolved
-			// branch are squashed wrong-path fetches; the refetched
-			// correct path arrives when the redirect completes. Charged
-			// to the ICache (front-end) bucket like other fetch holes.
-			if issued == 0 {
-				p.stalls[StallICache]++
-				if p.probe != nil {
-					p.probe.Instant("core", stallNames[StallICache], "issue", 0)
-				}
+	if t, cause := p.issueWait(p.now); t > p.now {
+		if cause != noStall {
+			p.stalls[cause]++
+			if p.probe != nil {
+				p.probe.Instant("core", stallNames[cause], "issue", 0)
 			}
-			break
 		}
-		if p.ifu.QueueLen() == 0 {
-			if issued == 0 && !p.ifu.Done() {
-				p.stalls[StallICache]++
-				if p.probe != nil {
-					p.probe.Instant("core", stallNames[StallICache], "issue", 0)
-				}
-			}
-			break
-		}
-		// The head slot stays intact through Consume: only the IFU's next
-		// Tick refills the ring, so first may point into it.
-		fi := p.ifu.QueueHead()
-		if issued == 1 && !pairAllowed(first, fi) {
-			break
-		}
-		cause, ok := p.canIssue(&fi.Rec, p.now)
-		if !ok {
-			if issued == 0 {
-				p.stalls[cause]++
-				if p.probe != nil {
-					p.probe.Instant("core", stallNames[cause], "issue", 0)
-				}
-			}
-			break
-		}
-		p.doIssue(&fi.Rec)
-		p.ifu.Consume(1)
-		p.instructions++
-		if fi.Redirect {
-			p.redirectUntil = p.now + p.redirectHold
-		}
-		first = &fi.Rec
-		issued++
+		p.stalled = true
+		return
 	}
-	if issued == 2 {
-		p.dualIssues++
+	p.stalled = false
+	first := p.issueHead()
+	if p.cfg.IssueWidth == 1 || p.redirectUntil > p.now || p.ifu.QueueLen() == 0 {
+		return
 	}
-	p.stalled = issued == 0
+	if fi := p.ifu.QueueHead(); pairAllowed(first, fi) {
+		if t, _ := p.readyAt(&fi.Rec, p.now); t == p.now {
+			p.issueHead()
+			p.dualIssues++
+		}
+	}
+}
+
+// issueHead issues the queue head at the current cycle and returns it.
+// The head slot stays intact through Consume: only the IFU's next Tick
+// refills the ring, so the result may point into it.
+//
+//aurora:hotpath
+func (p *Processor) issueHead() *trace.Record {
+	fi := p.ifu.QueueHead()
+	p.doIssue(&fi.Rec)
+	p.ifu.Consume(1)
+	p.instructions++
+	if fi.Redirect {
+		p.redirectUntil = p.now + p.redirectHold
+	}
+	return &fi.Rec
 }
 
 // pairAllowed applies the dual-issue constraints of §2 (IFU): the pair must
@@ -436,45 +410,49 @@ func pairAllowed(first *trace.Record, second *ipu.FetchedInstr) bool {
 	return true
 }
 
-// canIssue checks every resource and operand the instruction needs at
-// cycle at, returning the blocking cause when it cannot issue then.
+// readyAt classifies rec's issue at cycle at: at itself when nothing
+// blocks it, else the first cycle it could issue and the stall cause — an
+// operand's ready cycle for a result wait, farFuture for a structure that
+// another unit frees.
 //
 //aurora:hotpath
-func (p *Processor) canIssue(rec *trace.Record, at uint64) (StallCause, bool) {
+func (p *Processor) readyAt(rec *trace.Record, at uint64) (uint64, StallCause) {
 	// Operand readiness (integer scoreboard).
 	for _, s := range rec.SI.Deps.SrcInt {
 		if s != 0 && p.intReadyAt[s] > at {
-			return p.srcStall(s), false
+			return p.intReadyAt[s], p.srcStall(s)
 		}
 	}
-	if (rec.SI.Deps.ReadsFCC || rec.SI.In.Op == isa.OpMFC1) && p.fpReadAt(rec) > at {
-		return StallFPU, false
+	if rec.SI.Deps.ReadsFCC || rec.SI.In.Op == isa.OpMFC1 {
+		if t := p.fpReadAt(rec); t > at {
+			return t, StallFPU
+		}
 	}
 	// FP store data readiness is *not* checked here: the store decouples
 	// through the FPU store queue and synchronises in the LSU.
 
 	if p.needsROB(rec) && p.robUsed >= len(p.rob) {
-		return StallROBFull, false
+		return farFuture, StallROBFull
 	}
 	if rec.SI.Class.IsMem() {
 		if !p.lsu.CanAccept() {
-			return StallLSUBusy, false
+			return farFuture, StallLSUBusy
 		}
 		switch rec.SI.Class {
 		case isa.ClassFPLoad:
 			if !p.fp.CanDispatchLoad() {
-				return StallFPU, false
+				return farFuture, StallFPU
 			}
 		case isa.ClassFPStore:
 			if !p.fp.CanDispatchStore() {
-				return StallFPU, false
+				return farFuture, StallFPU
 			}
 		}
 	}
 	if isFPQueueClass(rec.SI.Class) && !p.fp.CanDispatchInstr() {
-		return StallFPU, false
+		return farFuture, StallFPU
 	}
-	return 0, true
+	return at, noStall
 }
 
 // srcStall attributes a wait on integer register s to its producer.
@@ -530,7 +508,7 @@ func (p *Processor) needsROB(rec *trace.Record) bool {
 //aurora:hotpath
 func (p *Processor) allocROB(completeAt uint64) int {
 	if p.robUsed >= len(p.rob) || faultinject.Fires(faultinject.CoreROBOverflow) {
-		panic("core: ROB overflow — canIssue checks missed")
+		panic("core: ROB overflow — readyAt checks missed")
 	}
 	slot := p.robHead + p.robUsed
 	if slot >= len(p.rob) {

@@ -25,6 +25,10 @@ const (
 	NumStallCauses
 )
 
+// noStall marks an issue cycle that counts no stall: an instruction
+// issued, or the trace is spent.
+const noStall = NumStallCauses
+
 var stallNames = [...]string{
 	StallICache:  "ICache",
 	StallLoad:    "Load",

@@ -145,9 +145,20 @@ type Stats struct {
 
 type queued struct {
 	rec    trace.Record
+	unit   Unit      // the functional unit it issues to
 	srcSeq [2]uint64 // writer sequence each source waits on (0 = none)
 	dstSeq uint64    // this instruction's own write sequence (0 = none)
 	fccSeq uint64    // compare instructions: FCC write sequence
+}
+
+// unitState is one functional unit: its latency and pipelining, from the
+// Config, the cycle it last accepted an instruction, and the completion
+// cycle of that instruction, which frees an iterative unit.
+type unitState struct {
+	lat       uint64
+	pipelined bool
+	lastIssue uint64
+	busyUntil uint64
 }
 
 // seqWindow bounds the completion ring. The live sequence span is tiny
@@ -158,6 +169,11 @@ const seqWindow = 1024
 type robEntry struct {
 	completeAt uint64
 	valid      bool
+}
+
+type busSlot struct {
+	at uint64 // the cycle the slot describes
+	n  int    // result buses reserved then
 }
 
 // FPU is the decoupled floating-point unit.
@@ -188,19 +204,18 @@ type FPU struct {
 	slotSeq    [seqWindow]uint64
 	slotDoneAt [seqWindow]uint64
 
-	unitBusyUntil [unitCount]uint64
-	unitLastIssue [unitCount]uint64
+	units [unitCount]unitState
 
-	// Result-bus reservations, a ring over future cycles: busAt[i] names
-	// the cycle slot i currently describes and busN[i] the buses reserved
-	// then. Sized past the longest unit latency so live cycles never
-	// collide; stale slots are recognised by their cycle and reused.
-	busAt   []uint64
-	busN    []uint8
+	// Result-bus reservations, a ring over future cycles: each slot names
+	// the cycle it currently describes and the buses reserved then. Sized
+	// past the longest unit latency so live cycles never collide; stale
+	// slots are recognised by their cycle and reused.
+	bus     []busSlot
 	busMask uint64
 
-	// InOrderComplete policy: the single active instruction finishes at
-	// activeUntil.
+	// activeUntil is the completion cycle of the latest issue: under the
+	// InOrderComplete policy, nothing issues before it (one instruction
+	// active at a time).
 	activeUntil uint64
 
 	// idle latches Tick's finding that the FPU is drained: no queued
@@ -234,48 +249,48 @@ func (f *FPU) SetProbe(p *obs.Probe) { f.probe = p }
 // New creates an FPU.
 func New(cfg Config) *FPU {
 	cfg = cfg.Normalize()
-	maxLat := cfg.AddLatency
-	for _, l := range [...]int{cfg.MulLatency, cfg.DivLatency, cfg.CvtLatency} {
-		if l > maxLat {
-			maxLat = l
-		}
+	f := &FPU{
+		cfg:    cfg,
+		iq:     make([]queued, cfg.InstrQueue),
+		storeQ: make([]uint64, cfg.StoreQueue),
+		rob:    make([]robEntry, cfg.ReorderBuffer),
+		units: [unitCount]unitState{
+			UnitAdd: {lat: uint64(cfg.AddLatency), pipelined: cfg.AddPipelined},
+			UnitMul: {lat: uint64(cfg.MulLatency), pipelined: cfg.MulPipelined},
+			UnitDiv: {lat: uint64(cfg.DivLatency), pipelined: cfg.DivPipelined},
+			UnitCvt: {lat: uint64(cfg.CvtLatency), pipelined: cfg.CvtPipelined},
+		},
 	}
 	busWindow := 2
-	for busWindow < maxLat+2 {
-		busWindow <<= 1
+	for _, u := range f.units {
+		for uint64(busWindow) < u.lat+2 {
+			busWindow <<= 1
+		}
 	}
-	return &FPU{
-		cfg:     cfg,
-		iq:      make([]queued, cfg.InstrQueue),
-		storeQ:  make([]uint64, cfg.StoreQueue),
-		rob:     make([]robEntry, cfg.ReorderBuffer),
-		busAt:   make([]uint64, busWindow),
-		busN:    make([]uint8, busWindow),
-		busMask: uint64(busWindow - 1),
-	}
+	f.bus = make([]busSlot, busWindow)
+	f.busMask = uint64(busWindow - 1)
+	return f
 }
 
 // busReserved returns the result-bus reservations for cycle at.
 //
 //aurora:hotpath
 func (f *FPU) busReserved(at uint64) int {
-	i := at & f.busMask
-	if f.busAt[i] != at {
-		return 0
+	if s := &f.bus[at&f.busMask]; s.at == at {
+		return s.n
 	}
-	return int(f.busN[i])
+	return 0
 }
 
 // busReserve books one result bus for cycle at.
 //
 //aurora:hotpath
 func (f *FPU) busReserve(at uint64) {
-	i := at & f.busMask
-	if f.busAt[i] != at {
-		f.busAt[i] = at
-		f.busN[i] = 0
+	s := &f.bus[at&f.busMask]
+	if s.at != at {
+		*s = busSlot{at: at}
 	}
-	f.busN[i]++
+	s.n++
 }
 
 // Config returns the active configuration.
@@ -320,32 +335,6 @@ func unitOf(c isa.Class) Unit {
 		return UnitCvt
 	}
 	return UnitAdd
-}
-
-//aurora:hotpath
-func (f *FPU) latencyOf(u Unit) int {
-	switch u {
-	case UnitMul:
-		return f.cfg.MulLatency
-	case UnitDiv:
-		return f.cfg.DivLatency
-	case UnitCvt:
-		return f.cfg.CvtLatency
-	}
-	return f.cfg.AddLatency
-}
-
-//aurora:hotpath
-func (f *FPU) pipelined(u Unit) bool {
-	switch u {
-	case UnitMul:
-		return f.cfg.MulPipelined
-	case UnitDiv:
-		return f.cfg.DivPipelined
-	case UnitCvt:
-		return f.cfg.CvtPipelined
-	}
-	return f.cfg.AddPipelined
 }
 
 // --- register scoreboard -------------------------------------------------
@@ -495,7 +484,7 @@ func (f *FPU) DispatchInstr(rec *trace.Record, now uint64) {
 		srcDouble = rec.SI.In.CvtSrc == isa.CvtFromD
 	}
 	q := &f.iq[wrap(f.iqHead+f.iqLen, len(f.iq))]
-	*q = queued{rec: *rec}
+	*q = queued{rec: *rec, unit: unitOf(rec.SI.Class)}
 	q.srcSeq[0] = f.capture(rec.SI.Deps.SrcFP[0], srcDouble)
 	q.srcSeq[1] = f.capture(rec.SI.Deps.SrcFP[1], srcDouble)
 	if rec.SI.Deps.DstFP != isa.NoFPReg {
@@ -625,105 +614,64 @@ func (f *FPU) tick(now uint64) {
 		return
 	}
 
-	switch f.cfg.Policy {
-	case InOrderComplete:
-		f.tickInOrder(now)
-	case OutOfOrderSingle:
-		f.issueHead(now, nil)
-	case OutOfOrderDual:
-		if first := f.issueHead(now, nil); first != nil && f.iqLen > 0 {
-			if f.issueHead(now, &first.rec) != nil {
-				f.stats.DualIssues++
-			}
-		}
+	if f.stalled(now) {
+		return
+	}
+	first := f.issueHead(now)
+	// The second slot of a dual-issue cycle takes the new head only when
+	// it is independent of the first (§5.8 lists data dependencies among
+	// the dual-issue constraints).
+	if first != nil && f.cfg.Policy == OutOfOrderDual && f.iqLen > 0 &&
+		!f.iq[f.iqHead].rec.SI.Deps.DependsOn(first.rec.SI.Deps) && !f.stalled(now) && f.issueHead(now) != nil {
+		f.stats.DualIssues++
 	}
 }
 
-// tickInOrder issues the head only when nothing is active, and completion
-// is strictly in order (one instruction at a time in the units).
+// stalled counts the stall wait finds for the queue head at cycle now
+// and reports whether there was one. Small enough to inline, so a stalled
+// tick makes one call.
 //
 //aurora:hotpath
-func (f *FPU) tickInOrder(now uint64) {
-	if f.activeUntil > now {
-		f.stats.UnitBusy++
-		return
+func (f *FPU) stalled(now uint64) bool {
+	_, stall := f.wait(now)
+	if stall != nil {
+		*stall++
 	}
-	if f.robUsed >= len(f.rob) {
-		f.stats.ROBFullStall++
-		return
-	}
-	head := &f.iq[f.iqHead]
-	if !f.sourcesReady(head, now) {
-		f.stats.SrcNotReady++
-		return
-	}
-	u := unitOf(head.rec.SI.Class)
-	lat := f.latencyOf(u)
-	f.complete(head, now+uint64(lat))
-	f.activeUntil = now + uint64(lat)
-	f.iqHead = wrap(f.iqHead+1, len(f.iq))
-	f.iqLen--
-	f.stats.Issued++
-	if f.probe != nil {
-		f.probe.Span(uint64(lat), "fpu", unitNames[u], unitTracks[u], 0)
-		f.probe.Counter("fpu", "fpu-iq", uint64(f.iqLen))
-	}
+	return stall != nil
 }
 
-// issueHead attempts to issue the current queue head. For the second slot
-// of a dual-issue cycle, prev is the instruction issued in the first slot:
-// the pair must be independent (§5.8 lists data dependencies among the
-// dual-issue constraints). It returns the issued entry, or nil when the
-// head did not issue; the entry's slot is free but is not overwritten
-// before the next DispatchInstr.
+// issueHead attempts to issue the queue head, which wait found ready at
+// cycle now. It checks only what wait cannot see ahead: a pipelined
+// unit's same-cycle issue and the result bus, both tied to the issue
+// cycle. It returns the issued entry, or nil when the head did not issue;
+// the entry's slot is free but is not overwritten before the next
+// DispatchInstr.
 //
 //aurora:hotpath
-func (f *FPU) issueHead(now uint64, prev *trace.Record) *queued {
-	if f.iqLen == 0 {
-		return nil
-	}
+func (f *FPU) issueHead(now uint64) *queued {
 	head := &f.iq[f.iqHead]
-	si := head.rec.SI
-	if prev != nil && si.Deps.DependsOn(prev.SI.Deps) {
-		return nil
-	}
-	if f.robUsed >= len(f.rob) {
-		f.stats.ROBFullStall++
-		return nil
-	}
-	if !f.sourcesReady(head, now) {
-		f.stats.SrcNotReady++
-		return nil
-	}
-	u := unitOf(si.Class)
-	if f.pipelined(u) {
-		if f.unitLastIssue[u] == now {
-			f.stats.UnitBusy++
-			return nil
-		}
-	} else if f.unitBusyUntil[u] > now {
+	u := &f.units[head.unit]
+	if u.pipelined && u.lastIssue == now {
 		f.stats.UnitBusy++
 		return nil
 	}
-	lat := uint64(f.latencyOf(u))
-	doneAt := now + lat
+	doneAt := now + u.lat
 	if f.busReserved(doneAt) >= f.cfg.ResultBuses {
 		f.stats.BusConflict++
 		return nil
 	}
 
-	// Commit the issue.
+	// Commit the issue. Under in-order completion the unit and bus checks
+	// above never block, since nothing else is active.
 	f.busReserve(doneAt)
-	f.unitLastIssue[u] = now
-	if !f.pipelined(u) {
-		f.unitBusyUntil[u] = doneAt
-	}
+	u.lastIssue, u.busyUntil = now, doneAt
+	f.activeUntil = doneAt
 	f.complete(head, doneAt)
 	f.iqHead = wrap(f.iqHead+1, len(f.iq))
 	f.iqLen--
 	f.stats.Issued++
 	if f.probe != nil {
-		f.probe.Span(lat, "fpu", unitNames[u], unitTracks[u], 0)
+		f.probe.Span(u.lat, "fpu", unitNames[head.unit], unitTracks[head.unit], 0)
 		f.probe.Counter("fpu", "fpu-iq", uint64(f.iqLen))
 	}
 	return head
@@ -773,19 +721,19 @@ func (f *FPU) Skip(n uint64) {
 	}
 }
 
-// wait classifies Tick's issue step at cycle at without acting, in the
-// order tickInOrder and issueHead test: the first cycle the queue head
-// could issue, and the stall counter each tick bumps until then (nil for
-// none). A head that could issue, or that meets a result-bus conflict (its
-// completion slot moves with the cycle), answers at itself.
+// wait classifies the queue head's issue at cycle at without acting: the
+// first cycle it could issue, and the stall counter each tick bumps until
+// then (nil for none). Tick takes its issue stall from here at the
+// current cycle, and NextEvent asks about the next. A head that could
+// issue, or that meets a result-bus conflict (its completion slot moves
+// with the cycle), answers at itself.
 //
 //aurora:hotpath
 func (f *FPU) wait(at uint64) (uint64, *uint64) {
 	if f.iqLen == 0 {
 		return math.MaxUint64, &f.stats.QueueEmpty
 	}
-	inOrder := f.cfg.Policy == InOrderComplete
-	if inOrder && f.activeUntil > at {
+	if f.cfg.Policy == InOrderComplete && f.activeUntil > at {
 		return f.activeUntil, &f.stats.UnitBusy
 	}
 	if f.robUsed >= len(f.rob) {
@@ -795,16 +743,13 @@ func (f *FPU) wait(at uint64) (uint64, *uint64) {
 	if t := max(f.seqAt(head.srcSeq[0]), f.seqAt(head.srcSeq[1])); t > at {
 		return t, &f.stats.SrcNotReady
 	}
-	// A pipelined unit is busy only in its issue cycle, which is past.
-	if u := unitOf(head.rec.SI.Class); !inOrder && !f.pipelined(u) && f.unitBusyUntil[u] > at {
-		return f.unitBusyUntil[u], &f.stats.UnitBusy
+	// A pipelined unit is busy only in its issue cycle, which issueHead
+	// checks. Under in-order completion an iterative unit's busy-until
+	// cycle never passes activeUntil, so this check never adds a stall.
+	if u := &f.units[head.unit]; !u.pipelined && u.busyUntil > at {
+		return u.busyUntil, &f.stats.UnitBusy
 	}
 	return at, nil
-}
-
-//aurora:hotpath
-func (f *FPU) sourcesReady(q *queued, now uint64) bool {
-	return f.seqDone(q.srcSeq[0], now) && f.seqDone(q.srcSeq[1], now)
 }
 
 // complete allocates the ROB entry and schedules the result write.
