@@ -116,6 +116,22 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "aurora-experiments:", stray)
 		return 2
 	}
+	sp := sample.Params{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
+	var spec harness.ExploreSpec
+	if *explore {
+		// An exploration the grid, workload or sampling parameters rule
+		// out is a usage error, found before anything is opened or run.
+		var err error
+		spec, err = harness.ExploreSpecFor(*exploreGrid, harness.ExploreSpec{
+			Workload: *exploreWorkload, FullBudget: *exploreBudget, Rungs: *exploreRungs,
+			Halve: *exploreHalve, Slack: *exploreSlack, MaxCostRBE: *exploreMaxCost,
+			Sampled: *exploreSampled, Sample: sp,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
+			return 2
+		}
+	}
 	opts := resolveOptions(*quick, set, *budget, *sweep)
 	opts.FailFast = *failFast
 	if *bpredSpec != "" {
@@ -179,21 +195,11 @@ func run() int {
 		return 1
 	}
 	sink := &csvSink{dir: *csvDir}
-	sp := sample.Params{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
 	start := time.Now()
 	exit := 0
 	if *explore {
 		// The exploration is its own mode: it replaces the paper-figure
 		// regeneration, drives the runner directly, and prints the frontier.
-		spec, err := harness.ExploreSpecFor(*exploreGrid, harness.ExploreSpec{
-			Workload: *exploreWorkload, FullBudget: *exploreBudget, Rungs: *exploreRungs,
-			Halve: *exploreHalve, Slack: *exploreSlack, MaxCostRBE: *exploreMaxCost,
-			Sampled: *exploreSampled, Sample: sp,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
-			return 1
-		}
 		ex := &harness.Explorer{Runner: runner, Spec: spec}
 		res, err := ex.Run(ctx)
 		if err == nil {

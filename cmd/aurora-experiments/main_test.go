@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -92,6 +93,33 @@ func TestExploreFlagsNeedExplore(t *testing.T) {
 			flag.CommandLine.SetOutput(io.Discard)
 			if code := run(); code != 2 {
 				t.Fatalf("exit code %d, want 2", code)
+			}
+		})
+	}
+}
+
+// TestExploreSpecRejectedIsUsageError: an exploration that
+// harness.ExploreSpecFor rejects (an unknown grid, or sampled screens too
+// short for two measurement windows) used to exit 1 after opening the
+// result store. It is now a usage error, exit 2, before the store is
+// opened.
+func TestExploreSpecRejectedIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-explore", "-explore-grid", "nosuch"},
+		{"-explore", "-explore-grid", "tiny", "-explore-sampled"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			oldArgs, oldFlags := os.Args, flag.CommandLine
+			t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
+			store := filepath.Join(t.TempDir(), "store")
+			os.Args = append([]string{"aurora-experiments", "-store", store}, args...)
+			flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+			flag.CommandLine.SetOutput(io.Discard)
+			if code := run(); code != 2 {
+				t.Fatalf("exit code %d, want 2", code)
+			}
+			if _, err := os.Stat(store); !os.IsNotExist(err) {
+				t.Errorf("result store opened before the spec was checked (stat: %v)", err)
 			}
 		})
 	}
