@@ -109,15 +109,12 @@ func TestMSHRFile(t *testing.T) {
 	if f.Available() || f.Allocate() {
 		t.Error("over-allocated")
 	}
-	if f.FullStalls() != 1 {
-		t.Errorf("full stalls = %d", f.FullStalls())
+	if f.InUse() != 2 {
+		t.Errorf("in use = %d after a refused allocation, want 2", f.InUse())
 	}
 	f.Release()
-	if !f.Available() {
-		t.Error("release did not free")
-	}
-	if f.Peak() != 2 || f.Allocs() != 2 {
-		t.Errorf("peak=%d allocs=%d", f.Peak(), f.Allocs())
+	if !f.Available() || f.InUse() != 1 {
+		t.Errorf("release did not free (in use %d)", f.InUse())
 	}
 	f.TickOccupancy(1)
 	if f.Utilisation(1) != 1.0 {

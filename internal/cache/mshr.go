@@ -15,9 +15,6 @@ type MSHRFile struct {
 	inUse    int
 	capacity int
 
-	allocs     uint64
-	stallFull  uint64
-	peakInUse  int
 	cycleInUse uint64 // integral of occupancy over cycles, for utilisation
 
 	probe *obs.Probe
@@ -53,14 +50,9 @@ func (f *MSHRFile) InUse() int { return f.inUse }
 //aurora:hotpath
 func (f *MSHRFile) Allocate() bool {
 	if f.inUse >= f.capacity {
-		f.stallFull++
 		return false
 	}
 	f.inUse++
-	f.allocs++
-	if f.inUse > f.peakInUse {
-		f.peakInUse = f.inUse
-	}
 	if f.probe != nil {
 		f.probe.Counter("cache", "mshr", uint64(f.inUse))
 	}
@@ -86,15 +78,6 @@ func (f *MSHRFile) Release() {
 //
 //aurora:hotpath
 func (f *MSHRFile) TickOccupancy(cycles uint64) { f.cycleInUse += uint64(f.inUse) * cycles }
-
-// Allocs returns the total number of allocations.
-func (f *MSHRFile) Allocs() uint64 { return f.allocs }
-
-// FullStalls returns how many allocation attempts found the file full.
-func (f *MSHRFile) FullStalls() uint64 { return f.stallFull }
-
-// Peak returns the peak occupancy.
-func (f *MSHRFile) Peak() int { return f.peakInUse }
 
 // OccupancyIntegral returns the accumulated occupancy-over-cycles integral
 // (the numerator of Utilisation) — the interval sampler differences it to

@@ -51,7 +51,6 @@ type FetchedInstr struct {
 type IFUStats struct {
 	IPrefetchProbes uint64
 	IPrefetchHits   uint64
-	JRBubbles       uint64
 	// DelaySlotCrossings counts taken control transfers whose
 	// architectural delay slot lies on the next cache line — the §2.4
 	// complication (both the slot and the target address must be held
@@ -217,12 +216,6 @@ func (f *IFU) LineArrived(arrival uint64, lineAddr uint32, _ uint64) {
 	f.fillReady = arrival
 }
 
-// Stalled reports whether fetch is blocked on an instruction-cache fill —
-// used by the core for stall attribution.
-func (f *IFU) Stalled(now uint64) bool {
-	return f.fillPending && f.fillReady > now
-}
-
 // NextEvent returns the first cycle after now at which Tick could act: a
 // pending fill's arrival (math.MaxUint64 until the BIU delivers it) or
 // the end of a fetch bubble. A result at or before now+1
@@ -372,7 +365,6 @@ func (f *IFU) fetch(now uint64) {
 			// The architectural delay-slot instruction is still
 			// fetched sequentially; the bubble hits the target fetch.
 			f.bubbleUntil = now + 2
-			f.stats.JRBubbles++
 			break
 		}
 	}
@@ -422,7 +414,6 @@ func (f *IFU) predictorScan(now uint64, n int) {
 		case rec.SI.Class == isa.ClassJump:
 			indirect := rec.SI.In.Op == isa.OpJR || rec.SI.In.Op == isa.OpJALR
 			if indirect || (f.cfg.DisableBranchFolding && rec.Taken) {
-				f.stats.JRBubbles++
 				until = now + 2
 			}
 		}

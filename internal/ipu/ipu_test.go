@@ -184,7 +184,7 @@ func TestIFUMissStall(t *testing.T) {
 	if len(ifu.Queue()) != 0 {
 		t.Fatal("instructions delivered on a cold miss")
 	}
-	if !ifu.Stalled(2) {
+	if !ifu.fillPending || ifu.NextEvent(2) != ifu.fillReady || ifu.fillReady <= 2 {
 		t.Error("IFU not stalled during fill")
 	}
 	var now uint64
