@@ -28,7 +28,7 @@ func TestWaiverInventory(t *testing.T) {
 		"internal/cache/writecache.go|panic": 1, // construction-time validation
 		"internal/core/config.go|identity":   1, // Config.Name labels, never keys
 		"internal/harness/runner.go|fault":   1, // persist failures counted in Stats.PutErrors
-		"internal/mem/biu.go|alloc":          2, // steady-state buffers
+		"internal/mem/biu.go|alloc":          0, // inflight and scratch reslice within New's capacity
 	}
 	got := map[string]int{}
 	for _, e := range entries {
@@ -47,7 +47,7 @@ func TestWaiverInventory(t *testing.T) {
 			t.Errorf("unpinned waivers at %s (%d): add them to the table with a review", k, n)
 		}
 	}
-	if len(entries) != 6 {
-		t.Errorf("total waivers = %d, want 6", len(entries))
+	if len(entries) != 4 {
+		t.Errorf("total waivers = %d, want 4", len(entries))
 	}
 }

@@ -185,9 +185,11 @@ func (b *BIU) Write(now uint64) {
 
 //aurora:hotpath
 func (b *BIU) insert(p pending) {
+	// Read admits at most MaxOutstanding transactions, the capacity New
+	// gives inflight: the reslice stays within it (and panics if that ever
+	// breaks).
 	i := len(b.inflight)
-	//aurora:allow(alloc, bounded by outstanding BIU transactions; reaches steady-state capacity)
-	b.inflight = append(b.inflight, p)
+	b.inflight = b.inflight[:i+1]
 	for i > 0 && b.inflight[i-1].doneAt > p.doneAt {
 		b.inflight[i] = b.inflight[i-1]
 		i--
@@ -214,9 +216,9 @@ func (b *BIU) deliver(now uint64) {
 	}
 	// Move the completed batch aside before firing notifications, so a
 	// client issuing a new read from LineArrived cannot disturb the walk.
-	// The scratch slice is reused every cycle (no per-tick allocation).
-	//aurora:allow(alloc, scratch slice reused every cycle; reaches steady-state capacity)
-	b.scratch = append(b.scratch[:0], b.inflight[:n]...)
+	// scratch has inflight's capacity, so the batch always fits.
+	b.scratch = b.scratch[:n]
+	copy(b.scratch, b.inflight)
 	b.inflight = b.inflight[:copy(b.inflight, b.inflight[n:])]
 	if b.probe != nil {
 		b.probe.Counter("mem", "biu-inflight", uint64(len(b.inflight)))
