@@ -75,11 +75,13 @@ sample-smoke:
 
 # bpred-smoke is the predictor-axis gate: the differential/property/unit net
 # and the recovery contract under race, zero allocations with every predictor
-# swapped in, and the key-separation tests that keep predictor results from
-# ever aliasing default-config entries (see docs/BRANCH-PREDICTION.md).
+# swapped in, the ring-size goldens (whose gshare, TAGE and no-folding rows
+# pin every counter of the fetch unit's control-flow scan), and the
+# key-separation tests that keep predictor results from ever aliasing
+# default-config entries (see docs/BRANCH-PREDICTION.md).
 bpred-smoke:
 	$(GO) test -race -count=1 ./internal/bpred/
-	$(GO) test -run TestCycleLoopZeroAlloc -count=1 .
+	$(GO) test -run 'TestCycleLoopZeroAlloc|TestGoldenRingSizes' -count=1 .
 	$(GO) test -count=1 -run 'TestFingerprint|TestCostRBEPredictor' ./internal/core/
 	$(GO) test -count=1 -run 'BPred|TestPredictorSweepShapes' ./internal/harness/ ./internal/resultstore/
 

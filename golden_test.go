@@ -85,7 +85,9 @@ func TestGoldenReports(t *testing.T) {
 // ring in the fetch queue, the IPU reorder buffer and the FPU's instruction,
 // store and reorder queues wraps at a size that is neither a power of two
 // nor the default, under each FPU issue policy, plus a gshare front end so
-// the predictor's scan over the fetch queue wraps too.
+// the predictor's scan over the fetch queue wraps too. The last rows pin the
+// fetch unit's control-flow scan itself: folding disabled with and without a
+// predictor, and a TAGE front end.
 func ringConfigs() []Config {
 	var out []Config
 	add := func(name string, edit func(*Config)) {
@@ -115,6 +117,12 @@ func ringConfigs() []Config {
 		c.BPred = BPredConfig{Kind: BPredGShare}
 		c.FetchQueue = 3
 	})
+	add("nofold", func(c *Config) { c.DisableBranchFolding = true })
+	add("nofold-gshare", func(c *Config) {
+		c.DisableBranchFolding = true
+		c.BPred = BPredConfig{Kind: BPredGShare}
+	})
+	add("tage", func(c *Config) { c.BPred = BPredConfig{Kind: BPredTAGE} })
 	return out
 }
 
