@@ -64,9 +64,6 @@ func NewWriteCache(n, lineBytes int) *WriteCache {
 	}
 }
 
-// Lines returns the number of lines.
-func (w *WriteCache) Lines() int { return len(w.lines) }
-
 //aurora:hotpath
 func (w *WriteCache) lineAddr(addr uint32) uint32 {
 	return addr &^ uint32(w.lineBytes-1)

@@ -101,7 +101,7 @@ func NewProcessor(cfg Config, stream trace.Stream) (*Processor, error) {
 		WriteCacheLines:     cfg.WriteCacheLines,
 		WriteCacheLineBytes: cfg.LineBytes,
 		VictimLines:         cfg.VictimLines,
-	}, p.biu, p.pfu, p.fp.SeqDone)
+	}, p.biu, p.pfu)
 	if p.mmu.TranslationEnabled() {
 		p.lsu.Translate = p.mmu.Translate
 	}
@@ -429,7 +429,8 @@ func (p *Processor) readyAt(rec *trace.Record, at uint64) (uint64, StallCause) {
 		}
 	}
 	// FP store data readiness is *not* checked here: the store decouples
-	// through the FPU store queue and synchronises in the LSU.
+	// through the FPU store queue, which holds its slot until the data is
+	// produced.
 
 	if p.needsROB(rec) && p.robUsed >= len(p.rob) {
 		return farFuture, StallROBFull
@@ -586,11 +587,10 @@ func (p *Processor) doIssue(rec *trace.Record) {
 
 	case isa.ClassFPLoad:
 		idx := p.allocROB(farFuture)
-		reg, dbl := rec.SI.In.Ft, rec.SI.FPDouble
-		seq := p.fp.DispatchLoad(reg, dbl)
+		seq := p.fp.DispatchLoad(rec.SI.In.Ft, rec.SI.FPDouble)
 		p.lsu.Dispatch(ipu.MemOp{
-			Addr: rec.MemAddr,
-			FP:   true, FPDouble: dbl, FPReg: reg,
+			Addr:   rec.MemAddr,
+			FP:     true,
 			RobIdx: int32(idx),
 			Seq:    seq,
 		}, now)
@@ -602,8 +602,8 @@ func (p *Processor) doIssue(rec *trace.Record) {
 		// the FPU store queue holds a slot until the data is produced.
 		p.fp.DispatchStore(p.fp.CaptureWriter(rec.SI.In.Ft, rec.SI.FPDouble), now)
 		p.lsu.Dispatch(ipu.MemOp{
-			Addr:  rec.MemAddr,
-			Store: true, FP: true, FPDouble: rec.SI.FPDouble, FPReg: rec.SI.In.Ft,
+			Addr:   rec.MemAddr,
+			Store:  true,
 			RobIdx: int32(idx),
 		}, now)
 

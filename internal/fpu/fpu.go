@@ -293,9 +293,6 @@ func (f *FPU) busReserve(at uint64) {
 	s.n++
 }
 
-// Config returns the active configuration.
-func (f *FPU) Config() Config { return f.cfg }
-
 // Stats returns the statistics accumulated through cycle now, counting
 // the cycles an idle FPU has skipped.
 //
@@ -416,21 +413,14 @@ func (f *FPU) seqAt(seq uint64) uint64 {
 	}
 }
 
-// seqDone reports whether write seq has completed by cycle now.
-//
-//aurora:hotpath
-func (f *FPU) seqDone(seq, now uint64) bool { return f.seqAt(seq) <= now }
-
 // CaptureWriter returns a token for the last writer of the register (pair);
-// pass it to SeqDone to poll for the data (FP store synchronisation).
+// pass it to DispatchStore, whose store-queue slot frees once that write
+// completes (FP store synchronisation).
 //
 //aurora:hotpath
 func (f *FPU) CaptureWriter(reg uint8, double bool) uint64 {
 	return f.capture(reg, double)
 }
-
-// SeqDone polls a CaptureWriter token.
-func (f *FPU) SeqDone(seq, now uint64) bool { return f.seqDone(seq, now) }
 
 // RegReadyAt returns the first cycle at which an FP register's value is
 // available (math.MaxUint64 while its last write is an FP load still
@@ -589,7 +579,7 @@ func (f *FPU) tick(now uint64) {
 
 	// Drain the store queue in order: a slot frees once its data is
 	// produced and handed to the write cache (one per cycle).
-	if f.storeQLen > 0 && f.seqDone(f.storeQ[f.storeQHead], now) {
+	if f.storeQLen > 0 && f.seqAt(f.storeQ[f.storeQHead]) <= now {
 		f.storeQHead = wrap(f.storeQHead+1, len(f.storeQ))
 		f.storeQLen--
 	}

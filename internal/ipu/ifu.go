@@ -26,7 +26,7 @@ type IFUConfig struct {
 	// config keeps the paper's free-folding fetch path byte-identical;
 	// any other kind routes conditional branches through the predictor,
 	// charging BPred.MispredictPenalty redirect-bubble cycles per
-	// mispredict (see predictorScan).
+	// mispredict (see fetch).
 	BPred bpred.Config
 }
 
@@ -343,47 +343,20 @@ func (f *IFU) fetch(now uint64) {
 	}
 	f.advance(n)
 
-	// Register-indirect jumps cost one fetch bubble: the NEXT field of
-	// the pre-decoded pair cannot hold a register value. With branch
-	// folding disabled (ablation), every taken transfer pays the bubble.
-	// Either half of the delivered pair can be the control instruction
-	// (a branch in the even slot has its delay slot in the odd slot).
-	if f.pred != nil {
-		f.predictorScan(now, n)
-		return
-	}
-	for k := f.qLen - n; k < f.qLen; k++ {
-		rec := &f.queue[f.slot(k)].Rec
-		indirect := rec.SI.Class == isa.ClassJump &&
-			(rec.SI.In.Op == isa.OpJR || rec.SI.In.Op == isa.OpJALR)
-		if rec.SI.Class.IsControl() && rec.Taken &&
-			f.ic.LineAddr(rec.PC) != f.ic.LineAddr(rec.PC+4) {
-			f.stats.DelaySlotCrossings++
-		}
-		foldable := rec.SI.Class.IsControl() && rec.Taken && !indirect
-		if indirect || (f.cfg.DisableBranchFolding && foldable) {
-			// The architectural delay-slot instruction is still
-			// fetched sequentially; the bubble hits the target fetch.
-			f.bubbleUntil = now + 2
-			break
-		}
-	}
-}
-
-// predictorScan is the control-flow scan of Tick when a direction predictor
-// is configured. Conditional branches consult the predictor in fetch order:
-// a correct prediction redirects for free (the pre-decoded NEXT field
-// supplies the target, the predictor the direction), a mispredict squashes
-// the wrong-path fetch and charges the configured redirect bubble.
-// Unconditional transfers keep the folding-path semantics — direct jumps
-// fold free (or pay the ablation bubble under DisableBranchFolding),
-// register-indirect jumps pay their one-cycle target bubble. The trace is
-// always the correct path, so only the penalty is modelled; the predictor's
-// speculative history is squashed at each mispredict via Recover and
-// retrained in program order via Update.
-//
-//aurora:hotpath
-func (f *IFU) predictorScan(now uint64, n int) {
+	// One scan over the delivered pair, in fetch order; either half can be
+	// the control instruction (a branch in the even slot has its delay slot
+	// in the odd slot). With a direction predictor configured, a
+	// conditional branch consults it: a correct prediction redirects for
+	// free (the pre-decoded NEXT field supplies the target, the predictor
+	// the direction); a mispredict charges the configured redirect bubble,
+	// and its delay slot carries the issue-side squash mark. The trace is
+	// always the correct path, so only the penalty is modelled; the
+	// predictor's speculative history is squashed at each mispredict via
+	// Recover and retrained in program order via Update. Every other
+	// control transfer folds free, except that a register-indirect jump
+	// pays one bubble (the NEXT field cannot hold a register value) and,
+	// with branch folding disabled (ablation), so does every taken one. The
+	// delay slot is still fetched sequentially; the bubble hits the target.
 	for k := f.qLen - n; k < f.qLen; k++ {
 		fi := &f.queue[f.slot(k)]
 		rec := &fi.Rec
@@ -391,34 +364,30 @@ func (f *IFU) predictorScan(now uint64, n int) {
 			fi.Redirect = true
 			f.markRedirect = false
 		}
-		if rec.SI.Class.IsControl() && rec.Taken &&
-			f.ic.LineAddr(rec.PC) != f.ic.LineAddr(rec.PC+4) {
+		if !rec.SI.Class.IsControl() {
+			continue
+		}
+		if rec.Taken && f.ic.LineAddr(rec.PC) != f.ic.LineAddr(rec.PC+4) {
 			f.stats.DelaySlotCrossings++
 		}
 		var until uint64
-		switch {
-		case rec.SI.Class == isa.ClassBranch:
+		if f.pred != nil && rec.SI.Class == isa.ClassBranch {
 			f.stats.BranchPredicts++
 			if f.pred.Predict(rec.PC, rec.Target) != rec.Taken {
 				f.stats.BranchMispredicts++
 				f.pred.Recover()
 				// The wrong-path fetch hole: fetch stalls while the
-				// machine runs down the mispredicted path...
+				// machine runs down the mispredicted path, then the delay
+				// slot (the next delivered instruction) carries the
+				// resolution redirect (see FetchedInstr.Redirect).
 				until = now + 1 + uint64(f.cfg.BPred.MispredictPenalty)
-				// ...and the resolution redirect: the delay slot (the
-				// next delivered instruction) carries the issue-side
-				// squash mark (see FetchedInstr.Redirect).
 				f.markRedirect = true
 			}
 			f.pred.Update(rec.PC, rec.Taken)
-		case rec.SI.Class == isa.ClassJump:
-			indirect := rec.SI.In.Op == isa.OpJR || rec.SI.In.Op == isa.OpJALR
-			if indirect || (f.cfg.DisableBranchFolding && rec.Taken) {
-				until = now + 2
-			}
+		} else if rec.SI.In.Op == isa.OpJR || rec.SI.In.Op == isa.OpJALR ||
+			f.cfg.DisableBranchFolding && rec.Taken {
+			until = now + 2
 		}
-		if until > f.bubbleUntil {
-			f.bubbleUntil = until
-		}
+		f.bubbleUntil = max(f.bubbleUntil, until)
 	}
 }

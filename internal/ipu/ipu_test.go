@@ -15,21 +15,30 @@ func testBIU() *mem.BIU {
 
 func noPrefetch() *prefetch.Buffers { return prefetch.New(0, 4, 32) }
 
-func testLSU(mshrs int) (*LSU, *mem.BIU) {
+func testLSU(mshrs int) (*LSU, *mem.BIU, map[uint32]uint64) {
 	biu := testBIU()
 	l := NewLSU(LSUConfig{
 		DCacheBytes: 16 << 10, LineBytes: 32, DCacheLatency: 3,
 		MSHRs: mshrs, WriteCacheLines: 4,
-	}, biu, noPrefetch(), nil)
-	return l, biu
+	}, biu, noPrefetch())
+	return l, biu, completions(l)
 }
 
-// drive runs the memory system until the op completes or maxCycles pass.
-func drive(l *LSU, biu *mem.BIU, from uint64, maxCycles int, done *bool) uint64 {
+// completions sets l's completion hook to record, by address, the cycle
+// each op completed.
+func completions(l *LSU) map[uint32]uint64 {
+	done := map[uint32]uint64{}
+	l.OnComplete = func(op *MemOp, t uint64) { done[op.Addr] = t }
+	return done
+}
+
+// drive runs the memory system until the op at addr has completed or
+// maxCycles pass, and returns the cycle it saw the completion in.
+func drive(l *LSU, biu *mem.BIU, done map[uint32]uint64, addr uint32, from uint64, maxCycles int) uint64 {
 	for now := from; now < from+uint64(maxCycles); now++ {
 		biu.Tick(now)
 		l.Tick(now)
-		if *done {
+		if _, ok := done[addr]; ok {
 			return now
 		}
 	}
@@ -37,31 +46,26 @@ func drive(l *LSU, biu *mem.BIU, from uint64, maxCycles int, done *bool) uint64 
 }
 
 func TestLSULoadHitLatency(t *testing.T) {
-	l, biu := testLSU(2)
+	l, biu, done := testLSU(2)
 	// Warm the line.
-	var warm bool
-	l.Dispatch(MemOp{Addr: 0x2000, OnData: func(uint64) { warm = true }}, 0)
-	drive(l, biu, 1, 100, &warm)
+	l.Dispatch(MemOp{Addr: 0x2000}, 0)
+	drive(l, biu, done, 0x2000, 1, 100)
 
-	var done bool
-	var dataAt uint64
-	l.Dispatch(MemOp{Addr: 0x2004, OnData: func(tt uint64) { done = true; dataAt = tt }}, 100)
-	drive(l, biu, 101, 50, &done)
+	l.Dispatch(MemOp{Addr: 0x2004}, 100)
+	drive(l, biu, done, 0x2004, 101, 50)
 	// dispatch at 100, transfer 1 cycle, port access at 101, 3-cycle
 	// pipelined cache → data at 104.
-	if dataAt != 104 {
+	if dataAt := done[0x2004]; dataAt != 104 {
 		t.Errorf("hit data at %d want 104", dataAt)
 	}
 }
 
 func TestLSULoadMissLatency(t *testing.T) {
-	l, biu := testLSU(2)
-	var done bool
-	var dataAt uint64
-	l.Dispatch(MemOp{Addr: 0x2000, OnData: func(tt uint64) { done = true; dataAt = tt }}, 0)
-	drive(l, biu, 1, 100, &done)
+	l, biu, done := testLSU(2)
+	l.Dispatch(MemOp{Addr: 0x2000}, 0)
+	drive(l, biu, done, 0x2000, 1, 100)
 	// access at 1, miss → BIU read at 1 → data 1+17+4 = 22.
-	if dataAt != 22 {
+	if dataAt := done[0x2000]; dataAt != 22 {
 		t.Errorf("miss data at %d want 22", dataAt)
 	}
 	if l.DCache().Misses() != 1 {
@@ -70,12 +74,10 @@ func TestLSULoadMissLatency(t *testing.T) {
 }
 
 func TestLSUStoreFastCompletion(t *testing.T) {
-	l, biu := testLSU(2)
-	var done bool
-	var at uint64
-	l.Dispatch(MemOp{Addr: 0x3000, Store: true, OnData: func(tt uint64) { done = true; at = tt }}, 0)
-	drive(l, biu, 1, 20, &done)
-	if at != 2 { // transfer 1 + WC access 1
+	l, biu, done := testLSU(2)
+	l.Dispatch(MemOp{Addr: 0x3000, Store: true}, 0)
+	drive(l, biu, done, 0x3000, 1, 20)
+	if at := done[0x3000]; at != 2 { // transfer 1 + WC access 1
 		t.Errorf("store completed at %d want 2", at)
 	}
 	if l.WriteCache().Stores() != 1 {
@@ -84,33 +86,30 @@ func TestLSUStoreFastCompletion(t *testing.T) {
 }
 
 func TestLSUMSHROccupancy(t *testing.T) {
-	l, biu := testLSU(1)
+	l, biu, done := testLSU(1)
 	if !l.CanAccept() {
 		t.Fatal("fresh LSU rejects")
 	}
-	var done bool
-	l.Dispatch(MemOp{Addr: 0x2000, OnData: func(uint64) { done = true }}, 0)
+	l.Dispatch(MemOp{Addr: 0x2000}, 0)
 	if l.CanAccept() {
 		t.Error("1-MSHR LSU accepted a second op")
 	}
-	drive(l, biu, 1, 100, &done)
+	drive(l, biu, done, 0x2000, 1, 100)
 	if !l.CanAccept() {
 		t.Error("MSHR not released after completion")
 	}
 }
 
 func TestLSUWriteCacheForwarding(t *testing.T) {
-	l, biu := testLSU(2)
-	var sdone bool
-	l.Dispatch(MemOp{Addr: 0x5000, Store: true, OnData: func(uint64) { sdone = true }}, 0)
-	drive(l, biu, 1, 20, &sdone)
-	var ldone bool
-	var at uint64
-	l.Dispatch(MemOp{Addr: 0x5000, OnData: func(tt uint64) { ldone = true; at = tt }}, 20)
-	drive(l, biu, 21, 20, &ldone)
+	l, biu, done := testLSU(2)
+	l.Dispatch(MemOp{Addr: 0x5000, Store: true}, 0)
+	drive(l, biu, done, 0x5000, 1, 20)
+	delete(done, 0x5000) // the load below completes at the same address
+	l.Dispatch(MemOp{Addr: 0x5000}, 20)
+	drive(l, biu, done, 0x5000, 21, 20)
 	// WC forwarding: 1 cycle after the port access at 21 → 22,
 	// beating the 3-cycle external cache.
-	if at != 22 {
+	if at := done[0x5000]; at != 22 {
 		t.Errorf("forwarded load at %d want 22", at)
 	}
 }
@@ -121,18 +120,18 @@ func TestLSUPrefetchProbeCounts(t *testing.T) {
 	l := NewLSU(LSUConfig{
 		DCacheBytes: 16 << 10, LineBytes: 32, DCacheLatency: 3,
 		MSHRs: 4, WriteCacheLines: 4,
-	}, biu, pfu, nil)
+	}, biu, pfu)
+	done := completions(l)
 	// Sequential load misses: the second miss should hit the stream buffer.
-	var d1, d2 bool
-	l.Dispatch(MemOp{Addr: 0x8000, OnData: func(uint64) { d1 = true }}, 0)
-	now := drive(l, biu, 1, 200, &d1)
+	l.Dispatch(MemOp{Addr: 0x8000}, 0)
+	now := drive(l, biu, done, 0x8000, 1, 200)
 	for c := now; c < now+60; c++ { // give the prefetch time to land
 		biu.Tick(c)
 		l.Tick(c)
 		pfu.Tick(c, biu)
 	}
-	l.Dispatch(MemOp{Addr: 0x8020, OnData: func(uint64) { d2 = true }}, now+60)
-	drive(l, biu, now+61, 200, &d2)
+	l.Dispatch(MemOp{Addr: 0x8020}, now+60)
+	drive(l, biu, done, 0x8020, now+61, 200)
 	st := l.Stats()
 	if st.DPrefetchProbes != 2 {
 		t.Errorf("probes %d want 2", st.DPrefetchProbes)
@@ -237,38 +236,48 @@ func TestIFUUnalignedSingleDelivery(t *testing.T) {
 }
 
 func TestLSUBIUBackpressure(t *testing.T) {
-	// A 1-outstanding BIU forces the LSU to retry miss requests.
-	biu := mem.New(mem.Config{Latency: 17, LineTransfer: 4, MaxOutstanding: 1})
+	// A 1-outstanding BIU forces the LSU to retry miss requests: the three
+	// misses, dispatched together, complete one after another, each a full
+	// memory latency after the one before.
+	cfg := mem.Config{Latency: 17, LineTransfer: 4, MaxOutstanding: 1}
+	biu := mem.New(cfg)
 	l := NewLSU(LSUConfig{
 		DCacheBytes: 16 << 10, LineBytes: 32, DCacheLatency: 3,
 		MSHRs: 4, WriteCacheLines: 4,
-	}, biu, noPrefetch(), nil)
-	done := 0
+	}, biu, noPrefetch())
+	done := completions(l)
 	for i := 0; i < 3; i++ {
-		l.Dispatch(MemOp{Addr: 0x40000 + uint32(i)*4096,
-			OnData: func(uint64) { done++ }}, 0)
+		l.Dispatch(MemOp{Addr: 0x40000 + uint32(i)*4096}, 0)
 	}
 	for now := uint64(1); now < 300; now++ {
 		biu.Tick(now)
 		l.Tick(now)
 	}
-	if done != 3 {
-		t.Fatalf("completed %d of 3 misses", done)
+	if len(done) != 3 {
+		t.Fatalf("completed %d of 3 misses", len(done))
 	}
-	if l.Stats().BIUQueueStalls == 0 {
-		t.Error("no BIU backpressure recorded despite 1-deep queue")
+	for i := 1; i < 3; i++ {
+		prev, at := done[0x40000+uint32(i-1)*4096], done[0x40000+uint32(i)*4096]
+		if at < prev+uint64(cfg.Latency) {
+			t.Errorf("miss %d completed at %d, miss %d at %d: not serialised by the 1-deep BIU",
+				i, at, i-1, prev)
+		}
 	}
 }
 
 func TestLSUEvictionHoldsPort(t *testing.T) {
-	l, biu := testLSU(4)
-	// Fill the write cache's 4 lines, then one more store evicts —
-	// the eviction transfer holds the cache port.
-	var done int
+	l, biu, done := testLSU(4)
+	// Fill the write cache's 4 lines, then one more store evicts the
+	// oldest (0x1000) — the eviction transfer holds the cache port while
+	// it writes the line to the data cache — and a load from that line,
+	// dispatched the cycle after the store, finds the port busy.
+	const evicting, load = 0x5000, 0x1004
 	now := uint64(0)
 	for i := 0; i < 5; i++ {
-		l.Dispatch(MemOp{Addr: 0x1000 + uint32(i)*0x1000, Store: true,
-			OnData: func(uint64) { done++ }}, now)
+		l.Dispatch(MemOp{Addr: 0x1000 + uint32(i)*0x1000, Store: true}, now)
+		if i == 4 {
+			l.Dispatch(MemOp{Addr: load}, now+1)
+		}
 		for c := 0; c < 4; c++ {
 			now++
 			biu.Tick(now)
@@ -279,11 +288,15 @@ func TestLSUEvictionHoldsPort(t *testing.T) {
 		biu.Tick(now)
 		l.Tick(now)
 	}
-	if done != 5 {
-		t.Fatalf("completed %d of 5 stores", done)
+	if len(done) != 6 {
+		t.Fatalf("completed %d of 5 stores and a load", len(done))
 	}
-	if l.Stats().FillBusy == 0 {
-		t.Error("write-cache eviction did not hold the data busses")
+	// The store accesses the port one cycle before it completes; the load
+	// waits the line transfer out, then hits the 3-cycle data cache.
+	lt := uint64(testBIU().Config().LineTransfer)
+	if want := done[evicting] - 1 + lt + 3; done[load] < want {
+		t.Errorf("load completed at %d, want %d: the %d-cycle eviction did not hold the port",
+			done[load], want, lt)
 	}
 	if biu.Stats().Writes != 1 {
 		t.Errorf("BIU writes %d want 1", biu.Stats().Writes)
@@ -291,10 +304,9 @@ func TestLSUEvictionHoldsPort(t *testing.T) {
 }
 
 func TestLSUFlushWritesRemaining(t *testing.T) {
-	l, biu := testLSU(2)
-	var done bool
-	l.Dispatch(MemOp{Addr: 0x9000, Store: true, OnData: func(uint64) { done = true }}, 0)
-	drive(l, biu, 1, 30, &done)
+	l, biu, done := testLSU(2)
+	l.Dispatch(MemOp{Addr: 0x9000, Store: true}, 0)
+	drive(l, biu, done, 0x9000, 1, 30)
 	l.FlushWriteCache(40)
 	if biu.Stats().Writes != 1 {
 		t.Errorf("flush produced %d BIU writes want 1", biu.Stats().Writes)
@@ -342,21 +354,19 @@ func TestIFUPrefetchEscalation(t *testing.T) {
 }
 
 func TestLSUTranslateHookDelaysAccess(t *testing.T) {
-	l, biu := testLSU(2)
+	l, biu, done := testLSU(2)
 	calls := 0
 	l.Translate = func(addr uint32) int {
 		calls++
 		return 15
 	}
-	var done bool
-	var at uint64
-	l.Dispatch(MemOp{Addr: 0x2000, OnData: func(tt uint64) { done = true; at = tt }}, 0)
-	drive(l, biu, 1, 200, &done)
+	l.Dispatch(MemOp{Addr: 0x2000}, 0)
+	drive(l, biu, done, 0x2000, 1, 200)
 	if calls != 1 {
 		t.Errorf("translate called %d times", calls)
 	}
 	// Without the walk a miss completes at 22; the 15-cycle walk shifts it.
-	if at < 36 {
+	if at := done[0x2000]; at < 36 {
 		t.Errorf("data at %d — translation walk not applied", at)
 	}
 }

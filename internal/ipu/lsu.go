@@ -31,22 +31,16 @@ type LSUConfig struct {
 	VictimLines int
 }
 
-// FPStoreReady is polled for floating-point store data availability
-// (the FPU's store queue synchronisation, paper §2.3 "Floating Point
-// Support"). seq is the writer token captured at dispatch.
-type FPStoreReady func(seq uint64, now uint64) bool
-
 // MemOp is one memory instruction active in the LSU. Ops live in a pool
 // owned by the LSU (one slot per MSHR); Dispatch copies the caller's
 // template into a pool slot, so the per-instruction hot path allocates
-// nothing.
+// nothing. FP store data never waits here: it synchronises in the FPU
+// store queue (paper §2.3), so the write cache accepts every store at once.
 type MemOp struct {
-	Store    bool
-	FP       bool
-	FPDouble bool
-	FPReg    uint8
-	IntDest  uint8
-	Addr     uint32
+	Store   bool
+	FP      bool
+	IntDest uint8
+	Addr    uint32
 
 	// Completion context, opaque to the LSU: the dispatcher's reorder-buffer
 	// slot, scoreboard writer generation, and FP load sequence, handed back
@@ -54,12 +48,6 @@ type MemOp struct {
 	RobIdx int32
 	Gen    uint64
 	Seq    uint64
-
-	// OnData, when non-nil, fires once when the operation completes: loads
-	// at data return, stores when accepted by the write cache. The
-	// simulator core leaves it nil and uses the LSU-wide OnComplete hook
-	// instead (a per-op closure would allocate on every memory access).
-	OnData func(now uint64)
 
 	poolIdx     int32
 	state       opState
@@ -72,21 +60,16 @@ type MemOp struct {
 type opState uint8
 
 const (
-	opWaitPort   opState = iota
-	opWaitFPData         // FP store waiting for its data from the FPU
-	opWaitBIU            // miss outstanding
-	opWaitData           // completion time known (dataAt)
+	opWaitPort opState = iota
+	opWaitBIU          // miss outstanding
+	opWaitData         // completion time known (dataAt)
 	opDone
 )
 
 // LSUStats counts load/store unit activity.
 type LSUStats struct {
-	Loads           uint64
-	Stores          uint64
 	DPrefetchHits   uint64
 	DPrefetchProbes uint64
-	FillBusy        uint64 // cycles the port was held by line fills
-	BIUQueueStalls  uint64
 }
 
 // LSU is the load/store unit.
@@ -99,15 +82,14 @@ type LSU struct {
 	wc   *cache.WriteCache
 	mshr *cache.MSHRFile
 
-	fpReady FPStoreReady
-
 	// Translate, when non-nil, models address translation (an MMU TLB):
 	// it returns extra cycles the access must wait (a page-table walk).
 	Translate func(addr uint32) int
 
 	// OnComplete, when non-nil, fires once per completed operation: loads
-	// at data return, stores when accepted by the write cache. Set once at
-	// construction time by the core (no per-op state).
+	// at data return, stores when accepted by the write cache. It is the
+	// LSU's one completion hook, set once at construction (no per-op
+	// closure, so a memory access allocates nothing).
 	OnComplete func(op *MemOp, now uint64)
 
 	pool       []MemOp // one slot per MSHR; every active op holds an MSHR
@@ -132,7 +114,7 @@ func (l *LSU) SetProbe(p *obs.Probe) {
 }
 
 // NewLSU builds the load/store unit.
-func NewLSU(cfg LSUConfig, biu *mem.BIU, pfu *prefetch.Buffers, fpReady FPStoreReady) *LSU {
+func NewLSU(cfg LSUConfig, biu *mem.BIU, pfu *prefetch.Buffers) *LSU {
 	if cfg.DCacheLatency <= 0 {
 		cfg.DCacheLatency = 3
 	}
@@ -146,17 +128,16 @@ func NewLSU(cfg LSUConfig, biu *mem.BIU, pfu *prefetch.Buffers, fpReady FPStoreR
 		cfg.MSHRs = 1
 	}
 	l := &LSU{
-		cfg:     cfg,
-		biu:     biu,
-		pfu:     pfu,
-		dc:      cache.NewTagArray(cfg.DCacheBytes, cfg.LineBytes),
-		vc:      cache.NewVictimCache(cfg.VictimLines),
-		wc:      cache.NewWriteCache(cfg.WriteCacheLines, cfg.WriteCacheLineBytes),
-		mshr:    cache.NewMSHRFile(cfg.MSHRs),
-		fpReady: fpReady,
-		pool:    make([]MemOp, cfg.MSHRs),
-		free:    make([]int32, cfg.MSHRs),
-		ops:     make([]*MemOp, 0, cfg.MSHRs),
+		cfg:  cfg,
+		biu:  biu,
+		pfu:  pfu,
+		dc:   cache.NewTagArray(cfg.DCacheBytes, cfg.LineBytes),
+		vc:   cache.NewVictimCache(cfg.VictimLines),
+		wc:   cache.NewWriteCache(cfg.WriteCacheLines, cfg.WriteCacheLineBytes),
+		mshr: cache.NewMSHRFile(cfg.MSHRs),
+		pool: make([]MemOp, cfg.MSHRs),
+		free: make([]int32, cfg.MSHRs),
+		ops:  make([]*MemOp, 0, cfg.MSHRs),
 	}
 	for i := range l.free {
 		l.free[i] = int32(i)
@@ -213,11 +194,6 @@ func (l *LSU) Dispatch(tmpl MemOp, now uint64) {
 	op.poolIdx = idx
 	op.startAt = now + 1
 	op.state = opWaitPort
-	if op.Store {
-		l.stats.Stores++
-	} else {
-		l.stats.Loads++
-	}
 	// Every active op holds a pool slot, so ops never outgrows the pool:
 	// the reslice stays within capacity (and panics if that ever breaks).
 	n := len(l.ops)
@@ -390,7 +366,6 @@ func (l *LSU) access(op *MemOp, now uint64) {
 		return
 	}
 	// BIU full: retry the port access next cycle.
-	l.stats.BIUQueueStalls++
 	op.startAt = now + 1
 }
 
@@ -422,11 +397,7 @@ func (l *LSU) dcFill(lineAddr uint32) {
 //
 //aurora:hotpath
 func (l *LSU) fillPort(now uint64) {
-	busy := now + uint64(l.biu.Config().LineTransfer)
-	if busy > l.portFreeAt {
-		l.stats.FillBusy += busy - l.portFreeAt
-		l.portFreeAt = busy
-	}
+	l.portFreeAt = max(l.portFreeAt, now+uint64(l.biu.Config().LineTransfer))
 }
 
 // finish completes op at cycle t.
@@ -435,9 +406,6 @@ func (l *LSU) fillPort(now uint64) {
 func (l *LSU) finish(op *MemOp, t uint64) {
 	op.state = opDone
 	l.mshr.Release()
-	if op.OnData != nil {
-		op.OnData(t)
-	}
 	if l.OnComplete != nil {
 		l.OnComplete(op, t)
 	}

@@ -34,7 +34,7 @@ func newRig(seed int64, withIFU bool) (*rig, *rand.Rand) {
 			DCacheBytes: 1 << 10, LineBytes: 32, DCacheLatency: 1 + rng.Intn(4),
 			MSHRs: 1 + rng.Intn(4), WriteCacheLines: 1 + rng.Intn(4),
 			VictimLines: rng.Intn(2) * 2,
-		}, r.biu, r.pfu, nil)
+		}, r.biu, r.pfu)
 		if rng.Intn(2) == 0 {
 			r.lsu.Translate = func(addr uint32) int { return int(addr>>10%4) * 3 }
 		}
@@ -118,13 +118,11 @@ type rigState struct {
 	QueueLen              int
 	QueueSum, DoneSum     uint64
 	DoneLen               int
-	PFetches, PProbes     uint64
 	LSUBusy, IFUExhausted bool
 }
 
 func (r *rig) state() rigState {
-	s := rigState{BIU: r.biu.Stats(), Outstanding: r.biu.OutstandingReads(),
-		PFetches: r.pfu.Fetches(), PProbes: r.pfu.Probes(), DoneLen: len(r.done)}
+	s := rigState{BIU: r.biu.Stats(), Outstanding: r.biu.OutstandingReads(), DoneLen: len(r.done)}
 	for i, d := range r.done {
 		s.DoneSum += uint64(i+1) * (d[0]<<20 ^ d[1])
 	}

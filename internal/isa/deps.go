@@ -4,11 +4,6 @@ package isa
 // result resource. MULT/DIV write it; MFHI/MFLO read it.
 const RegHILO = 32
 
-// NoReg marks an absent integer register dependence. Register 0 ($zero)
-// never carries a dependence, so 0 doubles as "none" for sources, but a
-// distinct sentinel keeps destination handling explicit.
-const NoReg = 0
-
 // Deps describes an instruction's register dataflow, used by the timing
 // simulator's scoreboards. Integer register 0 means "no dependence"
 // (reads of $zero are free and writes to it are discarded). FP register

@@ -109,12 +109,6 @@ func (s *IntervalSampler) Names() []string {
 	return s.names
 }
 
-// Kinds returns the per-column metric kinds, aligned with Names.
-func (s *IntervalSampler) Kinds() []MetricKind {
-	s.Flush()
-	return s.kinds
-}
-
 // Rows returns the finished interval rows in cycle order.
 func (s *IntervalSampler) Rows() []MetricsRow {
 	s.Flush()

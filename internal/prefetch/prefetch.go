@@ -65,7 +65,10 @@ type buffer struct {
 	gen      uint64
 }
 
-// Buffers is the stream-buffer pool shared by the I and D streams.
+// Buffers is the stream-buffer pool shared by the I and D streams. It keeps
+// no counters: the fetch and load/store units count their own probes and
+// hits (a prefetch hit is a primary miss that hits a stream buffer), and
+// its prefetch reads are BIU transactions.
 type Buffers struct {
 	enabled   bool
 	lineBytes uint32
@@ -79,13 +82,6 @@ type Buffers struct {
 	// can make a buffer want one again, so they clear it; until then Tick
 	// skips the scan. A disabled pool is idle for good.
 	idle bool
-
-	probes      uint64
-	hits        uint64
-	pendingHits uint64
-	allocs      uint64
-	fetches     uint64
-	discarded   uint64 // prefetched lines thrown away on reallocation
 
 	probe *obs.Probe
 }
@@ -131,7 +127,6 @@ func (p *Buffers) Probe(now uint64, lineAddr uint32) (ProbeResult, uint64) {
 	if !p.enabled {
 		return Miss, 0
 	}
-	p.probes++
 	for i := range p.bufs {
 		b := &p.bufs[i]
 		if !b.valid {
@@ -155,9 +150,7 @@ func (p *Buffers) Probe(now uint64, lineAddr uint32) (ProbeResult, uint64) {
 			if s.state == slotPending {
 				res = Pending
 				ready = s.readyAt
-				p.pendingHits++
 			}
-			p.hits++
 			if p.probe != nil {
 				if res == Pending {
 					p.probe.Instant("prefetch", "pending-hit", "pfu", uint64(lineAddr))
@@ -201,11 +194,6 @@ func (p *Buffers) AllocateOnMiss(now uint64, missLineAddr uint32) {
 			victim = &p.bufs[i]
 		}
 	}
-	for _, s := range victim.slots {
-		if s.state == slotPresent {
-			p.discarded++
-		}
-	}
 	p.clock++
 	p.genCtr++
 	for i := range victim.slots {
@@ -218,7 +206,6 @@ func (p *Buffers) AllocateOnMiss(now uint64, missLineAddr uint32) {
 	victim.escalate = false
 	victim.gen = p.genCtr
 	p.idle = false
-	p.allocs++
 	if p.probe != nil {
 		p.probe.Instant("prefetch", "alloc", "pfu", uint64(missLineAddr))
 	}
@@ -276,7 +263,6 @@ func (p *Buffers) tick(now uint64, f Fetcher) {
 	best.slots[idx] = slot{lineAddr: lineAddr, state: slotPending, readyAt: doneAt}
 	best.used++
 	best.next += p.lineBytes
-	p.fetches++
 	if p.probe != nil {
 		p.probe.Span(doneAt-now, "prefetch", "fetch", "pfu", uint64(lineAddr))
 	}
@@ -336,32 +322,3 @@ func (p *Buffers) LineArrived(done uint64, lineAddr uint32, tag uint64) {
 // slot by generation + position, so a consume between request and fill can
 // orphan a fill. That models the real race (the line arrives after the
 // stream moved on) and simply wastes the fetch.
-
-// Stats.
-
-// Probes returns the number of primary-miss probes.
-func (p *Buffers) Probes() uint64 { return p.probes }
-
-// Hits returns probes that found their line (present or pending).
-func (p *Buffers) Hits() uint64 { return p.hits }
-
-// PendingHits returns hits on lines still in flight.
-func (p *Buffers) PendingHits() uint64 { return p.pendingHits }
-
-// Allocs returns buffer allocations (≈ stream restarts).
-func (p *Buffers) Allocs() uint64 { return p.allocs }
-
-// Fetches returns prefetch requests issued to the BIU.
-func (p *Buffers) Fetches() uint64 { return p.fetches }
-
-// Discarded returns prefetched lines thrown away by reallocation.
-func (p *Buffers) Discarded() uint64 { return p.discarded }
-
-// HitRate returns hits/probes — the paper's "prefetch hit rate"
-// (a prefetch hit is a primary miss that hits a stream buffer).
-func (p *Buffers) HitRate() float64 {
-	if p.probes == 0 {
-		return 0
-	}
-	return float64(p.hits) / float64(p.probes)
-}

@@ -20,10 +20,9 @@ const formatVersion = 1
 
 // Writer serialises a trace to an io.Writer.
 type Writer struct {
-	w     *bufio.Writer
-	n     uint64
-	wrote bool
-	err   error
+	w   *bufio.Writer
+	n   uint64
+	err error
 }
 
 // NewWriter creates a trace writer and emits the header.

@@ -88,9 +88,6 @@ func (m *Machine) ExitCode() int { return m.exit }
 // Steps returns the number of instructions executed so far.
 func (m *Machine) Steps() uint64 { return m.steps }
 
-// PC returns the current program counter.
-func (m *Machine) PC() uint32 { return m.pc }
-
 // Static returns the predecoded text table every record's SI points into,
 // indexed by (pc-asm.TextBase)/4. Callers must treat it as read-only.
 func (m *Machine) Static() []trace.StaticInstr { return m.static }
