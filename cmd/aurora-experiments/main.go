@@ -101,46 +101,53 @@ func run() int {
 		return 2
 	}
 
+	// Flags that parse but make no run are usage errors (exit 2), found
+	// before the store, the debug server or any simulation is started.
 	set := map[string]bool{}
-	stray := "" // a mode's flag given without the mode: the reason it is unused
+	usage := "" // why the flags, as given, make no run
 	flag.Visit(func(f *flag.Flag) {
 		set[f.Name] = true
 		switch {
 		case strings.HasPrefix(f.Name, "explore-") && !*explore:
-			stray = "-" + f.Name + " needs -explore"
+			usage = "-" + f.Name + " needs -explore"
 		case strings.HasPrefix(f.Name, "sample-") && !*sampled && !(*explore && *exploreSampled):
-			stray = "-" + f.Name + " needs a sampled mode (-sample, or -explore with -explore-sampled)"
+			usage = "-" + f.Name + " needs a sampled mode (-sample, or -explore with -explore-sampled)"
 		}
 	})
-	if stray != "" {
-		fmt.Fprintln(os.Stderr, "aurora-experiments:", stray)
-		return 2
+	switch {
+	case usage != "":
+	case (*explore && (*sampled || *bpredSweep)) || (*sampled && *bpredSweep):
+		usage = "-explore, -sample and -bpred-sweep are separate modes; run them separately (sampled screening inside an exploration is -explore-sampled)"
+	case *sampled && (*extensions || *csvDir != ""):
+		usage = "-sample estimates the CPI grid only; -extensions and -csv need exact runs"
+	case (*metricsOut != "" || *traceOut != "") && (*explore || *sampled || *bpredSweep):
+		// Each of those modes replaces the exact figure regeneration, the
+		// only one whose per-cycle time series the collectors capture.
+		usage = "-explore, -sample and -bpred-sweep do not capture -metrics-out/-trace-out time series"
+	}
+	if usage != "" {
+		return usageError(usage)
 	}
 	sp := sample.Params{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
+	opts := resolveOptions(*quick, set, *budget, *sweep)
+	opts.FailFast = *failFast
 	var spec harness.ExploreSpec
+	var err error
 	if *explore {
-		// An exploration the grid, workload or sampling parameters rule
-		// out is a usage error, found before anything is opened or run.
-		var err error
+		// An exploration the grid, workload or sampling parameters rule out.
 		spec, err = harness.ExploreSpecFor(*exploreGrid, harness.ExploreSpec{
 			Workload: *exploreWorkload, FullBudget: *exploreBudget, Rungs: *exploreRungs,
 			Halve: *exploreHalve, Slack: *exploreSlack, MaxCostRBE: *exploreMaxCost,
 			Sampled: *exploreSampled, Sample: sp,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
-			return 2
+			return usageError(err.Error())
 		}
 	}
-	opts := resolveOptions(*quick, set, *budget, *sweep)
-	opts.FailFast = *failFast
 	if *bpredSpec != "" {
-		bp, err := bpred.Parse(*bpredSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
-			return 1
+		if opts.BPred, err = bpred.Parse(*bpredSpec); err != nil {
+			return usageError(err.Error())
 		}
-		opts.BPred = bp
 	}
 
 	// SIGINT (and an optional -timeout) cancel queued and running jobs;
@@ -156,7 +163,6 @@ func run() int {
 	runner := harness.NewRunner(*workers)
 	runner.JobTimeout = *jobTimeout
 	if *storeDir != "" {
-		var err error
 		runner.Store, err = resultstore.OpenMode(*storeDir, *storeReadOnly)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aurora-experiments: store:", err)
@@ -184,16 +190,6 @@ func run() int {
 		collector = harness.NewObsCollector(interval, 0, cycles)
 		runner.Observe = collector.Sink
 	}
-	if (*explore && (*sampled || *bpredSweep)) || (*sampled && *bpredSweep) {
-		fmt.Fprintln(os.Stderr, "aurora-experiments: -explore, -sample and -bpred-sweep are separate modes; run them separately (sampled screening inside an exploration is -explore-sampled)")
-		return 1
-	}
-	// Each of those modes replaces the exact figure regeneration, the only
-	// one whose per-cycle time series the collectors capture.
-	if collector != nil && (*explore || *sampled || *bpredSweep) {
-		fmt.Fprintln(os.Stderr, "aurora-experiments: -explore, -sample and -bpred-sweep do not capture -metrics-out/-trace-out time series")
-		return 1
-	}
 	sink := &csvSink{dir: *csvDir}
 	start := time.Now()
 	exit := 0
@@ -217,10 +213,6 @@ func run() int {
 	if *sampled {
 		// Sampled mode replaces the exact figure regeneration with the
 		// estimated CPI grid.
-		if *extensions || *csvDir != "" {
-			fmt.Fprintln(os.Stderr, "aurora-experiments: -sample estimates the CPI grid only; -extensions and -csv need exact runs")
-			return 1
-		}
 		res, err := harness.SampledSweep(ctx, runner, opts, sp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
@@ -271,6 +263,13 @@ func run() int {
 	}
 	printSummary(runner, what, time.Since(start).Round(round), "simulations")
 	return exit
+}
+
+// usageError reports flags that parse but make no run, and returns the
+// usage exit code.
+func usageError(why string) int {
+	fmt.Fprintln(os.Stderr, "aurora-experiments:", why)
+	return 2
 }
 
 // printSummary prints the closing line every mode ends with. With a store

@@ -20,6 +20,17 @@ func set(names ...string) map[string]bool {
 	return m
 }
 
+// runArgs runs the command with args on a fresh flag set, as main would.
+func runArgs(t *testing.T, args ...string) int {
+	t.Helper()
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
+	os.Args = append([]string{"aurora-experiments"}, args...)
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	return run()
+}
+
 func TestResolveOptionsPresets(t *testing.T) {
 	if got := resolveOptions(false, set(), 0, 600_000); got != harness.Full() {
 		t.Errorf("default = %+v, want Full()", got)
@@ -66,12 +77,7 @@ func TestResolveOptionsUnsetFlagsKeepPreset(t *testing.T) {
 // argument, so a stray one would silently drop every flag after it (here
 // -j, and a mistyped "quick" would start the full run).
 func TestStrayArgumentRejected(t *testing.T) {
-	oldArgs, oldFlags := os.Args, flag.CommandLine
-	t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
-	os.Args = []string{"aurora-experiments", "-timeout", "1ns", "quick", "-j", "1"}
-	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard)
-	if code := run(); code != 2 {
+	if code := runArgs(t, "-timeout", "1ns", "quick", "-j", "1"); code != 2 {
 		t.Fatalf("exit code %d, want 2", code)
 	}
 }
@@ -86,13 +92,33 @@ func TestExploreFlagsNeedExplore(t *testing.T) {
 		{"-quick", "-explore-budget", "2000", "-explore-rungs", "2", "-timeout", "1ns"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			oldArgs, oldFlags := os.Args, flag.CommandLine
-			t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
-			os.Args = append([]string{"aurora-experiments"}, args...)
-			flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
-			flag.CommandLine.SetOutput(io.Discard)
-			if code := run(); code != 2 {
+			if code := runArgs(t, args...); code != 2 {
 				t.Fatalf("exit code %d, want 2", code)
+			}
+		})
+	}
+}
+
+// usageErrorBeforeStore runs each args with a result store and asserts the
+// usage exit code, and that the store was never opened. An argument
+// starting with "tmp/" names a path in a fresh temporary directory.
+func usageErrorBeforeStore(t *testing.T, cases [][]string) {
+	for _, args := range cases {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			dir := t.TempDir()
+			store := filepath.Join(dir, "store")
+			argv := []string{"-store", store}
+			for _, a := range args {
+				if rest, ok := strings.CutPrefix(a, "tmp/"); ok {
+					a = filepath.Join(dir, rest)
+				}
+				argv = append(argv, a)
+			}
+			if code := runArgs(t, argv...); code != 2 {
+				t.Fatalf("exit code %d, want 2", code)
+			}
+			if _, err := os.Stat(store); !os.IsNotExist(err) {
+				t.Errorf("result store opened before the flags were checked (stat: %v)", err)
 			}
 		})
 	}
@@ -104,25 +130,26 @@ func TestExploreFlagsNeedExplore(t *testing.T) {
 // result store. It is now a usage error, exit 2, before the store is
 // opened.
 func TestExploreSpecRejectedIsUsageError(t *testing.T) {
-	for _, args := range [][]string{
+	usageErrorBeforeStore(t, [][]string{
 		{"-explore", "-explore-grid", "nosuch"},
 		{"-explore", "-explore-grid", "tiny", "-explore-sampled"},
-	} {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			oldArgs, oldFlags := os.Args, flag.CommandLine
-			t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
-			store := filepath.Join(t.TempDir(), "store")
-			os.Args = append([]string{"aurora-experiments", "-store", store}, args...)
-			flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
-			flag.CommandLine.SetOutput(io.Discard)
-			if code := run(); code != 2 {
-				t.Fatalf("exit code %d, want 2", code)
-			}
-			if _, err := os.Stat(store); !os.IsNotExist(err) {
-				t.Errorf("result store opened before the spec was checked (stat: %v)", err)
-			}
-		})
-	}
+	})
+}
+
+// TestModeConflictIsUsageError: modes combined that cannot run together,
+// a sampled run asked for exact-only output, and an unparsable -bpred used
+// to exit 1, most of them after opening the result store and the debug
+// server. They are now usage errors, exit 2, before either is opened.
+func TestModeConflictIsUsageError(t *testing.T) {
+	usageErrorBeforeStore(t, [][]string{
+		{"-explore", "-sample"},
+		{"-sample", "-bpred-sweep"},
+		{"-sample", "-extensions"},
+		{"-sample", "-csv", "tmp/csv"},
+		{"-sample", "-metrics-out", "tmp/m.csv"},
+		{"-bpred-sweep", "-trace-out", "tmp/t.json"},
+		{"-bpred", "nosuch"},
+	})
 }
 
 // TestSampleFlagsNeedSampledMode: -sample-* flags outside a sampled mode
@@ -136,12 +163,7 @@ func TestSampleFlagsNeedSampledMode(t *testing.T) {
 		{"-quick", "-sample-warmup", "1000", "-timeout", "1ns"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			oldArgs, oldFlags := os.Args, flag.CommandLine
-			t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
-			os.Args = append([]string{"aurora-experiments"}, args...)
-			flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
-			flag.CommandLine.SetOutput(io.Discard)
-			if code := run(); code != 2 {
+			if code := runArgs(t, args...); code != 2 {
 				t.Fatalf("exit code %d, want 2", code)
 			}
 		})

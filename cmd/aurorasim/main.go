@@ -74,8 +74,10 @@ func run() int {
 		}
 	})
 	if stray != "" {
-		fmt.Fprintf(os.Stderr, "aurorasim: -%s needs -sample\n", stray)
-		return 2
+		return usageError(fmt.Errorf("-%s needs -sample", stray))
+	}
+	if *sampled && (*metricsOut != "" || *traceOut != "") {
+		return usageError(fmt.Errorf("-sample estimates CPI from periodic windows; it cannot capture -metrics-out/-trace-out time series (run without -sample for those)"))
 	}
 
 	// SIGINT (and an optional -timeout) cancel the simulation; partial
@@ -90,7 +92,7 @@ func run() int {
 
 	cfg, err := aurora.ModelByName(*model)
 	if err != nil {
-		return fail(err)
+		return usageError(err)
 	}
 	if *issue != 0 {
 		cfg.IssueWidth = *issue
@@ -122,7 +124,7 @@ func run() int {
 	if *bpredSpec != "" {
 		bp, err := aurora.ParseBPred(*bpredSpec)
 		if err != nil {
-			return fail(err)
+			return usageError(err)
 		}
 		cfg.BPred = bp
 	}
@@ -138,12 +140,12 @@ func run() int {
 	case "dual":
 		cfg.FPU.Policy = aurora.FPUOOODual
 	default:
-		return fail(fmt.Errorf("unknown FPU policy %q", *policy))
+		return usageError(fmt.Errorf("unknown FPU policy %q", *policy))
 	}
 
 	w, err := aurora.GetWorkload(*workload)
 	if err != nil {
-		return fail(err)
+		return usageError(err)
 	}
 	cost, err := aurora.Cost(cfg)
 	if err != nil {
@@ -168,9 +170,6 @@ func run() int {
 	}
 
 	if *sampled {
-		if *metricsOut != "" || *traceOut != "" {
-			return fail(fmt.Errorf("-sample estimates CPI from periodic windows; it cannot capture -metrics-out/-trace-out time series (run without -sample for those)"))
-		}
 		p := aurora.SampleParams{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
 		srep, err := runner.RunSampled(ctx, cfg, w, harness.Options{Budget: *instr}, p)
 		servedFromStore()
@@ -281,4 +280,11 @@ func writeTrace(path string, t *obs.TraceSink, processName string) error {
 func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "aurorasim:", err)
 	return 1
+}
+
+// usageError reports flags that parse but name nothing runnable, and
+// returns the usage exit code.
+func usageError(err error) int {
+	fmt.Fprintln(os.Stderr, "aurorasim:", err)
+	return 2
 }
