@@ -22,9 +22,9 @@ import (
 )
 
 // Default sampling parameters. The defaults are tuned on the 15-kernel
-// corpus by TestSampledCPIWithinBound (which asserts the reported bound
-// covers the observed sampled-vs-full error on every kernel) and the
-// BENCH_pr7.json speedup measurement.
+// corpus by TestSampledCPIWithinBound, which asserts the reported bound
+// covers the observed sampled-vs-full error on every kernel; perfbench's
+// sampled workload measures their speed.
 const (
 	DefaultWarmUp     = 50_000
 	DefaultInterval   = 30_000
