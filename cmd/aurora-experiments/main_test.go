@@ -100,21 +100,12 @@ func TestExploreFlagsNeedExplore(t *testing.T) {
 }
 
 // usageErrorBeforeStore runs each args with a result store and asserts the
-// usage exit code, and that the store was never opened. An argument
-// starting with "tmp/" names a path in a fresh temporary directory.
+// usage exit code, and that the store was never opened.
 func usageErrorBeforeStore(t *testing.T, cases [][]string) {
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			dir := t.TempDir()
-			store := filepath.Join(dir, "store")
-			argv := []string{"-store", store}
-			for _, a := range args {
-				if rest, ok := strings.CutPrefix(a, "tmp/"); ok {
-					a = filepath.Join(dir, rest)
-				}
-				argv = append(argv, a)
-			}
-			if code := runArgs(t, argv...); code != 2 {
+			store := filepath.Join(t.TempDir(), "store")
+			if code := runArgs(t, append([]string{"-store", store}, args...)...); code != 2 {
 				t.Fatalf("exit code %d, want 2", code)
 			}
 			if _, err := os.Stat(store); !os.IsNotExist(err) {
@@ -145,9 +136,9 @@ func TestModeConflictIsUsageError(t *testing.T) {
 		{"-explore", "-sample"},
 		{"-sample", "-bpred-sweep"},
 		{"-sample", "-extensions"},
-		{"-sample", "-csv", "tmp/csv"},
-		{"-sample", "-metrics-out", "tmp/m.csv"},
-		{"-bpred-sweep", "-trace-out", "tmp/t.json"},
+		{"-sample", "-csv", "out"},
+		{"-sample", "-metrics-out", "m.csv"},
+		{"-bpred-sweep", "-trace-out", "t.json"},
 		{"-bpred", "nosuch"},
 	})
 }
