@@ -48,11 +48,19 @@ func run() int {
 	var err error
 	switch {
 	case *record != "":
-		err = doRecord(ctx, *record, *out, *instr)
+		w, werr := workloads.Get(*record)
+		if werr != nil {
+			return usageError(werr)
+		}
+		err = doRecord(ctx, w, *out, *instr)
 	case *stats != "":
 		err = doStats(*stats)
 	case *replay != "":
-		err = doReplay(ctx, *replay, *model)
+		cfg, merr := aurora.ModelByName(*model)
+		if merr != nil {
+			return usageError(merr)
+		}
+		err = doReplay(ctx, *replay, cfg)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: aurora-trace -record NAME | -stats FILE | -replay FILE")
 		return 2
@@ -64,11 +72,7 @@ func run() int {
 	return 0
 }
 
-func doRecord(ctx context.Context, name, out string, budget uint64) error {
-	w, err := workloads.Get(name)
-	if err != nil {
-		return err
-	}
+func doRecord(ctx context.Context, w *workloads.Workload, out string, budget uint64) error {
 	if budget == 0 {
 		budget = w.DefaultBudget * 4
 	}
@@ -108,7 +112,7 @@ func doRecord(ctx context.Context, name, out string, budget uint64) error {
 	if err != nil {
 		return fmt.Errorf("after %d instructions: %w", tw.Count(), err)
 	}
-	fmt.Printf("recorded %d instructions of %s to %s\n", tw.Count(), name, out)
+	fmt.Printf("recorded %d instructions of %s to %s\n", tw.Count(), w.Name, out)
 	return nil
 }
 
@@ -144,17 +148,13 @@ func doStats(path string) error {
 	return nil
 }
 
-func doReplay(ctx context.Context, path, modelName string) error {
+func doReplay(ctx context.Context, path string, cfg aurora.Config) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	tr, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	cfg, err := aurora.ModelByName(modelName)
 	if err != nil {
 		return err
 	}
@@ -171,4 +171,11 @@ func pct(a, b uint64) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
+}
+
+// usageError reports a flag that names nothing to run, and returns the
+// usage exit code.
+func usageError(err error) int {
+	fmt.Fprintln(os.Stderr, "aurora-trace:", err)
+	return 2
 }

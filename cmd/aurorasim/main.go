@@ -142,6 +142,9 @@ func run() int {
 	default:
 		return usageError(fmt.Errorf("unknown FPU policy %q", *policy))
 	}
+	if err := cfg.Normalize().Validate(); err != nil {
+		return usageError(err) // an override the model cannot build
+	}
 
 	w, err := aurora.GetWorkload(*workload)
 	if err != nil {

@@ -20,6 +20,19 @@ func runArgs(t *testing.T, args ...string) int {
 	return run()
 }
 
+// wantUsageError runs the command with args and a result store, and
+// requires exit 2 with the store never opened.
+func wantUsageError(t *testing.T, args ...string) {
+	t.Helper()
+	store := filepath.Join(t.TempDir(), "store")
+	if code := runArgs(t, append([]string{"-store", store, "-instr", "20000"}, args...)...); code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	if _, err := os.Stat(store); !os.IsNotExist(err) {
+		t.Errorf("result store opened before the flags were checked (stat: %v)", err)
+	}
+}
+
 // TestStrayArgumentRejected: flag parsing stops at the first positional
 // argument, so a stray one would silently drop every flag after it.
 func TestStrayArgumentRejected(t *testing.T) {
@@ -40,15 +53,16 @@ func TestUnknownNameRejected(t *testing.T) {
 		{"-bpred", "nosuch"},
 		{"-sample", "-metrics-out", "m.csv"},
 	} {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			store := filepath.Join(t.TempDir(), "store")
-			if code := runArgs(t, append([]string{"-store", store, "-instr", "20000"}, args...)...); code != 2 {
-				t.Fatalf("exit code %d, want 2", code)
-			}
-			if _, err := os.Stat(store); !os.IsNotExist(err) {
-				t.Errorf("result store opened before the flags were checked (stat: %v)", err)
-			}
-		})
+		t.Run(strings.Join(args, " "), func(t *testing.T) { wantUsageError(t, args...) })
+	}
+}
+
+// TestRejectedOverrideIsUsageError: an override the model cannot build
+// used to exit 1 like a failed simulation, after opening the result
+// store. It is a usage error, exit 2, before the store is opened.
+func TestRejectedOverrideIsUsageError(t *testing.T) {
+	for _, args := range [][]string{{"-issue", "3"}, {"-mshrs", "-1"}} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) { wantUsageError(t, args...) })
 	}
 }
 

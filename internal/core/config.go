@@ -121,6 +121,11 @@ func (c Config) Validate() error {
 	if c.WriteCacheLines < 1 {
 		return fmt.Errorf("core: write cache must have ≥1 line")
 	}
+	if c.FetchQueue < 2 {
+		// Fetch waits for room for a whole pair, so a smaller queue
+		// never receives an instruction.
+		return fmt.Errorf("core: fetch queue of %d entries cannot hold an instruction pair (need ≥2)", c.FetchQueue)
+	}
 	if w := c.IssueWidth; w != 1 && w != 2 {
 		return fmt.Errorf("core: issue width %d unsupported", w)
 	}

@@ -275,7 +275,7 @@ func (p *Processor) issueWait(at uint64) (uint64, StallCause) {
 		}
 		return farFuture, StallICache
 	}
-	return p.readyAt(&p.ifu.QueueHead().Rec, at)
+	return p.readyAt(p.ifu.QueueHead(), at)
 }
 
 // tick runs one cycle of the machine: memory system first, then retire and
@@ -364,8 +364,8 @@ func (p *Processor) issue() {
 	if p.cfg.IssueWidth == 1 || p.redirectUntil > p.now || p.ifu.QueueLen() == 0 {
 		return
 	}
-	if fi := p.ifu.QueueHead(); pairAllowed(first, fi) {
-		if t, _ := p.readyAt(&fi.Rec, p.now); t == p.now {
+	if second := p.ifu.QueueHead(); pairAllowed(first, second) {
+		if t, _ := p.readyAt(second, p.now); t == p.now {
 			p.issueHead()
 			p.dualIssues++
 		}
@@ -378,36 +378,36 @@ func (p *Processor) issue() {
 //
 //aurora:hotpath
 func (p *Processor) issueHead() *trace.Record {
-	fi := p.ifu.QueueHead()
-	p.doIssue(&fi.Rec)
+	rec := p.ifu.QueueHead()
+	redirect := p.ifu.HeadRedirect()
+	p.doIssue(rec)
 	p.ifu.Consume(1)
 	p.instructions++
-	if fi.Redirect {
+	if redirect {
 		p.redirectUntil = p.now + p.redirectHold
 	}
-	return &fi.Rec
+	return rec
 }
 
 // pairAllowed applies the dual-issue constraints of §2 (IFU): the pair must
-// be the two halves of an aligned pair, free of a true dependence (the DI
-// bit, pre-computed by the IFU at cache-fill time), with at most one
-// memory-access and one control-flow instruction.
+// be the two halves of an aligned pair with at most one memory-access and
+// one control-flow instruction, free of a true dependence. The hardware
+// reads that last one from the DI bit pre-decode stores at cache-fill time,
+// so it costs no issue time; the simulator derives the same bit here from
+// the two records' register sets, and only for a pair the other rules allow.
 //
 //aurora:hotpath
-func pairAllowed(first *trace.Record, second *ipu.FetchedInstr) bool {
-	if first.PC%8 != 0 || second.Rec.PC != first.PC+4 {
+func pairAllowed(first, second *trace.Record) bool {
+	if first.PC%8 != 0 || second.PC != first.PC+4 {
 		return false
 	}
-	if second.DepOnPrev {
+	if first.SI.Class.IsMem() && second.SI.Class.IsMem() {
 		return false
 	}
-	if first.SI.Class.IsMem() && second.Rec.SI.Class.IsMem() {
+	if first.SI.Class.IsControl() && second.SI.Class.IsControl() {
 		return false
 	}
-	if first.SI.Class.IsControl() && second.Rec.SI.Class.IsControl() {
-		return false
-	}
-	return true
+	return !second.SI.Deps.DependsOn(first.SI.Deps)
 }
 
 // readyAt classifies rec's issue at cycle at: at itself when nothing

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"aurora/internal/isa"
@@ -357,6 +358,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := NewProcessor(Baseline(), &trace.SliceStream{}); err != nil {
 		t.Errorf("baseline rejected: %v", err)
+	}
+}
+
+// TestFetchQueueHoldsAPair: fetch waits for room for a whole pair, so a
+// one-entry queue would never receive an instruction; it used to pass
+// validation and spin until the runaway guard stopped it.
+func TestFetchQueueHoldsAPair(t *testing.T) {
+	cfg := Baseline()
+	cfg.FetchQueue = 1
+	if _, err := NewProcessor(cfg, &trace.SliceStream{}); err == nil || !strings.Contains(err.Error(), "fetch queue") {
+		t.Errorf("one-entry fetch queue: error %v, want a fetch queue error", err)
+	}
+	cfg.FetchQueue = 2
+	if _, err := NewProcessor(cfg, &trace.SliceStream{}); err != nil {
+		t.Errorf("two-entry fetch queue rejected: %v", err)
 	}
 }
 

@@ -334,7 +334,7 @@ func (l *LSU) access(op *MemOp, now uint64) {
 	}
 	// Primary miss: probe the stream buffers.
 	l.stats.DPrefetchProbes++
-	res, readyAt := l.pfu.Probe(now, lineAddr)
+	res, readyAt := l.pfu.Probe(lineAddr)
 	switch res {
 	case prefetch.Present:
 		l.stats.DPrefetchHits++
@@ -359,7 +359,7 @@ func (l *LSU) access(op *MemOp, now uint64) {
 	}
 	// Full miss: allocate a stream buffer for the successor line and
 	// fetch the demanded line through the BIU.
-	l.pfu.AllocateOnMiss(now, lineAddr)
+	l.pfu.AllocateOnMiss(lineAddr)
 	if _, ok := l.biu.Read(now, lineAddr, l, uint64(op.poolIdx)); ok {
 		op.state = opWaitBIU
 		op.biuInFlight = true

@@ -133,10 +133,9 @@ func (r *rig) state() rigState {
 	if r.ifu != nil {
 		s.IFU, s.QueueLen, s.IFUExhausted = r.ifu.Stats(), r.ifu.QueueLen(), r.ifu.Done()
 		s.IAcc = r.ifu.ICache().Accesses()
-		for k := 0; k < r.ifu.qLen; k++ {
-			fi := &r.ifu.queue[r.ifu.slot(k)]
+		for k, fi := range r.ifu.Queue() {
 			s.QueueSum = s.QueueSum*31 + uint64(fi.Rec.PC)
-			if fi.PairHead || fi.DepOnPrev || fi.Redirect {
+			if fi.Redirect {
 				s.QueueSum += uint64(k + 1)
 			}
 		}

@@ -123,7 +123,7 @@ func (p *Buffers) Enabled() bool { return p.enabled }
 // the cycle the line will have arrived, and the slot is consumed as of then.
 //
 //aurora:hotpath
-func (p *Buffers) Probe(now uint64, lineAddr uint32) (ProbeResult, uint64) {
+func (p *Buffers) Probe(lineAddr uint32) (ProbeResult, uint64) {
 	if !p.enabled {
 		return Miss, 0
 	}
@@ -180,7 +180,7 @@ func (p *Buffers) Probe(now uint64, lineAddr uint32) (ProbeResult, uint64) {
 // (via Tick) and does not run ahead until it sees a hit.
 //
 //aurora:hotpath
-func (p *Buffers) AllocateOnMiss(now uint64, missLineAddr uint32) {
+func (p *Buffers) AllocateOnMiss(missLineAddr uint32) {
 	if !p.enabled {
 		return
 	}

@@ -53,17 +53,17 @@ func TestDisabledPool(t *testing.T) {
 	if p.Enabled() {
 		t.Fatal("0 buffers should disable the unit")
 	}
-	if r, _ := p.Probe(0, 0x1000); r != Miss {
+	if r, _ := p.Probe(0x1000); r != Miss {
 		t.Error("disabled pool must always miss")
 	}
-	p.AllocateOnMiss(0, 0x1000) // must not panic
+	p.AllocateOnMiss(0x1000) // must not panic
 	p.Tick(0, &fakeFetcher{})
 }
 
 func TestAllocateFetchesSingleLine(t *testing.T) {
 	p := New(2, 4, 32)
 	f := &fakeFetcher{latency: 20}
-	p.AllocateOnMiss(0, 0x1000)
+	p.AllocateOnMiss(0x1000)
 	for now := uint64(0); now < 50; now++ {
 		f.Step(now)
 		p.Tick(now, f)
@@ -74,7 +74,7 @@ func TestAllocateFetchesSingleLine(t *testing.T) {
 		t.Errorf("reads = %d want 1", len(f.reads))
 	}
 	// The fetched line is the successor of the missing line.
-	if r, _ := p.Probe(60, 0x1020); r != Present {
+	if r, _ := p.Probe(0x1020); r != Present {
 		t.Errorf("successor line not present: %v", r)
 	}
 }
@@ -82,7 +82,7 @@ func TestAllocateFetchesSingleLine(t *testing.T) {
 func TestHitEscalatesFetchAhead(t *testing.T) {
 	p := New(2, 4, 32)
 	f := &fakeFetcher{latency: 5}
-	p.AllocateOnMiss(0, 0x1000)
+	p.AllocateOnMiss(0x1000)
 	for now := uint64(0); now < 20; now++ {
 		f.Step(now)
 		p.Tick(now, f)
@@ -90,7 +90,7 @@ func TestHitEscalatesFetchAhead(t *testing.T) {
 	if len(f.reads) != 1 {
 		t.Fatalf("pre-hit reads = %d", len(f.reads))
 	}
-	if r, _ := p.Probe(20, 0x1020); r != Present {
+	if r, _ := p.Probe(0x1020); r != Present {
 		t.Fatal("line 0x1020 not present")
 	}
 	// After the hit the buffer should stream ahead until full (4 deep).
@@ -104,7 +104,7 @@ func TestHitEscalatesFetchAhead(t *testing.T) {
 	// Sequential consumption keeps hitting.
 	hits := 1
 	for i, la := range []uint32{0x1040, 0x1060, 0x1080} {
-		if r, _ := p.Probe(60, la); r == Present {
+		if r, _ := p.Probe(la); r == Present {
 			hits++
 		} else {
 			t.Errorf("stream line %d (%#x) missing: %v", i, la, r)
@@ -122,9 +122,9 @@ func TestHitEscalatesFetchAhead(t *testing.T) {
 func TestPendingHit(t *testing.T) {
 	p := New(1, 4, 32)
 	f := &fakeFetcher{latency: 30}
-	p.AllocateOnMiss(0, 0x2000)
+	p.AllocateOnMiss(0x2000)
 	p.Tick(1, f) // request issued at cycle 1, arrives at 31
-	r, ready := p.Probe(10, 0x2020)
+	r, ready := p.Probe(0x2020)
 	if r != Pending {
 		t.Fatalf("probe = %v want Pending", r)
 	}
@@ -146,13 +146,13 @@ func TestLRUReallocationAndThrashing(t *testing.T) {
 		for si, base := range streams {
 			la := base + uint32(round)*32
 			probes++
-			if r, _ := p.Probe(round*100+uint64(si), la); r != Miss {
+			if r, _ := p.Probe(la); r != Miss {
 				hits++
 			} else {
 				if slices.Contains(f.reads, la) {
 					discarded++
 				}
-				p.AllocateOnMiss(round*100, la)
+				p.AllocateOnMiss(la)
 			}
 			for c := uint64(0); c < 40; c++ {
 				now := round*100 + uint64(si)*40 + c
@@ -177,15 +177,15 @@ func TestTwoStreamsTwoBuffers(t *testing.T) {
 	f := &fakeFetcher{latency: 2}
 	now := uint64(0)
 	step := func() { f.Step(now); p.Tick(now, f); now++ }
-	p.AllocateOnMiss(now, 0x1000)
-	p.AllocateOnMiss(now, 0x8000)
+	p.AllocateOnMiss(0x1000)
+	p.AllocateOnMiss(0x8000)
 	for i := 0; i < 30; i++ {
 		step()
 	}
 	hits := 0
 	for round := uint32(1); round <= 4; round++ {
 		for _, base := range []uint32{0x1000, 0x8000} {
-			if r, _ := p.Probe(now, base+round*32); r == Present {
+			if r, _ := p.Probe(base + round*32); r == Present {
 				hits++
 			}
 			for i := 0; i < 30; i++ {
@@ -201,7 +201,7 @@ func TestTwoStreamsTwoBuffers(t *testing.T) {
 func TestPrefetcherYieldsToBusyBus(t *testing.T) {
 	p := New(1, 4, 32)
 	f := &fakeFetcher{latency: 5, busy: true}
-	p.AllocateOnMiss(0, 0x1000)
+	p.AllocateOnMiss(0x1000)
 	for now := uint64(0); now < 20; now++ {
 		p.Tick(now, f)
 	}
@@ -221,15 +221,15 @@ func TestProbeCountsAndRate(t *testing.T) {
 	// probes, the paper's prefetch hit rate of 0.5.
 	p := New(1, 4, 32)
 	f := &fakeFetcher{latency: 1}
-	if r, _ := p.Probe(0, 0x5000); r != Miss {
+	if r, _ := p.Probe(0x5000); r != Miss {
 		t.Fatalf("cold probe = %v want Miss", r)
 	}
-	p.AllocateOnMiss(0, 0x5000)
+	p.AllocateOnMiss(0x5000)
 	for now := uint64(0); now < 10; now++ {
 		f.Step(now)
 		p.Tick(now, f)
 	}
-	if r, _ := p.Probe(10, 0x5020); r != Present {
+	if r, _ := p.Probe(0x5020); r != Present {
 		t.Errorf("sequential probe = %v want Present", r)
 	}
 	if !slices.Equal(f.reads, []uint32{0x5020}) {
@@ -242,17 +242,17 @@ func TestStaleFillDropped(t *testing.T) {
 	// the new stream.
 	p := New(1, 4, 32)
 	f := &fakeFetcher{latency: 50}
-	p.AllocateOnMiss(0, 0x1000)
+	p.AllocateOnMiss(0x1000)
 	p.Tick(1, f) // fetch of 0x1020 in flight
-	p.AllocateOnMiss(2, 0x9000)
+	p.AllocateOnMiss(0x9000)
 	for now := uint64(0); now < 120; now++ {
 		f.Step(now)
 		p.Tick(now, f)
 	}
-	if r, _ := p.Probe(130, 0x1020); r != Miss {
+	if r, _ := p.Probe(0x1020); r != Miss {
 		t.Error("stale line visible after reallocation")
 	}
-	if r, _ := p.Probe(131, 0x9020); r != Present {
+	if r, _ := p.Probe(0x9020); r != Present {
 		t.Error("new stream line missing")
 	}
 }
@@ -315,15 +315,15 @@ func TestIdleLatchMatchesForcedTick(t *testing.T) {
 			line := uint32(rng.Intn(16)) * 32
 			switch op := rng.Intn(10); {
 			case op < 2:
-				r1, at1 := latched.Probe(now, line)
-				r2, at2 := forced.Probe(now, line)
+				r1, at1 := latched.Probe(line)
+				r2, at2 := forced.Probe(line)
 				if r1 != r2 || at1 != at2 {
 					t.Fatalf("seed %d step %d: probe %#x = (%v, %d) latched, (%v, %d) forced", seed, step, line, r1, at1, r2, at2)
 				}
 				check(step, "Probe")
 			case op < 3:
-				latched.AllocateOnMiss(now, line)
-				forced.AllocateOnMiss(now, line)
+				latched.AllocateOnMiss(line)
+				forced.AllocateOnMiss(line)
 				check(step, "AllocateOnMiss")
 			case op < 4 && len(lf.inflight) > 0:
 				i := rng.Intn(len(lf.inflight))
@@ -367,9 +367,9 @@ func TestNextEventQuiet(t *testing.T) {
 			line := uint32(rng.Intn(16)) * 32
 			switch op := rng.Intn(10); {
 			case op < 2:
-				p.Probe(now, line)
+				p.Probe(line)
 			case op < 3:
-				p.AllocateOnMiss(now, line)
+				p.AllocateOnMiss(line)
 			case op < 4 && len(f.inflight) > 0:
 				r := f.inflight[0]
 				f.inflight = f.inflight[1:]

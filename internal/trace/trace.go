@@ -46,8 +46,9 @@ func NewStatic(in isa.Instruction) StaticInstr {
 
 // Record describes one dynamically executed instruction: a pointer to the
 // shared static metadata plus the execution-specific facts (where it ran,
-// what it touched, where control went). Kept small — it is copied through
-// the fetch queue and issue logic on every dynamic instruction.
+// what it touched, where control went). Kept small — the stream writes it
+// once, into the fetch unit's ring, where issue reads it in place, and
+// every producer writes one per dynamic instruction.
 type Record struct {
 	SI *StaticInstr
 
