@@ -136,7 +136,8 @@ func TestExplorePromotionAccounting(t *testing.T) {
 
 // TestExploreDeterminismAcrossWorkers: the rendered frontier and the CSV
 // artifact are byte-identical through a serial runner and a wide pool —
-// worker count is scheduling, never results.
+// worker count is scheduling, never results — and match
+// testdata/explore.golden.
 func TestExploreDeterminismAcrossWorkers(t *testing.T) {
 	render := func(workers int) (string, string) {
 		t.Helper()
@@ -160,6 +161,7 @@ func TestExploreDeterminismAcrossWorkers(t *testing.T) {
 	if csv1 != csv8 {
 		t.Errorf("exploration CSV differs across worker counts:\n-j1:\n%s\n-j8:\n%s", csv1, csv8)
 	}
+	checkGolden(t, "explore.golden", text1+csvSection("explore", csv1))
 }
 
 // TestExploreStoreBackedRerun is the incremental-search acceptance

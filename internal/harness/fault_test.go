@@ -337,9 +337,10 @@ func TestKeepGoingSweepCompletes(t *testing.T) {
 // TestKeepGoingMarksEveryRow: under keep-going, every rendered row whose
 // statistics drop a faulted cell says so. With an armed site that faults
 // every cell, no line of any registry artifact may show a NaN without a
-// FAULT cell or an [N faulted] mark beside it; with one that faults six of
-// the nine FP kernels, the precise-exception average still covers the
-// three healthy ones.
+// FAULT cell or an [N faulted] mark beside it, and the renders, in registry
+// order, match testdata/faulted.golden; with one that faults six of the
+// nine FP kernels, the precise-exception average still covers the three
+// healthy ones.
 func TestKeepGoingMarksEveryRow(t *testing.T) {
 	defer faultinject.Reset()
 	opts := Options{Budget: 20_000, SweepBudget: 5_000}
@@ -360,13 +361,17 @@ func TestKeepGoingMarksEveryRow(t *testing.T) {
 		faultinject.Reset()
 		faultinject.Arm(faultinject.LSUDispatch)
 		r := NewRunner(2)
+		var all strings.Builder
 		for _, a := range Artifacts() {
-			for _, line := range strings.Split(render(t, r, a.Name), "\n") {
+			out := render(t, r, a.Name)
+			all.WriteString(out)
+			for _, line := range strings.Split(out, "\n") {
 				if strings.Contains(line, "NaN") && !strings.Contains(line, "FAULT") && !strings.Contains(line, "faulted]") {
 					t.Errorf("%s: unmarked NaN row: %q", a.Name, line)
 				}
 			}
 		}
+		checkGolden(t, "faulted.golden", all.String())
 
 		// A dead suite has no rate: NaN, never a perfect-looking 0.
 		mmuPts, err := MMUSensitivity(context.Background(), r, opts)

@@ -122,7 +122,8 @@ func TestFingerprintNormalizes(t *testing.T) {
 // TestRenderParallelMatchesSerial is the determinism guarantee: every
 // registry artifact rendered on 8 workers — text and CSV files — must be
 // byte-identical to 1 worker, and the CSV files written must be exactly the
-// ones the registry declares, in registry order.
+// ones the registry declares, in registry order. The serial render, text
+// then every CSV file, is pinned by testdata/render.golden.
 func TestRenderParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full render comparison in -short mode")
@@ -162,4 +163,9 @@ func TestRenderParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("CSV files written = %v, want the registry's %v", names, want)
 	}
+	golden := serial
+	for _, name := range names {
+		golden += csvSection(name, serialCSV[name])
+	}
+	checkGolden(t, "render.golden", golden)
 }

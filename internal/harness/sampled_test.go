@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -166,7 +167,8 @@ func TestRunSampledSharesCheckpoints(t *testing.T) {
 }
 
 // TestSampledSweepGrid: the aurora-experiments/-serve artifact covers the
-// full model x workload grid with healthy estimates.
+// full model x workload grid with healthy estimates, rendered as
+// testdata/sampled.golden pins.
 func TestSampledSweepGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 60-cell sampled sweep")
@@ -190,4 +192,7 @@ func TestSampledSweepGrid(t *testing.T) {
 			}
 		}
 	}
+	var text bytes.Buffer
+	PrintSampledSweep(&text, res)
+	checkGolden(t, "sampled.golden", text.String())
 }
