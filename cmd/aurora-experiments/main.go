@@ -199,8 +199,8 @@ func run() int {
 		ex := &harness.Explorer{Runner: runner, Spec: spec}
 		res, err := ex.Run(ctx)
 		if err == nil {
-			harness.PrintExplore(os.Stdout, res)
-			err = sink.write("explore", func(w io.Writer) error { return harness.ExploreCSV(w, res) })
+			res.Table().Text(os.Stdout)
+			err = sink.write("explore", res.Table().CSV)
 			sink.report()
 		}
 		if err != nil {
@@ -218,7 +218,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "aurora-experiments:", err)
 			exit = 1
 		} else {
-			harness.PrintSampledSweep(os.Stdout, res)
+			res.Table().Text(os.Stdout)
 		}
 		printSummary(runner, "sampled sweep", time.Since(start).Round(time.Millisecond), "estimates")
 		return exit

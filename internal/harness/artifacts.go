@@ -12,7 +12,7 @@ import (
 
 // The artifact registry: every table, figure and study the repository
 // regenerates, declared once and in output order. Each entry names its
-// compute function, its text printer and its CSV files; Render is the one
+// compute function, its table declarations and its CSV files; Render is the one
 // loop over the entries, and every surface — aurora-experiments' text and
 // CSV output, aurora-serve's /v1/figures/{name} — selects from this list.
 
@@ -37,102 +37,61 @@ type Artifact struct {
 	Name string
 	Kind ArtifactKind
 	// CSV lists the CSV files the artifact writes, without the .csv
-	// suffix, in the order Render emits them.
+	// suffix, in the order Render emits them: the i-th file is the i-th
+	// table's.
 	CSV   []string
-	build func(ctx context.Context, r *Runner, opts Options) (built, error)
+	build func(ctx context.Context, r *Runner, opts Options) ([]Table, error)
 }
 
-// built is a computed artifact: its text printer and one generator per
-// CSV file, in Artifact.CSV order.
-type built struct {
-	print func(io.Writer)
-	csv   []func(io.Writer) error
+// artifact declares a registry entry: compute makes its typed result and
+// tables declares that result's tables.
+func artifact[T any](kind ArtifactKind, name string, compute func(context.Context, *Runner, Options) (T, error), tables func(T) []Table, csv ...string) Artifact {
+	return Artifact{Name: name, Kind: kind, CSV: csv,
+		build: func(ctx context.Context, r *Runner, opts Options) ([]Table, error) {
+			v, err := compute(ctx, r, opts)
+			if err != nil {
+				return nil, err
+			}
+			return tables(v), nil
+		}}
 }
-
-// csvFile is one named CSV output of an artifact whose result is a T.
-type csvFile[T any] struct {
-	name  string
-	write func(io.Writer, T) error
-}
-
-func file[T any](name string, write func(io.Writer, T) error) csvFile[T] {
-	return csvFile[T]{name, write}
-}
-
-// artifact declares a registry entry from its typed parts.
-func artifact[T any](kind ArtifactKind, name string, compute func(context.Context, *Runner, Options) (T, error), print func(io.Writer, T), files ...csvFile[T]) Artifact {
-	a := Artifact{Name: name, Kind: kind}
-	for _, f := range files {
-		a.CSV = append(a.CSV, f.name)
-	}
-	a.build = func(ctx context.Context, r *Runner, opts Options) (built, error) {
-		v, err := compute(ctx, r, opts)
-		if err != nil {
-			return built{}, err
-		}
-		b := built{print: func(w io.Writer) { print(w, v) }}
-		for _, f := range files {
-			b.csv = append(b.csv, func(w io.Writer) error { return f.write(w, v) })
-		}
-		return b, nil
-	}
-	return a
-}
-
-// fig9Queues holds Figure 9's queue panels (a)-(c), one result for the
-// three sweeps Fig9Queues returns.
-type fig9Queues [3][]SweepPoint
 
 // registry lists every artifact in output order.
 var registry = []Artifact{
-	artifact(PaperArtifact, "fig1", func(context.Context, *Runner, Options) (Fig1Result, error) { return Fig1(), nil }, PrintFig1),
-	artifact(PaperArtifact, "fig4", Fig4, PrintFig4, file("fig4_issue_width", Fig4CSV)),
-	artifact(PaperArtifact, "table3", Table3, PrintRateTable, file("table3_iprefetch", RateTableCSV)),
-	artifact(PaperArtifact, "table4", Table4, PrintRateTable, file("table4_dprefetch", RateTableCSV)),
-	artifact(PaperArtifact, "table5", Table5, PrintRateTable, file("table5_writecache", RateTableCSV)),
-	artifact(PaperArtifact, "traffic", WriteTraffic, PrintWriteTraffic),
-	artifact(PaperArtifact, "fig5", Fig5, PrintFig5, file("fig5_prefetch_removal", Fig5CSV)),
-	artifact(PaperArtifact, "fig6", Fig6, PrintFig6, file("fig6_stalls", Fig6CSV)),
-	artifact(PaperArtifact, "fig7", Fig7, PrintFig7, file("fig7_mshr", Fig7CSV)),
-	artifact(PaperArtifact, "fig8", Fig8, PrintFig8, file("fig8_costperf", Fig8CSV)),
-	artifact(PaperArtifact, "table6", Table6, PrintTable6, file("table6_fpu_policy", Table6CSV)),
-	artifact(PaperArtifact, "fig9queues",
-		func(ctx context.Context, r *Runner, opts Options) (fig9Queues, error) {
-			iq, lq, rob, err := Fig9Queues(ctx, r, opts)
-			return fig9Queues{iq, lq, rob}, err
-		},
-		func(w io.Writer, q fig9Queues) {
-			PrintSweep(w, "Figure 9(a): FPU instruction queue size", "entries", q[0])
-			PrintSweep(w, "Figure 9(b): FPU load queue size", "entries", q[1])
-			PrintSweep(w, "Figure 9(c): FPU reorder buffer size", "entries", q[2])
-		},
-		file("fig9a_instr_queue", func(w io.Writer, q fig9Queues) error { return SweepCSV(w, "entries", q[0]) }),
-		file("fig9b_load_queue", func(w io.Writer, q fig9Queues) error { return SweepCSV(w, "entries", q[1]) }),
-		file("fig9c_reorder_buffer", func(w io.Writer, q fig9Queues) error { return SweepCSV(w, "entries", q[2]) })),
-	artifact(PaperArtifact, "fig9latencies", Fig9Latencies, PrintFig9Latencies,
-		file("fig9d_add_latency", func(w io.Writer, r *Fig9LatencyResult) error { return SweepCSV(w, "cycles", r.Add) }),
-		file("fig9e_mul_latency", func(w io.Writer, r *Fig9LatencyResult) error { return SweepCSV(w, "cycles", r.Mul) }),
-		file("fig9f_div_latency", func(w io.Writer, r *Fig9LatencyResult) error { return SweepCSV(w, "cycles", r.Div) }),
-		file("fig9g_cvt_latency", func(w io.Writer, r *Fig9LatencyResult) error { return SweepCSV(w, "cycles", r.Cvt) })),
+	artifact(PaperArtifact, "fig1", func(context.Context, *Runner, Options) (Fig1Result, error) { return Fig1(), nil }, fig1Tables),
+	artifact(PaperArtifact, "fig4", Fig4, fig4Tables, "fig4_issue_width"),
+	artifact(PaperArtifact, "table3", Table3, (*RateTable).tables, "table3_iprefetch"),
+	artifact(PaperArtifact, "table4", Table4, (*RateTable).tables, "table4_dprefetch"),
+	artifact(PaperArtifact, "table5", Table5, (*RateTable).tables, "table5_writecache"),
+	artifact(PaperArtifact, "traffic", WriteTraffic, trafficTables),
+	artifact(PaperArtifact, "fig5", Fig5, fig5Tables, "fig5_prefetch_removal"),
+	artifact(PaperArtifact, "fig6", Fig6, fig6Tables, "fig6_stalls"),
+	artifact(PaperArtifact, "fig7", Fig7, fig7Tables, "fig7_mshr"),
+	artifact(PaperArtifact, "fig8", Fig8, fig8Tables, "fig8_costperf"),
+	artifact(PaperArtifact, "table6", Table6, table6Tables, "table6_fpu_policy"),
+	artifact(PaperArtifact, "fig9queues", Fig9Queues, (*Fig9QueueResult).tables,
+		"fig9a_instr_queue", "fig9b_load_queue", "fig9c_reorder_buffer"),
+	artifact(PaperArtifact, "fig9latencies", Fig9Latencies, (*Fig9LatencyResult).tables,
+		"fig9d_add_latency", "fig9e_mul_latency", "fig9f_div_latency", "fig9g_cvt_latency"),
 
-	artifact(ExtensionArtifact, "fig9iqdual", Fig9IQDual, func(w io.Writer, pts []SweepPoint) {
-		PrintSweep(w, "Extension: FPU instruction queue under dual issue (§5.9 'not shown')", "entries", pts)
+	artifact(ExtensionArtifact, "fig9iqdual", Fig9IQDual, func(pts []SweepPoint) []Table {
+		return []Table{sweepTable("Extension: FPU instruction queue under dual issue (§5.9 'not shown')", "entries", pts)}
 	}),
 	artifact(ExtensionArtifact, "latency", func(ctx context.Context, r *Runner, opts Options) ([]LatencyPoint, error) {
 		return LatencyScaling(ctx, r, opts, nil)
-	}, PrintLatencyScaling),
-	artifact(ExtensionArtifact, "folding", BranchFolding, PrintBranchFolding),
-	artifact(ExtensionArtifact, "writecache", WriteCacheSweep, PrintWriteCacheSweep),
-	artifact(ExtensionArtifact, "mshrdeep", MSHRDeepSweep, PrintFig7),
-	artifact(ExtensionArtifact, "clock", AreaAwareClock, PrintAreaAwareClock),
-	artifact(ExtensionArtifact, "mmu", MMUSensitivity, PrintMMUSensitivity),
-	artifact(ExtensionArtifact, "victim", VictimCacheStudy, PrintVictimCacheStudy),
-	artifact(ExtensionArtifact, "scheduling", CompilerScheduling, PrintCompilerScheduling),
-	artifact(ExtensionArtifact, "precise", PreciseExceptions, PrintPreciseExceptions),
+	}, latencyTables),
+	artifact(ExtensionArtifact, "folding", BranchFolding, foldingTables),
+	artifact(ExtensionArtifact, "writecache", WriteCacheSweep, writeCacheTables),
+	artifact(ExtensionArtifact, "mshrdeep", MSHRDeepSweep, fig7Tables),
+	artifact(ExtensionArtifact, "clock", AreaAwareClock, clockTables),
+	artifact(ExtensionArtifact, "mmu", MMUSensitivity, mmuTables),
+	artifact(ExtensionArtifact, "victim", VictimCacheStudy, victimTables),
+	artifact(ExtensionArtifact, "scheduling", CompilerScheduling, schedulingTables),
+	artifact(ExtensionArtifact, "precise", PreciseExceptions, preciseTables),
 
 	artifact(StandaloneArtifact, "bpred", func(ctx context.Context, r *Runner, opts Options) (*BPredSweepResult, error) {
 		return PredictorSweep(ctx, r, core.Baseline(), opts)
-	}, PrintBPredSweep, file("bpred_sweep", BPredSweepCSV)),
+	}, (*BPredSweepResult).tables, "bpred_sweep"),
 }
 
 // Artifacts returns the registry entries of the given kinds — every entry
@@ -165,25 +124,27 @@ func ArtifactNamed(name string) (Artifact, bool) {
 // Nothing is printed unless every artifact computed, and the output is
 // byte-identical for any worker count.
 func Render(ctx context.Context, w io.Writer, r *Runner, opts Options, arts []Artifact, emitCSV func(name string, gen func(io.Writer) error) error) error {
-	done, err := each(ctx, opts, len(arts), func(ctx context.Context, i int) (built, error) {
+	done, err := each(ctx, opts, len(arts), func(ctx context.Context, i int) ([]Table, error) {
 		return arts[i].build(ctx, r, opts)
 	})
 	if err != nil {
 		return err
 	}
 	div := strings.Repeat("-", 72)
-	for i, b := range done {
+	for i, tables := range done {
 		if i > 0 && arts[i].Kind == PaperArtifact {
 			fmt.Fprintln(w, div)
 		}
-		b.print(w)
+		for _, t := range tables {
+			t.Text(w)
+		}
 	}
 	if emitCSV == nil {
 		return nil
 	}
-	for i, b := range done {
-		for j, gen := range b.csv {
-			if err := emitCSV(arts[i].CSV[j], gen); err != nil {
+	for i, tables := range done {
+		for j, name := range arts[i].CSV {
+			if err := emitCSV(name, tables[j].CSV); err != nil {
 				return err
 			}
 		}

@@ -520,22 +520,32 @@ func fpSweep(ctx context.Context, r *Runner, opts Options, vals []int, apply fun
 	return pts, nil
 }
 
+// Fig9QueueResult holds Figure 9's queue panels (a)-(c).
+type Fig9QueueResult struct {
+	InstrQueue, LoadQueue, ReorderBuffer []SweepPoint
+}
+
 // Fig9Queues regenerates panels (a)-(c): instruction queue 1-5, load queue
 // 1-5, reorder buffer 3-11, single-issue FPU policy as in the paper.
-func Fig9Queues(ctx context.Context, r *Runner, opts Options) (iq, lq, rob []SweepPoint, err error) {
-	iq, err = fpSweep(ctx, r, opts, []int{1, 2, 3, 4, 5},
+func Fig9Queues(ctx context.Context, r *Runner, opts Options) (*Fig9QueueResult, error) {
+	res := &Fig9QueueResult{}
+	var err error
+	res.InstrQueue, err = fpSweep(ctx, r, opts, []int{1, 2, 3, 4, 5},
 		func(f *fpu.Config, v int) { f.Policy, f.InstrQueue = fpu.OutOfOrderSingle, v }, nil)
 	if err != nil {
-		return
+		return nil, err
 	}
-	lq, err = fpSweep(ctx, r, opts, []int{1, 2, 3, 4, 5},
+	res.LoadQueue, err = fpSweep(ctx, r, opts, []int{1, 2, 3, 4, 5},
 		func(f *fpu.Config, v int) { f.Policy, f.LoadQueue = fpu.OutOfOrderSingle, v }, nil)
 	if err != nil {
-		return
+		return nil, err
 	}
-	rob, err = fpSweep(ctx, r, opts, []int{3, 5, 7, 9, 11},
+	res.ReorderBuffer, err = fpSweep(ctx, r, opts, []int{3, 5, 7, 9, 11},
 		func(f *fpu.Config, v int) { f.Policy, f.ReorderBuffer = fpu.OutOfOrderSingle, v }, nil)
-	return
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Fig9Latencies regenerates panels (d)-(g): functional-unit latencies, plus

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"strings"
@@ -146,12 +145,7 @@ func TestExploreDeterminismAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var text, csv bytes.Buffer
-		PrintExplore(&text, res)
-		if err := ExploreCSV(&csv, res); err != nil {
-			t.Fatal(err)
-		}
-		return text.String(), csv.String()
+		return text(res.Table()), csvText(t, res.Table())
 	}
 	text1, csv1 := render(1)
 	text8, csv8 := render(8)
@@ -196,12 +190,8 @@ func TestExploreStoreBackedRerun(t *testing.T) {
 	if st2.StoreHits == 0 {
 		t.Errorf("warm exploration took no store hits: %+v", st2)
 	}
-	var out1, out2 bytes.Buffer
-	PrintExplore(&out1, res1)
-	PrintExplore(&out2, res2)
-	if out1.String() != out2.String() {
-		t.Errorf("store-served exploration differs from the cold one:\ncold:\n%s\nwarm:\n%s",
-			out1.String(), out2.String())
+	if out1, out2 := text(res1.Table()), text(res2.Table()); out1 != out2 {
+		t.Errorf("store-served exploration differs from the cold one:\ncold:\n%s\nwarm:\n%s", out1, out2)
 	}
 }
 

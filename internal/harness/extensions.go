@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"aurora/internal/core"
@@ -242,24 +241,43 @@ func PreciseExceptions(ctx context.Context, r *Runner, opts Options) ([]PreciseP
 	return out, nil
 }
 
-// PrintPreciseExceptions renders the mode comparison. The average covers
-// the healthy benchmarks and marks the faulted ones it excludes.
-func PrintPreciseExceptions(w io.Writer, pts []PrecisePoint) {
-	fmt.Fprintln(w, "Extension: §3.1 precise-exception mode vs the high-performance mode")
-	fmt.Fprintf(w, "  %-10s %9s %11s %10s\n", "benchmark", "fast", "precise", "slowdown")
+// preciseTables declares the mode comparison. The average covers the
+// healthy benchmarks and marks the faulted ones it excludes.
+func preciseTables(pts []PrecisePoint) []Table {
 	var sum float64
 	n, faults := 0, 0
 	for _, p := range pts {
 		if p.Fault != nil {
-			fmt.Fprintf(w, "  %-10s %9s %11s %10s\n", p.Bench, "", "", p.Fault.Cell())
 			faults++
 			continue
 		}
-		fmt.Fprintf(w, "  %-10s %9.3f %11.3f %9.1f%%\n", p.Bench, p.FastCPI, p.PreciseCPI, 100*p.Slowdown)
 		sum += p.Slowdown
 		n++
 	}
-	fmt.Fprintf(w, "  %-10s %21s %9.1f%%%s\n", "average", "", 100*sum/float64(n), faultMark(faults))
+	// A faulted row blanks its CPIs and shows its FAULT label as the
+	// slowdown.
+	cpi := func(i int, v float64) any {
+		if pts[i].Fault != nil {
+			return shown{}
+		}
+		return v
+	}
+	return []Table{{
+		title: "Extension: §3.1 precise-exception mode vs the high-performance mode",
+		rows:  len(pts),
+		cols: []col{
+			{"benchmark", -10, "%s", "", func(i int) any { return pts[i].Bench }},
+			{"fast", 9, "%.3f", "", func(i int) any { return cpi(i, pts[i].FastCPI) }},
+			{"precise", 11, "%.3f", "", func(i int) any { return cpi(i, pts[i].PreciseCPI) }},
+			{"slowdown", 10, "%.1f%%", "", func(i int) any {
+				if f := pts[i].Fault; f != nil {
+					return shown{text: f.Cell()}
+				}
+				return pts[i].Slowdown
+			}},
+		},
+		foot: []string{fmt.Sprintf("  %-10s %21s %9.1f%%%s", "average", "", 100*sum/float64(n), faultMark(faults))},
+	}}
 }
 
 // SchedulingPoint compares unscheduled and scheduled code on one model.
@@ -312,14 +330,19 @@ func CompilerScheduling(ctx context.Context, r *Runner, opts Options) ([]Schedul
 	return out, nil
 }
 
-// PrintCompilerScheduling renders the scheduling study.
-func PrintCompilerScheduling(w io.Writer, pts []SchedulingPoint) {
-	fmt.Fprintln(w, "Extension: §6's open question — compiler scheduling (list-scheduled blocks)")
-	fmt.Fprintf(w, "  %-9s %9s %9s %12s %12s\n", "model", "baseCPI", "schedCPI", "load-stall", "sched-load")
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-9s %9.3f %9.3f %12.3f %12.3f%s\n",
-			p.Model, p.BaseCPI, p.SchedCPI, p.BaseLoadCPI, p.SchedLoadCPI, faultMark(p.Faults))
-	}
+// schedulingTables declares the scheduling study.
+func schedulingTables(pts []SchedulingPoint) []Table {
+	return []Table{{
+		title: "Extension: §6's open question — compiler scheduling (list-scheduled blocks)",
+		rows:  len(pts), faults: func(i int) int { return pts[i].Faults },
+		cols: []col{
+			{"model", -9, "%s", "", func(i int) any { return pts[i].Model }},
+			{"baseCPI", 9, "%.3f", "", func(i int) any { return pts[i].BaseCPI }},
+			{"schedCPI", 9, "%.3f", "", func(i int) any { return pts[i].SchedCPI }},
+			{"load-stall", 12, "%.3f", "", func(i int) any { return pts[i].BaseLoadCPI }},
+			{"sched-load", 12, "%.3f", "", func(i int) any { return pts[i].SchedLoadCPI }},
+		},
+	}}
 }
 
 // VictimPoint is one configuration of the victim-cache study. Faults counts
@@ -372,13 +395,18 @@ func VictimCacheStudy(ctx context.Context, r *Runner, opts Options) ([]VictimPoi
 	return out, nil
 }
 
-// PrintVictimCacheStudy renders the victim-cache study.
-func PrintVictimCacheStudy(w io.Writer, pts []VictimPoint) {
-	fmt.Fprintln(w, "Extension: a 4-line victim cache behind the D-cache (Jouppi [7], FP suite)")
-	fmt.Fprintf(w, "  %-9s %7s %8s %9s\n", "model", "lines", "avgCPI", "vcHit%")
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-9s %7d %8.3f %9.1f%s\n", p.Model, p.VictimLines, p.AvgCPI, p.VictimHitPct, faultMark(p.Faults))
-	}
+// victimTables declares the victim-cache study.
+func victimTables(pts []VictimPoint) []Table {
+	return []Table{{
+		title: "Extension: a 4-line victim cache behind the D-cache (Jouppi [7], FP suite)",
+		rows:  len(pts), faults: func(i int) int { return pts[i].Faults },
+		cols: []col{
+			{"model", -9, "%s", "", func(i int) any { return pts[i].Model }},
+			{"lines", 7, "%d", "", func(i int) any { return pts[i].VictimLines }},
+			{"avgCPI", 8, "%.3f", "", func(i int) any { return pts[i].AvgCPI }},
+			{"vcHit%", 9, "%.1f", "", func(i int) any { return pts[i].VictimHitPct }},
+		},
+	}}
 }
 
 // MMUPoint compares the flat-latency abstraction with the structured MMU.
@@ -433,50 +461,70 @@ func MMUSensitivity(ctx context.Context, r *Runner, opts Options) ([]MMUPoint, e
 	return out, nil
 }
 
-// PrintMMUSensitivity renders the MMU study.
-func PrintMMUSensitivity(w io.Writer, pts []MMUPoint) {
-	fmt.Fprintln(w, "Extension: behind the flat average — a structured MMU (TLB + L2)")
-	fmt.Fprintf(w, "  %-42s %8s %9s %8s\n", "memory system", "avgCPI", "TLBmiss%", "L2hit%")
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-42s %8.3f %9.2f %8.1f%s\n", p.Label, p.AvgCPI, p.TLBMissPct, p.L2HitPct, faultMark(p.Faults))
-	}
+// mmuTables declares the MMU study.
+func mmuTables(pts []MMUPoint) []Table {
+	return []Table{{
+		title: "Extension: behind the flat average — a structured MMU (TLB + L2)",
+		rows:  len(pts), faults: func(i int) int { return pts[i].Faults },
+		cols: []col{
+			{"memory system", -42, "%s", "", func(i int) any { return pts[i].Label }},
+			{"avgCPI", 8, "%.3f", "", func(i int) any { return pts[i].AvgCPI }},
+			{"TLBmiss%", 9, "%.2f", "", func(i int) any { return pts[i].TLBMissPct }},
+			{"L2hit%", 8, "%.1f", "", func(i int) any { return pts[i].L2HitPct }},
+		},
+	}}
 }
 
-// --- rendering -------------------------------------------------------------
-
-// PrintLatencyScaling renders the latency curve.
-func PrintLatencyScaling(w io.Writer, pts []LatencyPoint) {
-	fmt.Fprintln(w, "Extension: CPI vs secondary memory latency (integer suite)")
-	fmt.Fprintf(w, "  %-8s %9s %9s %9s\n", "latency", "small", "baseline", "large")
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-8d %9.3f %9.3f %9.3f%s\n",
-			p.Latency, p.CPI["small"], p.CPI["baseline"], p.CPI["large"], faultMark(p.Faults))
+// latencyTables declares the latency curve: one column per model.
+func latencyTables(pts []LatencyPoint) []Table {
+	cols := []col{{"latency", -8, "%d", "", func(i int) any { return pts[i].Latency }}}
+	for _, m := range core.Models() {
+		cols = append(cols, col{m.Name, 9, "%.3f", "", func(i int) any { return pts[i].CPI[m.Name] }})
 	}
+	return []Table{{
+		title: "Extension: CPI vs secondary memory latency (integer suite)",
+		rows:  len(pts), faults: func(i int) int { return pts[i].Faults }, cols: cols,
+	}}
 }
 
-// PrintBranchFolding renders the folding ablation.
-func PrintBranchFolding(w io.Writer, rows []BranchFoldingResult) {
-	fmt.Fprintln(w, "Extension: branch folding ablation (Figure 3 NEXT field)")
-	fmt.Fprintf(w, "  %-9s %9s %9s %9s\n", "model", "folded", "unfolded", "penalty")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-9s %9.3f %9.3f %8.1f%%%s\n", r.Model, r.WithFold, r.Without, 100*r.Penalty, faultMark(r.Faults))
-	}
+// foldingTables declares the folding ablation.
+func foldingTables(rows []BranchFoldingResult) []Table {
+	return []Table{{
+		title: "Extension: branch folding ablation (Figure 3 NEXT field)",
+		rows:  len(rows), faults: func(i int) int { return rows[i].Faults },
+		cols: []col{
+			{"model", -9, "%s", "", func(i int) any { return rows[i].Model }},
+			{"folded", 9, "%.3f", "", func(i int) any { return rows[i].WithFold }},
+			{"unfolded", 9, "%.3f", "", func(i int) any { return rows[i].Without }},
+			{"penalty", 9, "%.1f%%", "", func(i int) any { return rows[i].Penalty }},
+		},
+	}}
 }
 
-// PrintWriteCacheSweep renders the write-cache sweep.
-func PrintWriteCacheSweep(w io.Writer, pts []WriteCachePoint) {
-	fmt.Fprintln(w, "Extension: write-cache size sweep (baseline model; §5.6's claim)")
-	fmt.Fprintf(w, "  %-6s %9s %8s %9s\n", "lines", "cost/RBE", "avgCPI", "traffic")
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-6d %9d %8.3f %8.1f%%%s\n", p.Lines, p.CostRBE, p.AvgCPI, 100*p.TrafficRatio, faultMark(p.Faults))
-	}
+// writeCacheTables declares the write-cache sweep.
+func writeCacheTables(pts []WriteCachePoint) []Table {
+	return []Table{{
+		title: "Extension: write-cache size sweep (baseline model; §5.6's claim)",
+		rows:  len(pts), faults: func(i int) int { return pts[i].Faults },
+		cols: []col{
+			{"lines", -6, "%d", "", func(i int) any { return pts[i].Lines }},
+			{"cost/RBE", 9, "%d", "", func(i int) any { return pts[i].CostRBE }},
+			{"avgCPI", 8, "%.3f", "", func(i int) any { return pts[i].AvgCPI }},
+			{"traffic", 9, "%.1f%%", "", func(i int) any { return pts[i].TrafficRatio }},
+		},
+	}}
 }
 
-// PrintAreaAwareClock renders the clocked comparison.
-func PrintAreaAwareClock(w io.Writer, pts []ClockedPoint) {
-	fmt.Fprintln(w, "Extension: area-aware clocking (§4.2 / [12]) — relative time per instruction")
-	fmt.Fprintf(w, "  %-9s %8s %10s %12s\n", "model", "avgCPI", "cycleTime", "time/instr")
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-9s %8.3f %10.3f %12.3f%s\n", p.Model, p.AvgCPI, p.CycleTime, p.TimePerIns, faultMark(p.Faults))
-	}
+// clockTables declares the clocked comparison.
+func clockTables(pts []ClockedPoint) []Table {
+	return []Table{{
+		title: "Extension: area-aware clocking (§4.2 / [12]) — relative time per instruction",
+		rows:  len(pts), faults: func(i int) int { return pts[i].Faults },
+		cols: []col{
+			{"model", -9, "%s", "", func(i int) any { return pts[i].Model }},
+			{"avgCPI", 8, "%.3f", "", func(i int) any { return pts[i].AvgCPI }},
+			{"cycleTime", 10, "%.3f", "", func(i int) any { return pts[i].CycleTime }},
+			{"time/instr", 12, "%.3f", "", func(i int) any { return pts[i].TimePerIns }},
+		},
+	}}
 }

@@ -327,10 +327,8 @@ func TestKeepGoingSweepCompletes(t *testing.T) {
 	if faulted == 0 {
 		t.Fatal("no cell faulted under an armed hot-path site")
 	}
-	var buf bytes.Buffer
-	PrintRateTable(&buf, tab)
-	if !strings.Contains(buf.String(), "FAULT(ipu@") {
-		t.Errorf("rendered table does not mark the faulted cells:\n%s", buf.String())
+	if out := text(tab.tables()...); !strings.Contains(out, "FAULT(ipu@") {
+		t.Errorf("rendered table does not mark the faulted cells:\n%s", out)
 	}
 }
 
@@ -538,10 +536,9 @@ func TestKeepGoingSampledSweep(t *testing.T) {
 	if want := len(res.Models) * len(res.Benches); cells != want {
 		t.Fatalf("sweep returned %d cells, want %d", cells, want)
 	}
-	var buf bytes.Buffer
-	PrintSampledSweep(&buf, res)
-	if n := strings.Count(buf.String(), "  fault: "); n != cells {
-		t.Errorf("rendering lists %d faults, want %d:\n%s", n, cells, buf.String())
+	out := text(res.Table())
+	if n := strings.Count(out, "  fault: "); n != cells {
+		t.Errorf("rendering lists %d faults, want %d:\n%s", n, cells, out)
 	}
 }
 

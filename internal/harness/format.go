@@ -1,32 +1,17 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
-	"io"
-	"math"
+	"strings"
 
 	"aurora/internal/core"
 	"aurora/internal/rbe"
+	"aurora/internal/simfault"
 )
 
-// faultMark annotates a rendered row whose statistics exclude n faulted
-// cells. Empty when n == 0, so healthy output is byte-identical to a build
-// without the fault machinery.
-func faultMark(n int) string {
-	if n == 0 {
-		return ""
-	}
-	return fmt.Sprintf("  [%d faulted]", n)
-}
-
-// cpiCell renders a CPI right-aligned in width columns, or FAULT where a
-// fault left it NaN.
-func cpiCell(v float64, width int) string {
-	if math.IsNaN(v) {
-		return fmt.Sprintf("%*s", width, "FAULT")
-	}
-	return fmt.Sprintf("%*.3f", width, v)
-}
+// The table declarations: each artifact's columns, named once for its text
+// table and its CSV file (see Table).
 
 // fpAddCost et al. expose the Table 2 unit-cost interpolation for the
 // Figure 9 cost annotations.
@@ -35,156 +20,202 @@ func fpMulCost(lat int) int { return rbe.FPUnitCost(rbe.FPMultiply, lat) }
 func fpDivCost(lat int) int { return rbe.FPUnitCost(rbe.FPDivide, lat) }
 func fpCvtCost(lat int) int { return rbe.FPUnitCost(rbe.FPConvert, lat) }
 
-// PrintFig1 renders the clock-trend result.
-func PrintFig1(w io.Writer, r Fig1Result) {
-	fmt.Fprintln(w, "Figure 1: ISSCC single-chip clock frequency trend")
+// fig1Tables declares the clock-trend result: data points and the fit.
+func fig1Tables(r Fig1Result) []Table {
+	t := Table{title: "Figure 1: ISSCC single-chip clock frequency trend"}
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "  %d  %6.0f MHz\n", p.Year, p.MHz)
+		t.foot = append(t.foot, fmt.Sprintf("  %d  %6.0f MHz", p.Year, p.MHz))
 	}
-	fmt.Fprintf(w, "  fitted growth: %.0f%%/year (paper: ~40%%/year); doubling every %.1f years\n",
-		100*r.GrowthRate, r.DoublingYears)
+	t.foot = append(t.foot, fmt.Sprintf("  fitted growth: %.0f%%/year (paper: ~40%%/year); doubling every %.1f years",
+		100*r.GrowthRate, r.DoublingYears))
+	return []Table{t}
 }
 
-// PrintFig4 renders the 12-configuration cost/performance table.
-func PrintFig4(w io.Writer, pts []Fig4Point) {
-	fmt.Fprintln(w, "Figure 4: Dual and Single Issue Performance (integer suite)")
-	fmt.Fprintf(w, "  %-9s %-5s %-7s %9s %8s %8s %8s\n",
-		"model", "issue", "latency", "cost/RBE", "minCPI", "avgCPI", "maxCPI")
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-9s %-5d %-7d %9d %8.3f %8.3f %8.3f%s\n",
-			p.Model, p.Issue, p.Latency, p.CostRBE, p.MinCPI, p.AvgCPI, p.MaxCPI,
-			faultMark(suite(p.PerBench).faults()))
-	}
+// fig4Tables declares the 12-configuration cost/performance table.
+func fig4Tables(pts []Fig4Point) []Table {
+	return []Table{{
+		title: "Figure 4: Dual and Single Issue Performance (integer suite)",
+		rows:  len(pts), faults: func(i int) int { return suite(pts[i].PerBench).faults() },
+		cols: []col{
+			{"model", -9, "%s", "model", func(i int) any { return pts[i].Model }},
+			{"issue", -5, "%d", "issue", func(i int) any { return pts[i].Issue }},
+			{"latency", -7, "%d", "latency", func(i int) any { return pts[i].Latency }},
+			{"cost/RBE", 9, "%d", "cost_rbe", func(i int) any { return pts[i].CostRBE }},
+			{"minCPI", 8, "%.3f", "min_cpi", func(i int) any { return pts[i].MinCPI }},
+			{"avgCPI", 8, "%.3f", "avg_cpi", func(i int) any { return pts[i].AvgCPI }},
+			{"maxCPI", 8, "%.3f", "max_cpi", func(i int) any { return pts[i].MaxCPI }},
+		},
+	}}
 }
 
-// PrintRateTable renders Tables 3, 4 and 5.
-func PrintRateTable(w io.Writer, t *RateTable) {
-	fmt.Fprintln(w, t.Name)
-	fmt.Fprintf(w, "  %-9s", "model")
-	for _, b := range t.Benches {
-		fmt.Fprintf(w, " %9s", b)
-	}
-	fmt.Fprintln(w)
-	for i, m := range t.Models {
-		fmt.Fprintf(w, "  %-9s", m)
-		for j, v := range t.Rows[i] {
-			if t.Faults != nil && t.Faults[i][j] != nil {
-				fmt.Fprintf(w, " %9s", t.Faults[i][j].Cell())
-				continue
+// gridTable declares a models x benches table (Tables 3-5, the sampled
+// grid): a model column, one column per bench holding cell(i, j) or the
+// FAULT label of a faulted cell, and a fault: line per faulted cell.
+func gridTable(title string, models, benches []string, width int, verb string, cell func(i, j int) any, fault func(i, j int) *simfault.Fault) Table {
+	t := Table{title: title, rows: len(models),
+		cols: []col{{"model", -9, "%s", "model", func(i int) any { return models[i] }}}}
+	for j, b := range benches {
+		t.cols = append(t.cols, col{b, width, verb, b, func(i int) any {
+			if f := fault(i, j); f != nil {
+				return shown{f.Cell(), cell(i, j)}
 			}
-			fmt.Fprintf(w, " %9.2f", v)
-		}
-		fmt.Fprintln(w)
+			return cell(i, j)
+		}})
 	}
-	if t.Faults != nil {
-		for i, row := range t.Faults {
-			for j, f := range row {
-				if f != nil {
-					fmt.Fprintf(w, "  fault: %s/%s: %v\n", t.Models[i], t.Benches[j], f)
-				}
+	for i, m := range models {
+		for j, b := range benches {
+			if f := fault(i, j); f != nil {
+				t.foot = append(t.foot, fmt.Sprintf("  fault: %s/%s: %v", m, b, f))
 			}
 		}
 	}
+	return t
 }
 
-// PrintWriteTraffic renders §5.5's traffic ratios, one row per model in
-// the order given.
-func PrintWriteTraffic(w io.Writer, rows []TrafficRow) {
-	fmt.Fprintln(w, "Write traffic (§5.5): store transactions / store instructions")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-9s %5.1f%%%s\n", r.Model, 100*r.Ratio, faultMark(r.Faults))
+// tables declares Table 3, 4 or 5.
+func (t *RateTable) tables() []Table {
+	return []Table{gridTable(t.Name, t.Models, t.Benches, 9, "%.2f",
+		func(i, j int) any { return t.Rows[i][j] },
+		func(i, j int) *simfault.Fault {
+			if t.Faults == nil {
+				return nil
+			}
+			return t.Faults[i][j]
+		})}
+}
+
+// trafficTables declares §5.5's traffic ratios, one row per model.
+func trafficTables(rows []TrafficRow) []Table {
+	return []Table{{
+		title: "Write traffic (§5.5): store transactions / store instructions",
+		rows:  len(rows), faults: func(i int) int { return rows[i].Faults },
+		cols: []col{
+			{"", -9, "%s", "", func(i int) any { return rows[i].Model }},
+			{"", 6, "%.1f%%", "", func(i int) any { return rows[i].Ratio }},
+		},
+		foot: []string{"  (paper: 44% / 30% / 22%)"},
+	}}
+}
+
+// fig5Tables declares the prefetch-removal study.
+func fig5Tables(pts []Fig5Point) []Table {
+	return []Table{{
+		title: "Figure 5: Effects of Prefetch Removal (dual issue)",
+		rows:  len(pts), faults: func(i int) int { return pts[i].Faults },
+		cols: []col{
+			{"model", -9, "%s", "model", func(i int) any { return pts[i].Model }},
+			{"latency", -7, "%d", "latency", func(i int) any { return pts[i].Latency }},
+			{"cost/RBE", 9, "%d", "cost_rbe", func(i int) any { return pts[i].CostRBE }},
+			{"withPF", 10, "%.3f", "with_prefetch_cpi", func(i int) any { return pts[i].WithPF }},
+			{"withoutPF", 10, "%.3f", "without_prefetch_cpi", func(i int) any { return pts[i].WithoutPF }},
+			{"improvement", 12, "%.1f%%", "improvement", func(i int) any { return pts[i].Improvement }},
+		},
+	}}
+}
+
+// fig6Tables declares the stall breakdown: one column per stall cause.
+func fig6Tables(rows []Fig6Row) []Table {
+	cols := []col{
+		{"model", -9, "%s", "model", func(i int) any { return rows[i].Model }},
+		{"base", 7, "%.3f", "base_cpi", func(i int) any { return rows[i].BaseCPI }},
 	}
-	fmt.Fprintln(w, "  (paper: 44% / 30% / 22%)")
-}
-
-// PrintFig5 renders the prefetch-removal study.
-func PrintFig5(w io.Writer, pts []Fig5Point) {
-	fmt.Fprintln(w, "Figure 5: Effects of Prefetch Removal (dual issue)")
-	fmt.Fprintf(w, "  %-9s %-7s %9s %10s %10s %12s\n",
-		"model", "latency", "cost/RBE", "withPF", "withoutPF", "improvement")
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-9s %-7d %9d %10.3f %10.3f %11.1f%%%s\n",
-			p.Model, p.Latency, p.CostRBE, p.WithPF, p.WithoutPF, 100*p.Improvement,
-			faultMark(p.Faults))
-	}
-}
-
-// PrintFig6 renders the stall breakdown.
-func PrintFig6(w io.Writer, rows []Fig6Row) {
-	fmt.Fprintln(w, "Figure 6: Break Down of Stall Penalties (CPI contributions)")
-	fmt.Fprintf(w, "  %-9s %7s", "model", "base")
 	for c := core.StallCause(0); c < core.NumStallCauses; c++ {
-		fmt.Fprintf(w, " %9s", c)
+		cols = append(cols, col{c.String(), 9, "%.3f", "stall_" + c.String(), func(i int) any { return rows[i].Stalls[c] }})
 	}
-	fmt.Fprintf(w, " %8s\n", "total")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-9s %7.3f", r.Model, r.BaseCPI)
-		for _, s := range r.Stalls {
-			fmt.Fprintf(w, " %9.3f", s)
-		}
-		fmt.Fprintf(w, " %8.3f%s\n", r.TotalCPI, faultMark(r.Faults))
-	}
+	return []Table{{
+		title: "Figure 6: Break Down of Stall Penalties (CPI contributions)",
+		rows:  len(rows), faults: func(i int) int { return rows[i].Faults },
+		cols: append(cols, col{"total", 8, "%.3f", "total_cpi", func(i int) any { return rows[i].TotalCPI }}),
+	}}
 }
 
-// PrintFig7 renders the MSHR study.
-func PrintFig7(w io.Writer, pts []Fig7Point) {
-	fmt.Fprintln(w, "Figure 7: Effects of Changing MSHR Count (dual issue, integer suite)")
-	fmt.Fprintf(w, "  %-9s %-6s %9s %8s %s\n", "model", "mshrs", "cost/RBE", "avgCPI", "")
-	for _, p := range pts {
-		mark := ""
-		if p.IsBase {
-			mark = "  <- Table 1 value"
-		}
-		fmt.Fprintf(w, "  %-9s %-6d %9d %8.3f%s%s\n", p.Model, p.MSHRs, p.CostRBE, p.AvgCPI, mark,
-			faultMark(p.Faults))
-	}
+// fig7Tables declares the MSHR study; the note column marks each model's
+// Table 1 count.
+func fig7Tables(pts []Fig7Point) []Table {
+	return []Table{{
+		title: "Figure 7: Effects of Changing MSHR Count (dual issue, integer suite)",
+		rows:  len(pts), faults: func(i int) int { return pts[i].Faults },
+		cols: []col{
+			{"model", -9, "%s", "model", func(i int) any { return pts[i].Model }},
+			{"mshrs", -6, "%d", "mshrs", func(i int) any { return pts[i].MSHRs }},
+			{"cost/RBE", 9, "%d", "cost_rbe", func(i int) any { return pts[i].CostRBE }},
+			{"avgCPI", 8, "%.3f", "avg_cpi", func(i int) any { return pts[i].AvgCPI }},
+			{"", 0, "%s", "", func(i int) any {
+				if pts[i].IsBase {
+					return " <- Table 1 value"
+				}
+				return ""
+			}},
+			{"", 0, "", "table1", func(i int) any { return pts[i].IsBase }},
+		},
+	}}
 }
 
-// PrintFig8 renders the espresso design-space scatter.
-func PrintFig8(w io.Writer, pts []Fig8Point) {
-	fmt.Fprintln(w, "Figure 8: Espresso Full Cost-Performance (latency 17)")
-	fmt.Fprintf(w, "  %-30s %5s %4s %4s %5s %4s %9s %8s\n",
-		"config", "issue", "ic/K", "wc", "rob", "mshr", "cost/RBE", "CPI")
-	for _, p := range pts {
-		if p.Fault != nil {
-			fmt.Fprintf(w, "  %-30s %5d %4d %4d %5d %4d %9d %8s  %v\n",
-				p.Label, p.Issue, p.ICacheK, p.WCLines, p.ROB, p.MSHRs, p.CostRBE,
-				p.Fault.Cell(), p.Fault)
-			continue
-		}
-		fmt.Fprintf(w, "  %-30s %5d %4d %4d %5d %4d %9d %8.3f\n",
-			p.Label, p.Issue, p.ICacheK, p.WCLines, p.ROB, p.MSHRs, p.CostRBE, p.CPI)
-	}
+// fig8Tables declares the espresso design-space scatter. A faulted point
+// prints its FAULT label and the fault in place of its CPI.
+func fig8Tables(pts []Fig8Point) []Table {
+	return []Table{{
+		title: "Figure 8: Espresso Full Cost-Performance (latency 17)",
+		rows:  len(pts),
+		cols: []col{
+			{"config", -30, "%s", "label", func(i int) any { return pts[i].Label }},
+			{"issue", 5, "%d", "issue", func(i int) any { return pts[i].Issue }},
+			{"ic/K", 4, "%d", "icache_kb", func(i int) any { return pts[i].ICacheK }},
+			{"wc", 4, "%d", "wc_lines", func(i int) any { return pts[i].WCLines }},
+			{"rob", 5, "%d", "rob", func(i int) any { return pts[i].ROB }},
+			{"mshr", 4, "%d", "mshrs", func(i int) any { return pts[i].MSHRs }},
+			{"", 0, "", "pf_buffers", func(i int) any { return pts[i].PFBufs }},
+			{"cost/RBE", 9, "%d", "cost_rbe", func(i int) any { return pts[i].CostRBE }},
+			{"CPI", 8, "%.3f", "cpi", func(i int) any {
+				if f := pts[i].Fault; f != nil {
+					return shown{fmt.Sprintf("%s  %v", f.Cell(), f), pts[i].CPI}
+				}
+				return pts[i].CPI
+			}},
+		},
+	}}
 }
 
-// PrintBPredSweep renders the predictor bits-vs-CPI figure: the front-end
+// tables declares the predictor bits-vs-CPI figure: the front-end
 // analogue of the paper's cache curves. The folding row is the paper's
 // free-folding design (a perfect direction predictor at zero storage), so
-// every real predictor's CPI sits at or above it.
-func PrintBPredSweep(w io.Writer, r *BPredSweepResult) {
-	fmt.Fprintf(w, "Predictor sweep (%s model): storage bits vs CPI\n", r.Model)
-	fmt.Fprintf(w, "  %-32s %9s %9s %8s %8s %9s  %s\n",
-		"predictor", "bits", "cost/RBE", "intCPI", "fpCPI", "int-mi%", "-bpred")
-	for _, p := range r.Points {
-		fmt.Fprintf(w, "  %-32s %9d %9d %s %s %8.2f%%  %s%s\n",
-			p.Key, p.Bits, p.CostRBE, cpiCell(p.IntCPI, 8), cpiCell(p.FPCPI, 8), 100*p.IntMispredict, p.Label,
-			faultMark(p.Faults))
-	}
+// every real predictor's CPI sits at or above it. The label is the -bpred
+// flag spelling, so any row can be reproduced from the artifact alone: the
+// CSV leads with it, the text table ends with it.
+func (r *BPredSweepResult) tables() []Table {
+	pts := r.Points
+	return []Table{{
+		title: fmt.Sprintf("Predictor sweep (%s model): storage bits vs CPI", r.Model),
+		rows:  len(pts), faults: func(i int) int { return pts[i].Faults },
+		cols: []col{
+			{"", 0, "", "label", func(i int) any { return pts[i].Label }},
+			{"predictor", -32, "%s", "predictor", func(i int) any { return pts[i].Key }},
+			{"bits", 9, "%d", "bits", func(i int) any { return pts[i].Bits }},
+			{"cost/RBE", 9, "%d", "cost_rbe", func(i int) any { return pts[i].CostRBE }},
+			{"intCPI", 8, "%.3f", "int_cpi", func(i int) any { return cpiCell(pts[i].IntCPI) }},
+			{"fpCPI", 8, "%.3f", "fp_cpi", func(i int) any { return cpiCell(pts[i].FPCPI) }},
+			{"int-mi%", 9, "%.2f%%", "int_mispredict", func(i int) any { return pts[i].IntMispredict }},
+			{" -bpred", 0, " %s", "", func(i int) any { return pts[i].Label }},
+		},
+	}}
 }
 
-// PrintExplore renders a finished design-space exploration: the halving
+// Table declares a finished design-space exploration: the halving
 // ladder's per-rung accounting, the exact frontier in cost order, and any
 // candidates the search dropped on a fault. Every line derives from slices
 // assembled in deterministic order, so the output is byte-identical across
-// worker counts and store states.
-func PrintExplore(w io.Writer, r *ExploreResult) {
-	fmt.Fprintf(w, "Design-space exploration (%s): RBE cost vs CPI Pareto frontier\n", r.Workload)
-	fmt.Fprintf(w, "  grid %d candidates", r.Candidates)
+// worker counts and store states. The CSV spells out the grid coordinates,
+// so any frontier row can be re-run from the artifact alone; its
+// icache_rbe and bpred_rbe columns itemize the two axes whose costs are not
+// linear in their size parameter.
+func (r *ExploreResult) Table() Table {
+	var title strings.Builder
+	fmt.Fprintf(&title, "Design-space exploration (%s): RBE cost vs CPI Pareto frontier\n", r.Workload)
+	fmt.Fprintf(&title, "  grid %d candidates", r.Candidates)
 	if r.CostPruned > 0 {
-		fmt.Fprintf(w, " (+%d over the cost cap)", r.CostPruned)
+		fmt.Fprintf(&title, " (+%d over the cost cap)", r.CostPruned)
 	}
-	fmt.Fprintf(w, "; successive halving over %d rungs, slack %.0f%%\n",
-		len(r.Rungs), 100*r.Spec.Slack)
+	fmt.Fprintf(&title, "; successive halving over %d rungs, slack %.0f%%", len(r.Rungs), 100*r.Spec.Slack)
 	for _, rung := range r.Rungs {
 		mode := "exact"
 		if rung.Sampled {
@@ -194,105 +225,121 @@ func PrintExplore(w io.Writer, r *ExploreResult) {
 		if rung.Rung == len(r.Rungs)-1 {
 			verb = "on the frontier"
 		}
-		fmt.Fprintf(w, "  rung %d: %8d instr %-7s  %4d entered  %4d dropped  %3d faulted  %4d %s\n",
+		fmt.Fprintf(&title, "\n  rung %d: %8d instr %-7s  %4d entered  %4d dropped  %3d faulted  %4d %s",
 			rung.Rung, rung.Budget, mode, rung.Entered, rung.Dropped, rung.Faulted, rung.Promoted, verb)
 	}
-	fmt.Fprintf(w, "  %-28s %9s %8s  %s\n", "frontier", "cost/RBE", "CPI", "configuration")
-	for _, p := range r.Frontier {
-		bp := p.BPred
-		if bp == "" {
-			bp = "folding"
-		}
-		fmt.Fprintf(w, "  %-28s %9d %8.3f  issue=%d icache=%dK wc=%d rob=%d mshr=%d pf=%d bpred=%s\n",
-			p.Label, p.CostRBE, p.CPI, p.Issue, p.ICacheK, p.WCLines, p.ROB, p.MSHRs, p.PFBufs, bp)
-	}
+	var foot []string
 	for _, f := range r.Faults {
-		fmt.Fprintf(w, "  dropped at rung %d: %-28s %s\n", f.Rung, f.Label, f.Cell)
+		foot = append(foot, fmt.Sprintf("  dropped at rung %d: %-28s %s", f.Rung, f.Label, f.Cell))
+	}
+	pts := r.Frontier
+	bpred := func(i int) string { return cmp.Or(pts[i].BPred, "folding") }
+	return Table{
+		title: title.String(), rows: len(pts), foot: foot,
+		cols: []col{
+			{"frontier", -28, "%s", "label", func(i int) any { return pts[i].Label }},
+			{"", 0, "", "workload", func(int) any { return r.Workload }},
+			{"", 0, "", "issue", func(i int) any { return pts[i].Issue }},
+			{"", 0, "", "icache_kb", func(i int) any { return pts[i].ICacheK }},
+			{"", 0, "", "wc_lines", func(i int) any { return pts[i].WCLines }},
+			{"", 0, "", "rob", func(i int) any { return pts[i].ROB }},
+			{"", 0, "", "mshrs", func(i int) any { return pts[i].MSHRs }},
+			{"", 0, "", "pf_buffers", func(i int) any { return pts[i].PFBufs }},
+			{"", 0, "", "bpred", func(i int) any { return bpred(i) }},
+			{"cost/RBE", 9, "%d", "cost_rbe", func(i int) any { return pts[i].CostRBE }},
+			{"", 0, "", "icache_rbe", func(i int) any { return pts[i].ICacheRBE }},
+			{"", 0, "", "bpred_rbe", func(i int) any { return pts[i].BPredRBE }},
+			{"CPI", 8, "%.3f", "cpi", func(i int) any { return pts[i].CPI }},
+			{"", 0, "", "budget", func(i int) any { return pts[i].Budget }},
+			{" configuration", 0, " %s", "", func(i int) any {
+				p := pts[i]
+				return fmt.Sprintf("issue=%d icache=%dK wc=%d rob=%d mshr=%d pf=%d bpred=%s",
+					p.Issue, p.ICacheK, p.WCLines, p.ROB, p.MSHRs, p.PFBufs, bpred(i))
+			}},
+		},
 	}
 }
 
-// PrintTable6 renders the FPU issue-policy comparison.
-func PrintTable6(w io.Writer, rows []Table6Row) {
-	fmt.Fprintln(w, "Table 6: CPI Figures for Three FPU Issue Policies")
-	fmt.Fprintf(w, "  %-10s %12s %12s %12s\n", "benchmark", "in-order", "single", "dual")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-10s %s %s %s\n", r.Bench, cpiCell(r.InOrder, 12), cpiCell(r.Single, 12), cpiCell(r.Dual, 12))
-	}
+// table6Tables declares the FPU issue-policy comparison.
+func table6Tables(rows []Table6Row) []Table {
+	return []Table{{
+		title: "Table 6: CPI Figures for Three FPU Issue Policies",
+		rows:  len(rows),
+		cols: []col{
+			{"benchmark", -10, "%s", "benchmark", func(i int) any { return rows[i].Bench }},
+			{"in-order", 12, "%.3f", "in_order_cpi", func(i int) any { return cpiCell(rows[i].InOrder) }},
+			{"single", 12, "%.3f", "ooo_single_cpi", func(i int) any { return cpiCell(rows[i].Single) }},
+			{"dual", 12, "%.3f", "ooo_dual_cpi", func(i int) any { return cpiCell(rows[i].Dual) }},
+		},
+	}}
 }
 
-// PrintSweep renders one Figure 9 panel.
-func PrintSweep(w io.Writer, title, xlabel string, pts []SweepPoint) {
-	fmt.Fprintln(w, title)
-	fmt.Fprintf(w, "  %-10s %8s", xlabel, "avgCPI")
-	hasCost := false
+// sweepTable declares one Figure 9 panel. The text shows the cost column
+// only for a priced sweep; the CSV always has it.
+func sweepTable(title, xlabel string, pts []SweepPoint) Table {
+	costVerb := ""
 	for _, p := range pts {
 		if p.CostRBE != 0 {
-			hasCost = true
+			costVerb = "%d"
 		}
 	}
-	if hasCost {
-		fmt.Fprintf(w, " %9s", "cost/RBE")
-	}
-	fmt.Fprintln(w)
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-10d %8.3f", p.X, p.AvgCPI)
-		if hasCost {
-			fmt.Fprintf(w, " %9d", p.CostRBE)
-		}
-		fmt.Fprint(w, faultMark(p.Faults))
-		fmt.Fprintln(w)
+	return Table{
+		title: title, rows: len(pts), faults: func(i int) int { return pts[i].Faults },
+		cols: []col{
+			{xlabel, -10, "%d", xlabel, func(i int) any { return pts[i].X }},
+			{"avgCPI", 8, "%.3f", "avg_cpi", func(i int) any { return pts[i].AvgCPI }},
+			{"cost/RBE", 9, costVerb, "cost_rbe", func(i int) any { return pts[i].CostRBE }},
+		},
 	}
 }
 
-// PrintFig9Latencies renders panels (d)-(g) and the pipelining ablation.
-func PrintFig9Latencies(w io.Writer, r *Fig9LatencyResult) {
-	PrintSweep(w, "Figure 9(d): add latency", "cycles", r.Add)
-	PrintSweep(w, "Figure 9(e): multiply latency", "cycles", r.Mul)
-	PrintSweep(w, "Figure 9(f): divide latency", "cycles", r.Div)
-	PrintSweep(w, "Figure 9(g): convert latency", "cycles", r.Cvt)
+// tables declares panels (a)-(c).
+func (q *Fig9QueueResult) tables() []Table {
+	return []Table{
+		sweepTable("Figure 9(a): FPU instruction queue size", "entries", q.InstrQueue),
+		sweepTable("Figure 9(b): FPU load queue size", "entries", q.LoadQueue),
+		sweepTable("Figure 9(c): FPU reorder buffer size", "entries", q.ReorderBuffer),
+	}
+}
+
+// tables declares panels (d)-(g), the last with the pipelining ablation.
+func (r *Fig9LatencyResult) tables() []Table {
+	cvt := sweepTable("Figure 9(g): convert latency", "cycles", r.Cvt)
 	degr := (r.UnpipelinedCPI - r.PipelinedCPI) / r.PipelinedCPI
-	fmt.Fprintf(w, "§5.10 unpipelined add+convert ablation: %.3f → %.3f CPI (%.1f%% degradation; paper: <5%%)%s\n",
-		r.PipelinedCPI, r.UnpipelinedCPI, 100*degr, faultMark(r.AblationFaults))
+	cvt.foot = []string{fmt.Sprintf("§5.10 unpipelined add+convert ablation: %.3f → %.3f CPI (%.1f%% degradation; paper: <5%%)%s",
+		r.PipelinedCPI, r.UnpipelinedCPI, 100*degr, faultMark(r.AblationFaults))}
+	return []Table{
+		sweepTable("Figure 9(d): add latency", "cycles", r.Add),
+		sweepTable("Figure 9(e): multiply latency", "cycles", r.Mul),
+		sweepTable("Figure 9(f): divide latency", "cycles", r.Div),
+		cvt,
+	}
 }
 
-// PrintSampledSweep renders the sampled models x workloads grid: one
-// "cpi±err" cell per estimate, then the sampling parameters and the
-// detailed-instruction fraction the estimates were built from.
-func PrintSampledSweep(w io.Writer, r *SampledSweepResult) {
-	fmt.Fprintf(w, "Sampled CPI estimates (%.0f%% confidence; see docs/SIMULATION-MODES.md)\n",
-		100*r.Params.Confidence)
-	fmt.Fprintf(w, "  %-9s", "model")
-	for _, b := range r.Benches {
-		fmt.Fprintf(w, " %12s", b)
-	}
-	fmt.Fprintln(w)
+// Table declares the sampled models x workloads grid: one "cpi±err" cell
+// per estimate, then the sampling parameters and the detailed-instruction
+// fraction the estimates were built from.
+func (r *SampledSweepResult) Table() Table {
+	t := gridTable(fmt.Sprintf("Sampled CPI estimates (%.0f%% confidence; see docs/SIMULATION-MODES.md)", 100*r.Params.Confidence),
+		r.Models, r.Benches, 12, "%s",
+		func(i, j int) any { return fmt.Sprintf("%6.3f±%.3f", r.Cells[i][j].CPI, r.Cells[i][j].CPIError) },
+		func(i, j int) *simfault.Fault { return r.Cells[i][j].Fault })
 	var detailed, total uint64
 	faults := 0
-	for i, m := range r.Models {
-		fmt.Fprintf(w, "  %-9s", m)
-		for _, c := range r.Cells[i] {
-			if c.Fault != nil {
-				fmt.Fprintf(w, " %12s", c.Fault.Cell())
-				faults++
-				continue
-			}
-			fmt.Fprintf(w, " %6.3f±%.3f", c.CPI, c.CPIError)
-			detailed += c.Sampled.DetailedInstructions
-			total += c.Sampled.Instructions
-		}
-		fmt.Fprintln(w)
-	}
-	for i, m := range r.Models {
-		for _, c := range r.Cells[i] {
-			if c.Fault != nil {
-				fmt.Fprintf(w, "  fault: %s/%s: %v\n", m, c.Bench, c.Fault)
+	for _, s := range r.Cells {
+		faults += s.faults()
+		for _, c := range s {
+			if c.Sampled != nil {
+				detailed += c.Sampled.DetailedInstructions
+				total += c.Sampled.Instructions
 			}
 		}
 	}
-	fmt.Fprintf(w, "  params: warm-up %d, interval %d, window %d+%d warm (key %s)\n",
-		r.Params.WarmUp, r.Params.Interval, r.Params.Window, r.Params.WindowWarm, r.Params.Key())
+	t.foot = append(t.foot, fmt.Sprintf("  params: warm-up %d, interval %d, window %d+%d warm (key %s)",
+		r.Params.WarmUp, r.Params.Interval, r.Params.Window, r.Params.WindowWarm, r.Params.Key()))
 	if total > 0 {
-		fmt.Fprintf(w, "  detailed fraction: %.1f%% of %d instructions%s\n",
-			100*float64(detailed)/float64(total), total, faultMark(faults))
+		t.foot = append(t.foot, fmt.Sprintf("  detailed fraction: %.1f%% of %d instructions%s",
+			100*float64(detailed)/float64(total), total, faultMark(faults)))
 	}
+	return t
 }

@@ -10,8 +10,30 @@ import (
 	"aurora/internal/simfault"
 )
 
-// Rendering tests with synthetic data: every Print* function must produce
+// Rendering tests with synthetic data: every table declaration must render
 // the rows it was given, so `aurora-experiments` output is trustworthy.
+
+// text renders tables as Render prints them.
+func text(tables ...Table) string {
+	var b bytes.Buffer
+	for _, t := range tables {
+		t.Text(&b)
+	}
+	return b.String()
+}
+
+// csvText returns the CSV file of the artifact's only table.
+func csvText(t *testing.T, tables ...Table) string {
+	t.Helper()
+	if len(tables) != 1 {
+		t.Fatalf("%d tables, want 1", len(tables))
+	}
+	var b bytes.Buffer
+	if err := tables[0].CSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
 
 func contains(t *testing.T, out, want string) {
 	t.Helper()
@@ -21,128 +43,110 @@ func contains(t *testing.T, out, want string) {
 }
 
 func TestPrintFig1(t *testing.T) {
-	var b bytes.Buffer
-	PrintFig1(&b, Fig1())
-	contains(t, b.String(), "1994")
-	contains(t, b.String(), "fitted growth")
+	out := text(fig1Tables(Fig1())...)
+	contains(t, out, "1994")
+	contains(t, out, "fitted growth")
 }
 
 func TestPrintFig4(t *testing.T) {
-	var b bytes.Buffer
-	PrintFig4(&b, []Fig4Point{
+	out := text(fig4Tables([]Fig4Point{
 		{Model: "baseline", Issue: 2, Latency: 17, CostRBE: 73084,
 			MinCPI: 0.9, MaxCPI: 1.2, AvgCPI: 1.0},
-	})
-	out := b.String()
+	})...)
 	contains(t, out, "baseline")
 	contains(t, out, "73084")
 	contains(t, out, "1.200")
 }
 
 func TestPrintRateTable(t *testing.T) {
-	var b bytes.Buffer
-	PrintRateTable(&b, &RateTable{
+	tab := &RateTable{
 		Name:    "Table X",
 		Benches: []string{"espresso", "li"},
 		Models:  []string{"small"},
 		Rows:    [][]float64{{12.34, 56.78}},
-	})
-	out := b.String()
+	}
+	out := text(tab.tables()...)
 	contains(t, out, "Table X")
 	contains(t, out, "12.34")
 	contains(t, out, "56.78")
 }
 
 func TestPrintWriteTraffic(t *testing.T) {
-	var b bytes.Buffer
-	PrintWriteTraffic(&b, []TrafficRow{
+	got := text(trafficTables([]TrafficRow{
 		{Model: "small", Ratio: 0.44}, {Model: "baseline", Ratio: 0.30}, {Model: "large", Ratio: 0.22, Faults: 2},
-	})
+	})...)
 	want := "Write traffic (§5.5): store transactions / store instructions\n" +
 		"  small      44.0%\n" +
 		"  baseline   30.0%\n" +
 		"  large      22.0%  [2 faulted]\n" +
 		"  (paper: 44% / 30% / 22%)\n"
-	if got := b.String(); got != want {
+	if got != want {
 		t.Errorf("got:\n%swant:\n%s", got, want)
 	}
 }
 
 func TestPrintFig5(t *testing.T) {
-	var b bytes.Buffer
-	PrintFig5(&b, []Fig5Point{
+	out := text(fig5Tables([]Fig5Point{
 		{Model: "baseline", Latency: 17, CostRBE: 73084,
 			WithPF: 1.0, WithoutPF: 1.12, Improvement: 0.107},
-	})
-	contains(t, b.String(), "10.7%")
+	})...)
+	contains(t, out, "10.7%")
 }
 
 func TestPrintFig6(t *testing.T) {
-	var b bytes.Buffer
 	row := Fig6Row{Model: "small", BaseCPI: 0.75, TotalCPI: 1.3}
 	row.Stalls[core.StallLoad] = 0.25
-	PrintFig6(&b, []Fig6Row{row})
-	out := b.String()
+	out := text(fig6Tables([]Fig6Row{row})...)
 	contains(t, out, "small")
 	contains(t, out, "0.250")
 	contains(t, out, "Load")
 }
 
 func TestPrintFig7(t *testing.T) {
-	var b bytes.Buffer
-	PrintFig7(&b, []Fig7Point{
+	out := text(fig7Tables([]Fig7Point{
 		{Model: "small", MSHRs: 1, CostRBE: 65034, AvgCPI: 1.36, IsBase: true},
 		{Model: "small", MSHRs: 4, CostRBE: 65184, AvgCPI: 1.27},
-	})
-	out := b.String()
+	})...)
 	contains(t, out, "Table 1 value")
 	contains(t, out, "1.270")
 }
 
 func TestPrintFig8(t *testing.T) {
-	var b bytes.Buffer
-	PrintFig8(&b, []Fig8Point{
+	out := text(fig8Tables([]Fig8Point{
 		{Label: "E:recommended", Issue: 2, ICacheK: 4, WCLines: 4, ROB: 6,
 			MSHRs: 4, PFBufs: 4, CostRBE: 81184, CPI: 1.15},
-	})
-	contains(t, b.String(), "E:recommended")
+	})...)
+	contains(t, out, "E:recommended")
 }
 
 func TestPrintTable6(t *testing.T) {
-	var b bytes.Buffer
-	PrintTable6(&b, []Table6Row{
+	out := text(table6Tables([]Table6Row{
 		{Bench: "ora", InOrder: 2.5, Single: 2.3, Dual: 2.2},
 		{Bench: "Average", InOrder: 1.6, Single: 1.5, Dual: 1.45},
-	})
-	out := b.String()
+	})...)
 	contains(t, out, "ora")
 	contains(t, out, "Average")
 	contains(t, out, "2.500")
 }
 
 func TestPrintSweepWithAndWithoutCost(t *testing.T) {
-	var b bytes.Buffer
-	PrintSweep(&b, "title", "entries", []SweepPoint{{X: 3, AvgCPI: 1.4}})
-	out := b.String()
+	out := text(sweepTable("title", "entries", []SweepPoint{{X: 3, AvgCPI: 1.4}}))
 	contains(t, out, "title")
 	if strings.Contains(out, "cost/RBE") {
 		t.Error("cost column shown without cost data")
 	}
-	b.Reset()
-	PrintSweep(&b, "t2", "cycles", []SweepPoint{{X: 3, AvgCPI: 1.4, CostRBE: 3125}})
-	contains(t, b.String(), "3125")
+	contains(t, text(sweepTable("t2", "cycles", []SweepPoint{{X: 3, AvgCPI: 1.4, CostRBE: 3125}})), "3125")
 }
 
 func TestPrintFig9Latencies(t *testing.T) {
-	var b bytes.Buffer
-	PrintFig9Latencies(&b, &Fig9LatencyResult{
+	res := &Fig9LatencyResult{
 		Add:          []SweepPoint{{X: 3, AvgCPI: 1.42, CostRBE: 3125}},
 		Mul:          []SweepPoint{{X: 5, AvgCPI: 1.42, CostRBE: 2500}},
 		Div:          []SweepPoint{{X: 19, AvgCPI: 1.42, CostRBE: 1656}},
 		Cvt:          []SweepPoint{{X: 2, AvgCPI: 1.42, CostRBE: 2187}},
 		PipelinedCPI: 1.42, UnpipelinedCPI: 1.487,
-	})
-	out := b.String()
+	}
+	out := text(res.tables()...)
 	contains(t, out, "Figure 9(d)")
 	contains(t, out, "4.7% degradation")
 }
@@ -151,10 +155,8 @@ func TestPrintFig9Latencies(t *testing.T) {
 // faulted cells per extension study: the healthy row carries its values
 // and no mark, the partial row carries the [2 faulted] mark.
 func TestPrintExtensionRenderers(t *testing.T) {
-	var b bytes.Buffer
-	check := func(want string) {
+	check := func(out, want string) {
 		t.Helper()
-		out := b.String()
 		contains(t, out, want)
 		if lines := strings.Split(strings.TrimSpace(out), "\n"); !strings.HasSuffix(lines[len(lines)-1], "  [2 faulted]") {
 			t.Errorf("partial row is not marked:\n%s", out)
@@ -162,144 +164,99 @@ func TestPrintExtensionRenderers(t *testing.T) {
 		if strings.Count(out, "faulted]") != 1 {
 			t.Errorf("healthy row is marked:\n%s", out)
 		}
-		b.Reset()
 	}
 
-	PrintLatencyScaling(&b, []LatencyPoint{
+	check(text(latencyTables([]LatencyPoint{
 		{Latency: 17, CPI: map[string]float64{"small": 1.3, "baseline": 1.05, "large": 1.01}},
 		{Latency: 35, CPI: map[string]float64{"small": 1.5, "baseline": 1.2, "large": 1.1}, Faults: 2},
-	})
-	check("17")
+	})...), "17")
 
-	PrintBranchFolding(&b, []BranchFoldingResult{
+	check(text(foldingTables([]BranchFoldingResult{
 		{Model: "baseline", WithFold: 1.05, Without: 1.06, Penalty: 0.01},
 		{Model: "large", WithFold: 1.0, Without: 1.02, Penalty: 0.02, Faults: 2},
-	})
-	check("1.0%")
+	})...), "1.0%")
 
-	PrintWriteCacheSweep(&b, []WriteCachePoint{
+	check(text(writeCacheTables([]WriteCachePoint{
 		{Lines: 4, CostRBE: 73084, AvgCPI: 1.05, TrafficRatio: 0.15},
 		{Lines: 8, CostRBE: 74084, AvgCPI: 1.04, TrafficRatio: 0.12, Faults: 2},
-	})
-	check("15.0%")
+	})...), "15.0%")
 
-	PrintAreaAwareClock(&b, []ClockedPoint{
+	check(text(clockTables([]ClockedPoint{
 		{Model: "baseline", AvgCPI: 1.05, CycleTime: 1.066, TimePerIns: 1.119},
 		{Model: "large", AvgCPI: 1.0, CycleTime: 1.1, TimePerIns: 1.1, Faults: 2},
-	})
-	check("1.119")
+	})...), "1.119")
 
-	PrintMMUSensitivity(&b, []MMUPoint{
+	check(text(mmuTables([]MMUPoint{
 		{Label: "flat", AvgCPI: 1.05, TLBMissPct: 0.04, L2HitPct: 72.3},
 		{Label: "starved", AvgCPI: 1.2, TLBMissPct: 3.1, L2HitPct: 40.0, Faults: 2},
-	})
-	check("72.3")
+	})...), "72.3")
 
-	PrintVictimCacheStudy(&b, []VictimPoint{
+	check(text(victimTables([]VictimPoint{
 		{Model: "baseline", VictimLines: 4, AvgCPI: 1.63, VictimHitPct: 11.0},
 		{Model: "large", VictimLines: 4, AvgCPI: 1.5, VictimHitPct: 9.0, Faults: 2},
-	})
-	check("11.0")
+	})...), "11.0")
 
-	PrintCompilerScheduling(&b, []SchedulingPoint{
+	check(text(schedulingTables([]SchedulingPoint{
 		{Model: "large", BaseCPI: 1.038, SchedCPI: 1.004, BaseLoadCPI: 0.149, SchedLoadCPI: 0.142},
 		{Model: "small", BaseCPI: 1.3, SchedCPI: 1.25, BaseLoadCPI: 0.1, SchedLoadCPI: 0.09, Faults: 2},
-	})
-	check("1.004")
+	})...), "1.004")
 
 	fault := &simfault.Fault{Subsystem: "fpu", Cycle: 7}
-	PrintPreciseExceptions(&b, []PrecisePoint{
+	out := text(preciseTables([]PrecisePoint{
 		{Bench: "ora", FastCPI: 2.0, PreciseCPI: 2.5, Slowdown: 0.25},
 		{Bench: "doduc", FastCPI: 1.0, PreciseCPI: 1.2, Slowdown: 0.15},
 		{Bench: "nasa7", FastCPI: math.NaN(), PreciseCPI: math.NaN(), Slowdown: math.NaN(), Fault: fault},
 		{Bench: "su2cor", FastCPI: math.NaN(), PreciseCPI: math.NaN(), Slowdown: math.NaN(), Fault: fault},
-	})
-	contains(t, b.String(), "FAULT(fpu@7)")
-	check("20.0%  [2 faulted]") // the healthy rows' average
+	})...)
+	contains(t, out, "FAULT(fpu@7)")
+	check(out, "20.0%  [2 faulted]") // the healthy rows' average
 }
 
 func TestCSVWriters(t *testing.T) {
-	var b bytes.Buffer
-	if err := Fig4CSV(&b, []Fig4Point{{Model: "baseline", Issue: 2, Latency: 17,
-		CostRBE: 73084, MinCPI: 0.9, AvgCPI: 1.0, MaxCPI: 1.2}}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := csvText(t, fig4Tables([]Fig4Point{{Model: "baseline", Issue: 2, Latency: 17,
+		CostRBE: 73084, MinCPI: 0.9, AvgCPI: 1.0, MaxCPI: 1.2}})...)
 	contains(t, out, "model,issue,latency")
 	contains(t, out, "baseline,2,17,73084")
 
-	b.Reset()
-	if err := RateTableCSV(&b, &RateTable{
-		Benches: []string{"espresso"}, Models: []string{"small"},
-		Rows: [][]float64{{12.5}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	contains(t, b.String(), "small,12.5000")
+	tab := &RateTable{Benches: []string{"espresso"}, Models: []string{"small"}, Rows: [][]float64{{12.5}}}
+	contains(t, csvText(t, tab.tables()...), "small,12.5000")
 
-	b.Reset()
-	if err := Table6CSV(&b, []Table6Row{{Bench: "ora", InOrder: 2.5, Single: 2.3, Dual: 2.2}}); err != nil {
-		t.Fatal(err)
-	}
-	contains(t, b.String(), "ora,2.5000,2.3000,2.2000")
+	contains(t, csvText(t, table6Tables([]Table6Row{{Bench: "ora", InOrder: 2.5, Single: 2.3, Dual: 2.2}})...),
+		"ora,2.5000,2.3000,2.2000")
 
-	b.Reset()
-	if err := SweepCSV(&b, "entries", []SweepPoint{{X: 3, AvgCPI: 1.42, CostRBE: 150}}); err != nil {
-		t.Fatal(err)
-	}
-	contains(t, b.String(), "3,1.4200,150")
+	contains(t, csvText(t, sweepTable("t", "entries", []SweepPoint{{X: 3, AvgCPI: 1.42, CostRBE: 150}})), "3,1.4200,150")
 
-	b.Reset()
 	row := Fig6Row{Model: "small", BaseCPI: 0.7, TotalCPI: 1.3}
 	row.Stalls[core.StallLoad] = 0.25
-	if err := Fig6CSV(&b, []Fig6Row{row}); err != nil {
-		t.Fatal(err)
-	}
-	contains(t, b.String(), "stall_Load")
+	contains(t, csvText(t, fig6Tables([]Fig6Row{row})...), "stall_Load")
 
-	b.Reset()
-	if err := Fig5CSV(&b, []Fig5Point{{Model: "large", Latency: 35, CostRBE: 87984,
-		WithPF: 1.0, WithoutPF: 1.1, Improvement: 0.09}}); err != nil {
-		t.Fatal(err)
-	}
-	contains(t, b.String(), "large,35")
+	contains(t, csvText(t, fig5Tables([]Fig5Point{{Model: "large", Latency: 35, CostRBE: 87984,
+		WithPF: 1.0, WithoutPF: 1.1, Improvement: 0.09}})...), "large,35")
 
-	b.Reset()
-	if err := Fig7CSV(&b, []Fig7Point{{Model: "small", MSHRs: 1, CostRBE: 65034,
-		AvgCPI: 1.36, IsBase: true}}); err != nil {
-		t.Fatal(err)
-	}
-	contains(t, b.String(), "small,1,65034,1.3600,true")
+	contains(t, csvText(t, fig7Tables([]Fig7Point{{Model: "small", MSHRs: 1, CostRBE: 65034,
+		AvgCPI: 1.36, IsBase: true}})...), "small,1,65034,1.3600,true")
 
-	b.Reset()
-	if err := Fig8CSV(&b, []Fig8Point{{Label: "E:recommended", Issue: 2, ICacheK: 4,
-		WCLines: 4, ROB: 6, MSHRs: 4, PFBufs: 4, CostRBE: 81184, CPI: 1.15}}); err != nil {
-		t.Fatal(err)
-	}
-	contains(t, b.String(), "E:recommended")
+	contains(t, csvText(t, fig8Tables([]Fig8Point{{Label: "E:recommended", Issue: 2, ICacheK: 4,
+		WCLines: 4, ROB: 6, MSHRs: 4, PFBufs: 4, CostRBE: 81184, CPI: 1.15}})...), "E:recommended")
 
-	// Regression: BPredSweepCSV once dropped the Label column, so a row
-	// could not be reproduced with -bpred from the artifact alone. The
-	// label leads the row and the header names it.
-	b.Reset()
-	if err := BPredSweepCSV(&b, &BPredSweepResult{Model: "baseline", Points: []BPredPoint{
+	// Regression: the predictor sweep's CSV once dropped the Label column,
+	// so a row could not be reproduced with -bpred from the artifact
+	// alone. The label leads the row and the header names it.
+	bp := &BPredSweepResult{Model: "baseline", Points: []BPredPoint{
 		{Label: "gshare:entries=4096,hist=12", Key: "gshare/e4096/h12", Bits: 8192,
 			CostRBE: 77230, IntCPI: 1.08, FPCPI: 1.69, IntMispredict: 0.061},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	contains(t, b.String(), "label,predictor,bits,cost_rbe,int_cpi,fp_cpi,int_mispredict")
-	contains(t, b.String(), "\"gshare:entries=4096,hist=12\",gshare/e4096/h12,8192,77230,1.0800,1.6900,0.0610")
+	}}
+	out = csvText(t, bp.tables()...)
+	contains(t, out, "label,predictor,bits,cost_rbe,int_cpi,fp_cpi,int_mispredict")
+	contains(t, out, "\"gshare:entries=4096,hist=12\",gshare/e4096/h12,8192,77230,1.0800,1.6900,0.0610")
 
-	b.Reset()
-	if err := ExploreCSV(&b, &ExploreResult{Workload: "espresso", Frontier: []ExplorePoint{
+	ex := &ExploreResult{Workload: "espresso", Frontier: []ExplorePoint{
 		{Label: "i2-ic1K-wc2-rob6-mshr2-pf4", Issue: 2, ICacheK: 1, WCLines: 2, ROB: 6,
 			MSHRs: 2, PFBufs: 4, CostRBE: 68444, ICacheRBE: 8000, CPI: 1.196, Budget: 40000},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	contains(t, b.String(), "label,workload,issue,icache_kb,wc_lines,rob,mshrs,pf_buffers,bpred,cost_rbe,icache_rbe,bpred_rbe,cpi,budget")
-	contains(t, b.String(), "i2-ic1K-wc2-rob6-mshr2-pf4,espresso,2,1,2,6,2,4,folding,68444,8000,0,1.1960,40000")
+	}}
+	out = csvText(t, ex.Table())
+	contains(t, out, "label,workload,issue,icache_kb,wc_lines,rob,mshrs,pf_buffers,bpred,cost_rbe,icache_rbe,bpred_rbe,cpi,budget")
+	contains(t, out, "i2-ic1K-wc2-rob6-mshr2-pf4,espresso,2,1,2,6,2,4,folding,68444,8000,0,1.1960,40000")
 }
 
 // TestCSVFloatFormatPinned pins the artifact float cell: f4 renders four
@@ -330,12 +287,11 @@ func TestCSVFloatFormatPinned(t *testing.T) {
 // flag spelling alongside the canonical key, so any printed row can be
 // reproduced directly.
 func TestPrintBPredSweepLabelColumn(t *testing.T) {
-	var b bytes.Buffer
-	PrintBPredSweep(&b, &BPredSweepResult{Model: "baseline", Points: []BPredPoint{
+	bp := &BPredSweepResult{Model: "baseline", Points: []BPredPoint{
 		{Label: "bimodal:entries=512", Key: "bimodal/e512", Bits: 1024,
 			CostRBE: 73646, IntCPI: 1.09, FPCPI: 1.7, IntMispredict: 0.08},
-	}})
-	out := b.String()
+	}}
+	out := text(bp.tables()...)
 	contains(t, out, "-bpred")
 	contains(t, out, "bimodal:entries=512")
 	contains(t, out, "bimodal/e512")
@@ -344,8 +300,7 @@ func TestPrintBPredSweepLabelColumn(t *testing.T) {
 // TestPrintExplore smoke-checks the exploration rendering: the ladder
 // accounting, the frontier row and a dropped-candidate line all appear.
 func TestPrintExplore(t *testing.T) {
-	var b bytes.Buffer
-	PrintExplore(&b, &ExploreResult{
+	ex := &ExploreResult{
 		Workload:   "espresso",
 		Spec:       ExploreSpec{Slack: 0.10},
 		Candidates: 4,
@@ -358,8 +313,8 @@ func TestPrintExplore(t *testing.T) {
 				ROB: 6, MSHRs: 2, PFBufs: 4, CostRBE: 68444, CPI: 1.196, Budget: 40000},
 		},
 		Faults: []ExploreFault{{Label: "i2-ic2K-wc4-rob6-mshr2-pf4", Rung: 0, Cell: "FAULT(ipu@42)"}},
-	})
-	out := b.String()
+	}
+	out := text(ex.Table())
 	contains(t, out, "Design-space exploration (espresso)")
 	contains(t, out, "grid 4 candidates")
 	contains(t, out, "on the frontier")

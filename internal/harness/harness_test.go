@@ -166,10 +166,11 @@ func TestTable6Structure(t *testing.T) {
 }
 
 func TestFig9QueuesShape(t *testing.T) {
-	iq, lq, rob, err := Fig9Queues(context.Background(), testRunner, Quick())
+	res, err := Fig9Queues(context.Background(), testRunner, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
+	iq, lq, rob := res.InstrQueue, res.LoadQueue, res.ReorderBuffer
 	if len(iq) != 5 || len(lq) != 5 || len(rob) != 5 {
 		t.Fatalf("sweep lengths %d/%d/%d", len(iq), len(lq), len(rob))
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -192,7 +191,5 @@ func TestSampledSweepGrid(t *testing.T) {
 			}
 		}
 	}
-	var text bytes.Buffer
-	PrintSampledSweep(&text, res)
-	checkGolden(t, "sampled.golden", text.String())
+	checkGolden(t, "sampled.golden", text(res.Table()))
 }

@@ -53,7 +53,7 @@ func TestRunnerResolvesMemoryDiskSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out1 bytes.Buffer
-	if err := RateTableCSV(&out1, tab1); err != nil {
+	if err := tab1.tables()[0].CSV(&out1); err != nil {
 		t.Fatal(err)
 	}
 	st1 := cold.Stats()
@@ -77,7 +77,7 @@ func TestRunnerResolvesMemoryDiskSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out2 bytes.Buffer
-	if err := RateTableCSV(&out2, tab2); err != nil {
+	if err := tab2.tables()[0].CSV(&out2); err != nil {
 		t.Fatal(err)
 	}
 	st2 := warm.Stats()
