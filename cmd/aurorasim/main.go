@@ -68,13 +68,26 @@ func run() int {
 		return 2
 	}
 	stray := "" // a -sample-* flag given without -sample to use it
+	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
 		if strings.HasPrefix(f.Name, "sample-") && !*sampled {
 			stray = f.Name
 		}
 	})
 	if stray != "" {
 		return usageError(fmt.Errorf("-%s needs -sample", stray))
+	}
+	// Normalize would turn a negative issue width or latency into the
+	// model's default, and a negative -prefetch reads as no override, so
+	// each would run a machine other than the one asked for.
+	for _, o := range []struct {
+		name string
+		v    int
+	}{{"issue", *issue}, {"latency", *latency}, {"prefetch", *pfbufs}} {
+		if set[o.name] && o.v < 0 {
+			return usageError(fmt.Errorf("-%s %d is negative", o.name, o.v))
+		}
 	}
 	if *sampled && (*metricsOut != "" || *traceOut != "") {
 		return usageError(fmt.Errorf("-sample estimates CPI from periodic windows; it cannot capture -metrics-out/-trace-out time series (run without -sample for those)"))
@@ -115,7 +128,7 @@ func run() int {
 	if *rob != 0 {
 		cfg.ReorderBuffer = *rob
 	}
-	if *pfbufs >= 0 {
+	if set["prefetch"] {
 		cfg.PrefetchBuffers = *pfbufs
 	}
 	cfg.VictimLines = *victim
@@ -142,7 +155,8 @@ func run() int {
 	default:
 		return usageError(fmt.Errorf("unknown FPU policy %q", *policy))
 	}
-	if err := cfg.Normalize().Validate(); err != nil {
+	cfg = cfg.Normalize() // the machine the run simulates, and prices
+	if err := cfg.Validate(); err != nil {
 		return usageError(err) // an override the model cannot build
 	}
 

@@ -59,9 +59,14 @@ func TestUnknownNameRejected(t *testing.T) {
 
 // TestRejectedOverrideIsUsageError: an override the model cannot build
 // used to exit 1 like a failed simulation, after opening the result
-// store. It is a usage error, exit 2, before the store is opened.
+// store, and a negative issue width, latency or prefetch count was
+// silently replaced by the model's value. Each is a usage error, exit 2,
+// before the store is opened.
 func TestRejectedOverrideIsUsageError(t *testing.T) {
-	for _, args := range [][]string{{"-issue", "3"}, {"-mshrs", "-1"}} {
+	for _, args := range [][]string{
+		{"-issue", "3"}, {"-mshrs", "-1"},
+		{"-issue", "-1"}, {"-latency", "-5"}, {"-prefetch", "-5"}, {"-victim", "-5"},
+	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) { wantUsageError(t, args...) })
 	}
 }

@@ -121,6 +121,12 @@ func (c Config) Validate() error {
 	if c.WriteCacheLines < 1 {
 		return fmt.Errorf("core: write cache must have ≥1 line")
 	}
+	if c.PrefetchBuffers < 0 {
+		return fmt.Errorf("core: prefetch buffer count %d is negative", c.PrefetchBuffers)
+	}
+	if c.VictimLines < 0 {
+		return fmt.Errorf("core: victim cache of %d lines is negative", c.VictimLines)
+	}
 	if c.FetchQueue < 2 {
 		// Fetch waits for room for a whole pair, so a smaller queue
 		// never receives an instruction.

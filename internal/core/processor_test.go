@@ -376,6 +376,28 @@ func TestFetchQueueHoldsAPair(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsRejected: a negative victim-cache or prefetch-buffer
+// count used to pass validation and panic in makeslice while the machine
+// was built, reported as a sim fault; it is a configuration error.
+func TestNegativeCountsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"victim cache", func(c *Config) { c.VictimLines = -1 }},
+		{"prefetch buffer", func(c *Config) { c.PrefetchBuffers = -1 }},
+	} {
+		cfg := Baseline()
+		tc.set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s count -1: Validate error %v, want a %s error", tc.name, err, tc.name)
+		}
+		if _, err := NewProcessor(cfg, &trace.SliceStream{}); err == nil {
+			t.Errorf("%s count -1: NewProcessor built a machine", tc.name)
+		}
+	}
+}
+
 func TestModelPresets(t *testing.T) {
 	s, b, l := Small(), Baseline(), Large()
 	// Table 1 resources.
