@@ -542,6 +542,43 @@ func TestKeepGoingSampledSweep(t *testing.T) {
 	}
 }
 
+// TestFaultCellNamesItsConfig: configurations that differ only in name
+// share one memoized job. Under keep-going each cell's fault names its own
+// configuration, not whichever of them the scheduler ran first, so a
+// faulted render is the same for any worker count.
+func TestFaultCellNamesItsConfig(t *testing.T) {
+	faultinject.Reset()
+	faultinject.Arm(faultinject.LSUDispatch)
+	defer faultinject.Reset()
+
+	alias := core.Baseline()
+	alias.Name = "alias"
+	suites, err := grid(context.Background(), NewRunner(2), Options{Budget: 20_000}, nil,
+		workloads.Integer()[:1], core.Baseline(), alias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"baseline", "alias"} {
+		if f := suites[i][0].Fault; f == nil || f.Config != want {
+			t.Errorf("cell %d fault %v, want one naming %q", i, f, want)
+		}
+	}
+}
+
+// TestInvalidConfigIsNotAFault: a configuration Validate rejects (here a
+// negative victim cache, which once panicked in makeslice while the
+// machine was built) is an error of the request, never a simulation
+// fault that keep-going would turn into a FAULT cell.
+func TestInvalidConfigIsNotAFault(t *testing.T) {
+	cfg := core.Baseline()
+	cfg.VictimLines = -1
+	c, err := NewRunner(1).Cell(context.Background(), cfg, workloads.Integer()[0], Options{Budget: 20_000}, nil)
+	var f *simfault.Fault
+	if err == nil || errors.As(err, &f) || c.Fault != nil {
+		t.Fatalf("cell %+v, error %v: want a plain configuration error", c, err)
+	}
+}
+
 // TestFailFastSampledSweep: under FailFast the same armed site aborts the
 // sampled sweep with the fault as its error.
 func TestFailFastSampledSweep(t *testing.T) {

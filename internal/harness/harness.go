@@ -111,7 +111,9 @@ func effectiveBudget(w *workloads.Workload, opts Options) uint64 {
 // *simfault.Fault is data — the cell comes back with Fault set, CPI NaN and
 // no report, so the caller marks it and keeps the rest of the study — while
 // fail-fast mode and non-fault errors (configuration mistakes, I/O,
-// cancellation) return the error.
+// cancellation) return the error. A marked fault names cfg: configurations
+// that differ only in name share one memoized job, and its fault would
+// otherwise name whichever of them the scheduler ran first.
 func (r *Runner) Cell(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, sp *sample.Params) (BenchCPI, error) {
 	c := BenchCPI{Bench: w.Name}
 	var err error
@@ -127,7 +129,9 @@ func (r *Runner) Cell(ctx context.Context, cfg core.Config, w *workloads.Workloa
 	}
 	var f *simfault.Fault
 	if !opts.FailFast && errors.As(err, &f) {
-		return BenchCPI{Bench: w.Name, CPI: math.NaN(), Fault: f}, nil
+		own := *f
+		own.Config = cfg.Name
+		return BenchCPI{Bench: w.Name, CPI: math.NaN(), Fault: &own}, nil
 	}
 	return BenchCPI{}, err
 }
