@@ -128,8 +128,13 @@ loc:
 		awk '{n[$$1] += $$2} END {for (d in n) printf "%6d %s\n", n[d], d}' | sort -k2; \
 	cat $$files | wc -l | awk '{printf "%6d total\n", $$1}'
 
+# golden checks the byte-pinned outputs: every kernel's report fingerprint
+# and the ring-size matrix in the root package, then the harness artifact
+# goldens — every registry artifact's text and CSV files, the exploration,
+# the every-cell-faulted render and the sampled grid.
 golden:
 	$(GO) test -run 'TestGolden' -count=1 .
+	$(GO) test -run 'TestRenderParallelMatchesSerial|TestExploreDeterminismAcrossWorkers|TestKeepGoingMarksEveryRow|TestSampledSweepGrid' -count=1 ./internal/harness/
 
 # fuzz exercises the fuzz targets for a short local burst each: the
 # assembler round-trip and the branch-predictor stream harness.

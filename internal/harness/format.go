@@ -142,7 +142,7 @@ func fig7Tables(pts []Fig7Point) []Table {
 			{"avgCPI", 8, "%.3f", "avg_cpi", func(i int) any { return pts[i].AvgCPI }},
 			{"", 0, "%s", "", func(i int) any {
 				if pts[i].IsBase {
-					return " <- Table 1 value"
+					return " <- Table 1 value" // two spaces after the CPI
 				}
 				return ""
 			}},
