@@ -37,7 +37,7 @@ func run() int {
 		mshrs    = flag.Int("mshrs", 0, "MSHR count override")
 		wclines  = flag.Int("wc", 0, "write cache lines override")
 		rob      = flag.Int("rob", 0, "reorder buffer entries override")
-		pfbufs   = flag.Int("prefetch", -1, "stream buffer count override (0 disables)")
+		pfbufs   = flag.Int("prefetch", 0, "stream buffer count override (0 disables)")
 		instr    = flag.Uint64("instr", 0, "dynamic instruction budget (0 = natural completion)")
 
 		sampled      = flag.Bool("sample", false, "sampled + fast-forward mode: estimate CPI ± a confidence bound from periodic detailed windows (see docs/SIMULATION-MODES.md)")
