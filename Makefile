@@ -36,12 +36,14 @@ race:
 
 # faults runs the fault-isolation layer's tests under the race detector:
 # injected panics at every guarded site, the memo-poison regression, the
-# cancellation races, Runner.Cell's keep-going rule in both modes, the
+# cancellation races, the one single-flight cache behind the memo and the
+# checkpoints (shared builds, kept errors, withdrawn cancellations,
+# eviction racing requests), Runner.Cell's keep-going rule in both modes, the
 # per-cell keep-going rendering (exact and sampled sweeps, aurora-serve's
 # fault objects) and the dead-suite NaN rates.
 faults:
 	$(GO) test -race -timeout 5m -count=1 \
-		-run 'TestFault|TestRunHonorsCancellation|TestJobDeadline|TestCell|TestKeepGoing|TestFailFast|TestConcurrentRunRace|TestPredictorSweepAllFaulted|TestSweepFaulted' \
+		-run 'TestFault|TestRunHonorsCancellation|TestCache|TestMemoEviction|TestJobDeadline|TestCell|TestKeepGoing|TestFailFast|TestConcurrentRunRace|TestPredictorSweepAllFaulted|TestSweepFaulted' \
 		./internal/harness/ ./internal/simfault/ ./cmd/aurora-serve/
 	$(GO) test -race -timeout 5m -count=1 -run TestRunContextCancellation ./internal/core/
 

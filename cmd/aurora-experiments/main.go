@@ -131,6 +131,9 @@ func run() int {
 	sp := sample.Params{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
 	opts := resolveOptions(*quick, set, *budget, *sweep)
 	opts.FailFast = *failFast
+	if err := sp.CheckBudget(opts.Budget); *sampled && err != nil {
+		return usageError("-sample " + err.Error())
+	}
 	var spec harness.ExploreSpec
 	var err error
 	if *explore {
@@ -187,7 +190,7 @@ func run() int {
 		if *traceOut != "" {
 			cycles = *traceCycles
 		}
-		collector = harness.NewObsCollector(interval, 0, cycles)
+		collector = harness.NewObsCollector(interval, cycles)
 		runner.Observe = collector.Sink
 	}
 	sink := &csvSink{dir: *csvDir}

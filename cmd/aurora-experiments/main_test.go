@@ -127,6 +127,16 @@ func TestExploreSpecRejectedIsUsageError(t *testing.T) {
 	})
 }
 
+// TestShortSampledBudgetIsUsageError: a -sample budget too short for two
+// measurement windows used to open the result store, fail all 60 cells
+// and exit 1. It is a usage error, exit 2, before the store is opened.
+func TestShortSampledBudgetIsUsageError(t *testing.T) {
+	usageErrorBeforeStore(t, [][]string{
+		{"-sample", "-budget", "20000"},
+		{"-sample", "-quick", "-sample-warmup", "300000"},
+	})
+}
+
 // TestModeConflictIsUsageError: modes combined that cannot run together,
 // a sampled run asked for exact-only output, and an unparsable -bpred used
 // to exit 1, most of them after opening the result store and the debug

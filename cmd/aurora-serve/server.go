@@ -234,6 +234,10 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	var sp *sample.Params
 	if req.Sampled {
+		if err := req.Sample.CheckBudget(req.Budget); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 		sp = &req.Sample
 	}
 

@@ -628,6 +628,27 @@ func TestExploreValidation(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsShortSampledBudget: a sampled sweep whose budget cannot
+// yield two windows used to answer 200 and then stream one error line per
+// cell. It is a 400 naming the budget and what it falls short of, before
+// the stream starts.
+func TestSweepRejectsShortSampledBudget(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"models":["small"],"workloads":["espresso"],"budget":20000,"sampled":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (body %s)", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "budget 20000 is below the 83000 instructions") {
+		t.Errorf("body %q does not carry the budget and the instructions it needs", body)
+	}
+}
+
 // TestExploreRejectsShortSampledScreens: a sampled exploration whose first
 // screen cannot yield two windows — the tiny grid screens at 10k
 // instructions, below the default 50k warm-up — is a 400 carrying

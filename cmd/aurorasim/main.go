@@ -92,6 +92,10 @@ func run() int {
 	if *sampled && (*metricsOut != "" || *traceOut != "") {
 		return usageError(fmt.Errorf("-sample estimates CPI from periodic windows; it cannot capture -metrics-out/-trace-out time series (run without -sample for those)"))
 	}
+	sp := aurora.SampleParams{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
+	if err := sp.CheckBudget(*instr); *sampled && err != nil {
+		return usageError(fmt.Errorf("-instr: %w", err))
+	}
 
 	// SIGINT (and an optional -timeout) cancel the simulation; partial
 	// -metrics-out / -trace-out data is still flushed on the way out.
@@ -187,8 +191,7 @@ func run() int {
 	}
 
 	if *sampled {
-		p := aurora.SampleParams{WarmUp: *sampleWarmup, Interval: *sampleEvery, Window: *sampleWindow}
-		srep, err := runner.RunSampled(ctx, cfg, w, harness.Options{Budget: *instr}, p)
+		srep, err := runner.RunSampled(ctx, cfg, w, harness.Options{Budget: *instr}, sp)
 		servedFromStore()
 		if err != nil {
 			return fail(err)

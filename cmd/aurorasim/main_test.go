@@ -71,6 +71,20 @@ func TestRejectedOverrideIsUsageError(t *testing.T) {
 	}
 }
 
+// TestShortSampledBudgetIsUsageError: a sampled budget too short for two
+// measurement windows used to create the result store, then exit 1 with
+// "only 0 complete measurement windows". It is a usage error, exit 2,
+// before the store is opened.
+func TestShortSampledBudgetIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sample"},
+		{"-sample", "-instr", "82999"},
+		{"-sample", "-sample-warmup", "90000", "-instr", "100000"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) { wantUsageError(t, args...) })
+	}
+}
+
 // TestSampleFlagsNeedSampledMode: a -sample-* flag without -sample used to
 // run the exact simulation and exit 0 with the flag ignored; it is now a
 // usage error, so nobody reads an exact CPI as the estimate they asked for.

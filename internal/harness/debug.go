@@ -50,6 +50,7 @@ func ServeDebug(addr string, r *Runner) (string, error) {
 				"simulated":            s.Simulated,
 				"store_hits":           s.StoreHits,
 				"store_misses":         s.StoreMisses,
+				"memo_evictions":       s.MemoEvictions,
 				"checkpoint_evictions": s.CheckpointEvictions,
 			}
 		}))

@@ -194,10 +194,9 @@ func ExploreSpecFor(grid string, over ExploreSpec) (ExploreSpec, error) {
 	if over.Sampled {
 		spec.Sampled, spec.Sample = true, over.Sample
 		if n := spec.Normalize(); n.Rungs > 1 {
-			if b, need := n.budgets()[0], n.Sample.MinBudget(2); b < need {
+			if err := n.Sample.CheckBudget(n.budgets()[0]); err != nil {
 				return ExploreSpec{}, fmt.Errorf(
-					"sampled screens need at least 2 windows: the first rung's budget %d is below the %d instructions warm-up %d, interval %d and window %d need; raise the final budget or shrink the sampling parameters",
-					b, need, n.Sample.WarmUp, n.Sample.Interval, n.Sample.Window)
+					"sampled screens need at least 2 windows: the first rung's %v; raise the final budget or shrink the sampling parameters", err)
 			}
 		}
 	}

@@ -16,13 +16,12 @@ import (
 // job key, not by scheduling, so exports are byte-identical at any worker
 // count.
 //
-//	c := harness.NewObsCollector(10_000, 0, 50_000)
+//	c := harness.NewObsCollector(10_000, 50_000)
 //	r.Observe = c.Sink
 //	... run experiments ...
 //	c.WriteMetricsCSV(f)
 type ObsCollector struct {
 	interval    uint64
-	traceFrom   uint64
 	traceCycles uint64 // 0 disables tracing; metrics interval 0 disables sampling
 
 	mu   sync.Mutex
@@ -36,10 +35,10 @@ type obsJob struct {
 }
 
 // NewObsCollector builds a collector. interval is the metric sampling cadence
-// in cycles (0 disables the time series); traceFrom/traceCycles bound each
-// job's trace window (traceCycles 0 disables tracing).
-func NewObsCollector(interval, traceFrom, traceCycles uint64) *ObsCollector {
-	return &ObsCollector{interval: interval, traceFrom: traceFrom, traceCycles: traceCycles}
+// in cycles (0 disables the time series); each job's trace window is its
+// first traceCycles cycles (0 disables tracing).
+func NewObsCollector(interval, traceCycles uint64) *ObsCollector {
+	return &ObsCollector{interval: interval, traceCycles: traceCycles}
 }
 
 // Sink is the Runner.Observe factory: one sampler + tracer per distinct job.
@@ -51,7 +50,7 @@ func (c *ObsCollector) Sink(job JobInfo) obs.Sink {
 		sinks = append(sinks, j.sampler)
 	}
 	if c.traceCycles > 0 {
-		j.tracer = obs.NewTraceSink(c.traceFrom, c.traceFrom+c.traceCycles)
+		j.tracer = obs.NewTraceSink(0, c.traceCycles)
 		sinks = append(sinks, j.tracer)
 	}
 	if len(sinks) == 0 {

@@ -22,7 +22,7 @@ func TestObsCollectorDeterministicUnderParallelism(t *testing.T) {
 	export := func(workers int) (metrics, trace string) {
 		t.Helper()
 		r := NewRunner(workers)
-		c := NewObsCollector(5_000, 0, 10_000)
+		c := NewObsCollector(5_000, 10_000)
 		r.Observe = c.Sink
 		// Duplicate every job 3x across both Table 1 end-point models.
 		var thunks []func() (*core.Report, error)
@@ -98,7 +98,7 @@ func TestObserveDoesNotChangeReports(t *testing.T) {
 	}
 
 	observed := NewRunner(1)
-	c := NewObsCollector(5_000, 0, 10_000)
+	c := NewObsCollector(5_000, 10_000)
 	observed.Observe = c.Sink
 	got, err := observed.Run(context.Background(), core.Baseline(), w, opts)
 	if err != nil {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"aurora/internal/core"
 	"aurora/internal/obs"
@@ -35,12 +37,19 @@ import (
 // cycles; cancelled attempts are not memoized, so a later sweep retries
 // them under its own context.
 //
+// The memo and the sampled checkpoints are two instances of one
+// byte-bounded single-flight cache (see cache), which drops the least
+// recently requested completed entries past its budget and never a job or
+// capture in flight. The memo's budget (memoBytes) holds every job the
+// repository's own tools run in one process.
+//
 // When Store is set, a persistent layer sits under the memo table and
 // requests resolve memory → disk → simulate: the goroutine that owns a
 // key's memo entry consults the store before paying for a simulation, and
 // writes the result back after one, so single-flight semantics hold across
 // both layers — concurrent requesters of one key trigger at most one disk
-// lookup and at most one simulation per process.
+// lookup and at most one simulation per process. A job evicted from the
+// memo is one more store hit, not a re-simulation.
 type Runner struct {
 	sem chan struct{} // bounds concurrently simulating jobs
 
@@ -52,12 +61,13 @@ type Runner struct {
 	Store *resultstore.Store
 
 	// Observe, when non-nil, supplies a per-job observability sink (see
-	// internal/obs) for every distinct exact job the runner simulates. It
-	// is called exactly once per memo entry — on the miss, never on hits —
-	// so a sweep that revisits a job yields one time series per distinct
-	// simulation no matter how many experiments requested it or how many
-	// workers ran them. A nil return leaves that job unobserved. Set it
-	// before submitting jobs; it must be safe for concurrent calls.
+	// internal/obs) for every exact job the runner simulates. It is
+	// called once per simulation — on a miss the store does not answer,
+	// never on hits — so a sweep that revisits a job yields one time
+	// series per distinct simulation no matter how many experiments
+	// requested it or how many workers ran them. A nil return leaves that
+	// job unobserved. Set it before submitting jobs; it must be safe for
+	// concurrent calls.
 	Observe func(job JobInfo) obs.Sink
 
 	// JobTimeout bounds each distinct job's wall-clock time; 0 means no
@@ -66,14 +76,32 @@ type Runner struct {
 	// property of the job. Set it before submitting jobs.
 	JobTimeout time.Duration
 
-	mu          sync.Mutex
-	memo        map[resultstore.Key]*memoEntry
-	checkpoints *sample.CheckpointCache // shared by every sampled job
-	hits        uint64
-	misses      uint64
-	simulated   uint64
-	storeHits   uint64
-	storeMisses uint64
+	memo        *cache[resultstore.Key, resultstore.Result]
+	checkpoints *cache[sample.CaptureKey, *sample.Checkpoint] // shared by every sampled job
+
+	simulated, storeHits, storeMisses atomic.Uint64
+}
+
+// memoBytes bounds the completed job results one Runner's memo holds, each
+// costed by resultBytes: 42,799 exact reports. aurora-experiments
+// -extensions at full budgets memoizes 717 distinct jobs, and perfbench's
+// serve daemon at most 12,000 cold cells beside its 24 warm ones, so
+// neither ever evicts.
+const memoBytes = 32 << 20
+
+// checkpointBytes bounds the encoded bytes of the completed checkpoints
+// one Runner holds: about five full sampled sweeps of the 15 kernels at the
+// default 2M-instruction budget.
+const checkpointBytes = 256 << 20
+
+// resultBytes is a memo entry's cost: the report struct, 784 B for an exact
+// core.Report, plus a sampled report's per-window CPIs. A fault costs what
+// an exact report would.
+func resultBytes(res resultstore.Result) int64 {
+	if s := res.Sampled; s != nil {
+		return int64(unsafe.Sizeof(*s)) + 8*int64(len(s.WindowCPI))
+	}
+	return int64(unsafe.Sizeof(core.Report{}))
 }
 
 // JobInfo describes one distinct simulation job to an Observe factory.
@@ -85,20 +113,6 @@ type JobInfo struct {
 	Scheduled   bool
 }
 
-// memoEntry holds one job's result, exact or sampled. The goroutine that
-// inserts the entry computes it and closes done; later requesters wait on
-// done (or their own cancellation) and share the result. A panicking job
-// completes its entry with the recovered *simfault.Fault — the earlier
-// sync.Once design counted a panicking computation as returned, so every
-// later hit of that key read a poisoned nil, nil entry. A computation
-// aborted by its own caller's cancellation is withdrawn from the table
-// instead, so the next requester retries under a live context.
-type memoEntry struct {
-	done chan struct{}
-	res  resultstore.Result // Report or Sampled; never Fault (that is err)
-	err  error
-}
-
 // NewRunner returns a runner with the given worker-pool size;
 // workers <= 0 selects runtime.GOMAXPROCS(0).
 func NewRunner(workers int) *Runner {
@@ -107,8 +121,8 @@ func NewRunner(workers int) *Runner {
 	}
 	return &Runner{
 		sem:         make(chan struct{}, workers),
-		memo:        map[resultstore.Key]*memoEntry{},
-		checkpoints: sample.NewCheckpointCache(),
+		memo:        newCache[resultstore.Key](memoBytes, resultBytes),
+		checkpoints: newCache[sample.CaptureKey](checkpointBytes, (*sample.Checkpoint).Size),
 	}
 }
 
@@ -128,30 +142,31 @@ func (r *Runner) Workers() int { return cap(r.sem) }
 // lookups that fell through, and Simulated the jobs actually run. A sweep
 // answered entirely from a warm store reports Simulated == 0.
 //
-// CheckpointEvictions counts sampled checkpoints dropped from the runner's
-// byte-bounded checkpoint cache; a sampled job that needs one again
-// recaptures it.
+// MemoEvictions counts completed results dropped from the byte-bounded
+// memo; a later request for one resolves again, from the store when one
+// is attached. CheckpointEvictions counts sampled checkpoints dropped from
+// the checkpoint cache; a sampled job that needs one again recaptures it.
 type RunnerStats struct {
 	Hits                uint64
 	Misses              uint64
 	Simulated           uint64
 	StoreHits           uint64
 	StoreMisses         uint64
+	MemoEvictions       uint64
 	CheckpointEvictions uint64
 }
 
 // Stats returns a snapshot of the memo-table counters.
 func (r *Runner) Stats() RunnerStats {
-	evictions := r.checkpoints.Stats().Evictions
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	memo, cps := r.memo.stats(), r.checkpoints.stats()
 	return RunnerStats{
-		Hits:                r.hits,
-		Misses:              r.misses,
-		Simulated:           r.simulated,
-		StoreHits:           r.storeHits,
-		StoreMisses:         r.storeMisses,
-		CheckpointEvictions: evictions,
+		Hits:                memo.Hits,
+		Misses:              memo.Misses,
+		Simulated:           r.simulated.Load(),
+		StoreHits:           r.storeHits.Load(),
+		StoreMisses:         r.storeMisses.Load(),
+		MemoEvictions:       memo.Evictions,
+		CheckpointEvictions: cps.Evictions,
 	}
 }
 
@@ -192,7 +207,7 @@ func (r *Runner) Run(ctx context.Context, cfg core.Config, w *workloads.Workload
 		rep, err := sim.Run()
 		return resultstore.Result{Report: rep}, sim.Cycles(), err
 	}
-	res, err := r.do(ctx, j)
+	res, err := r.memo.get(ctx, j.key, func(ctx context.Context) (resultstore.Result, error) { return r.resolve(ctx, j) })
 	return res.Report, err
 }
 
@@ -236,75 +251,20 @@ func (r *Runner) key(cfg core.Config, w *workloads.Workload, opts Options, sampl
 	return k
 }
 
-// do is the single-flight memo loop every job goes through, exact or
-// sampled.
-func (r *Runner) do(ctx context.Context, j job) (resultstore.Result, error) {
-	k := j.key
-	for {
-		if err := ctx.Err(); err != nil {
-			return resultstore.Result{}, err
-		}
-		r.mu.Lock()
-		e, ok := r.memo[k]
-		if !ok {
-			e = &memoEntry{done: make(chan struct{})}
-			r.memo[k] = e
-			r.misses++
-			r.mu.Unlock()
-			e.res, e.err = r.resolve(ctx, j)
-			if canceled(e.err) {
-				// The attempt died with its caller, not on its own merits:
-				// withdraw the entry so the next requester retries.
-				r.mu.Lock()
-				if r.memo[k] == e {
-					delete(r.memo, k)
-				}
-				r.mu.Unlock()
-			}
-			close(e.done)
-			return e.res, e.err
-		}
-		r.mu.Unlock()
-		select {
-		case <-e.done:
-			if !canceled(e.err) {
-				// Counted here — on the answer — not when the wait began:
-				// a requester that waits on an entry later withdrawn by
-				// cancellation retries and is counted once, by whichever
-				// branch finally answers it, instead of as a hit plus a
-				// hit-or-miss again.
-				r.mu.Lock()
-				r.hits++
-				r.mu.Unlock()
-				return e.res, e.err
-			}
-			// The computing caller was cancelled; loop and retry under our
-			// own context (the withdrawn entry no longer blocks the key).
-		case <-ctx.Done():
-			return resultstore.Result{}, ctx.Err()
-		}
-	}
-}
-
 // resolve answers one memo miss: disk first when a store is attached, then
 // simulation, writing persistable results back. It runs inside the key's
 // memo entry, so both layers inherit the memo's single-flight guarantee.
 func (r *Runner) resolve(ctx context.Context, j job) (resultstore.Result, error) {
 	if r.Store != nil {
 		res, ok := r.Store.Read(j.key)
-		r.mu.Lock()
 		if ok {
-			r.storeHits++
-		} else {
-			r.storeMisses++
-		}
-		r.mu.Unlock()
-		if ok {
+			r.storeHits.Add(1)
 			if res.Fault != nil {
 				return resultstore.Result{}, res.Fault
 			}
 			return res, nil
 		}
+		r.storeMisses.Add(1)
 	}
 	res, err := r.simulate(ctx, j)
 	if r.Store != nil && !r.Store.ReadOnly() {
@@ -350,9 +310,7 @@ func (r *Runner) simulate(ctx context.Context, j job) (resultstore.Result, error
 		jctx, cancel = context.WithTimeout(ctx, r.JobTimeout)
 		defer cancel()
 	}
-	r.mu.Lock()
-	r.simulated++
-	r.mu.Unlock()
+	r.simulated.Add(1)
 	res, cycles, err := j.compute(jctx)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 		// The job's own wall-clock budget expired while the surrounding

@@ -35,7 +35,9 @@ func (r *Runner) RunSampled(ctx context.Context, cfg core.Config, w *workloads.W
 		// A sampled job reports no cycle count: a panic or deadline inside
 		// the capture or the replayed windows is annotated at cycle 0.
 		err = guard(j.fault(), func() uint64 { return 0 }, func() error {
-			cp, err := r.checkpoints.Get(ctx, w, opts.Budget, p)
+			cp, err := r.checkpoints.get(ctx, p.CaptureKey(w.Name, opts.Budget), func(ctx context.Context) (*sample.Checkpoint, error) {
+				return sample.NewCheckpoint(ctx, w, opts.Budget, p)
+			})
 			if err != nil {
 				return err
 			}
@@ -48,7 +50,7 @@ func (r *Runner) RunSampled(ctx context.Context, cfg core.Config, w *workloads.W
 		})
 		return res, 0, err
 	}
-	res, err := r.do(ctx, j)
+	res, err := r.memo.get(ctx, j.key, func(ctx context.Context) (resultstore.Result, error) { return r.resolve(ctx, j) })
 	return res.Sampled, err
 }
 

@@ -3,7 +3,6 @@ package sample
 import (
 	"context"
 	"fmt"
-	"sync"
 	"unsafe"
 
 	"aurora/internal/core"
@@ -45,16 +44,11 @@ type segment struct {
 // through a shared checkpoint is byte-identical to one through a private
 // checkpoint by construction: both are pure replays of the same capture.
 //
-// A checkpoint is valid only for the exact (workload, warm-up, interval,
-// window, budget) it was built from; Run rejects any other combination,
-// which is what invalidates checkpoints when the workload or the warm-up
-// length changes.
+// A checkpoint is valid only for the exact CaptureKey it was built from;
+// Run rejects any other, which is what invalidates checkpoints when the
+// workload or the warm-up length changes.
 type Checkpoint struct {
-	Workload string
-	WarmUp   uint64 // requested warm-up length (identity)
-	Interval uint64 // sampling period (identity)
-	Window   uint64 // detailed instructions per window (identity)
-	Budget   uint64 // total instruction budget, 0 = to natural halt (identity)
+	CaptureKey
 
 	Executed uint64 // instructions actually executed (the kernel may halt first)
 	Halted   bool   // the kernel ran to natural completion within the budget
@@ -69,10 +63,33 @@ type Checkpoint struct {
 	static []trace.StaticInstr
 }
 
-// size is the checkpoint's encoded bytes: its warm entries and window
-// records, which is what grows with the budget.
-func (cp *Checkpoint) size() int64 {
-	var n int64
+// CaptureKey is a checkpoint's identity: everything its functional pass is
+// a pure function of. It is comparable, so it keys a cache of checkpoints
+// as it stands.
+type CaptureKey struct {
+	Workload string
+	WarmUp   uint64 // requested warm-up length
+	Interval uint64 // sampling period
+	Window   uint64 // detailed instructions per window
+	Budget   uint64 // total instruction budget, 0 = to natural halt
+}
+
+// CaptureKey returns the identity of the checkpoint that seeds a sampled run
+// of workload under p's normalized layout and the given budget.
+func (p Params) CaptureKey(workload string, budget uint64) CaptureKey {
+	p = p.Normalize()
+	return CaptureKey{Workload: workload, WarmUp: p.WarmUp, Interval: p.Interval, Window: p.Window, Budget: budget}
+}
+
+// Size is the checkpoint's bytes: the struct, then its warm entries and
+// window records, which is what grows with the budget. A nil checkpoint, a
+// failed capture's, counts as the struct alone, so that a cache keeping
+// failed captures bounds them too.
+func (cp *Checkpoint) Size() int64 {
+	n := int64(unsafe.Sizeof(Checkpoint{}))
+	if cp == nil {
+		return n
+	}
 	for _, seg := range cp.segs {
 		n += int64(len(seg.warm))*int64(unsafe.Sizeof(warmEntry(0))) +
 			int64(len(seg.win))*int64(unsafe.Sizeof(winRec{}))
@@ -95,14 +112,7 @@ func newCheckpoint(ctx context.Context, w *workloads.Workload, budget uint64, p 
 	if err != nil {
 		return nil, err
 	}
-	cp := &Checkpoint{
-		Workload: w.Name,
-		WarmUp:   p.WarmUp,
-		Interval: p.Interval,
-		Window:   p.Window,
-		Budget:   budget,
-		static:   m.Static(),
-	}
+	cp := &Checkpoint{CaptureKey: p.CaptureKey(w.Name, budget), static: m.Static()}
 	ring := &warmRing{max: maxLog}
 
 	// Warm-up prefix: functional execution, warm log only.
@@ -218,143 +228,4 @@ func (cp *Checkpoint) captureWindow(ctx context.Context, m *vm.Machine, n uint64
 	}
 	cp.segs[len(cp.segs)-1].win = win
 	return nil
-}
-
-// Matches reports whether the checkpoint can seed a sampled run of the
-// given workload, sampling layout and budget.
-func (cp *Checkpoint) Matches(workload string, budget uint64, p Params) bool {
-	p = p.Normalize()
-	return cp.Workload == workload && cp.WarmUp == p.WarmUp &&
-		cp.Interval == p.Interval && cp.Window == p.Window && cp.Budget == budget
-}
-
-// checkpointCacheBytes bounds the encoded bytes of the completed
-// checkpoints one CheckpointCache holds: about five full sampled sweeps of
-// the 15 kernels at the default 2M-instruction budget.
-const checkpointCacheBytes = 256 << 20
-
-// CheckpointCache shares functional passes across the jobs of a sweep: one
-// checkpoint per (workload, layout, budget), built once under single-flight
-// (concurrent requesters of one key wait for the first builder). Failed and
-// cancelled builds are withdrawn, so a later request retries.
-//
-// Completed checkpoints are held within a byte budget: when a build takes
-// the total past it, the least recently requested completed entries are
-// dropped, and a later request for one rebuilds it. A build in flight is
-// never dropped, and dropping only forgets the map entry — a job already
-// holding the *Checkpoint keeps replaying it.
-type CheckpointCache struct {
-	mu        sync.Mutex
-	m         map[cpKey]*cpEntry
-	budget    int64  // bound on bytes, in encoded bytes
-	bytes     int64  // encoded bytes of the completed entries in m
-	clock     uint64 // request counter; an entry's used is its last tick
-	builds    uint64
-	evictions uint64
-}
-
-type cpKey struct {
-	workload string
-	warmUp   uint64
-	interval uint64
-	window   uint64
-	budget   uint64
-}
-
-type cpEntry struct {
-	done chan struct{}
-	cp   *Checkpoint
-	err  error
-	size int64  // encoded bytes once built; 0 while the build is in flight
-	used uint64 // CheckpointCache.clock at the entry's latest request
-}
-
-// CheckpointCacheStats counts a cache's builds and evictions. A request
-// that rebuilds an evicted checkpoint counts as a build.
-type CheckpointCacheStats struct {
-	Builds    uint64
-	Evictions uint64
-}
-
-// NewCheckpointCache returns an empty cache.
-func NewCheckpointCache() *CheckpointCache {
-	return newCheckpointCache(checkpointCacheBytes)
-}
-
-func newCheckpointCache(budget int64) *CheckpointCache {
-	return &CheckpointCache{m: map[cpKey]*cpEntry{}, budget: budget}
-}
-
-// Stats returns a snapshot of the cache's counters.
-func (c *CheckpointCache) Stats() CheckpointCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CheckpointCacheStats{Builds: c.builds, Evictions: c.evictions}
-}
-
-// Get returns the checkpoint for (w, budget, p), building it on first use.
-func (c *CheckpointCache) Get(ctx context.Context, w *workloads.Workload, budget uint64, p Params) (*Checkpoint, error) {
-	p = p.Normalize()
-	key := cpKey{workload: w.Name, warmUp: p.WarmUp, interval: p.Interval, window: p.Window, budget: budget}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.clock++
-		e, ok := c.m[key]
-		if !ok {
-			e = &cpEntry{done: make(chan struct{}), used: c.clock}
-			c.m[key] = e
-			c.builds++
-			c.mu.Unlock()
-			e.cp, e.err = NewCheckpoint(ctx, w, budget, p)
-			c.mu.Lock()
-			if e.err != nil {
-				// Errors (including cancellation) are not cached: withdraw
-				// the entry so the next requester rebuilds.
-				if c.m[key] == e {
-					delete(c.m, key)
-				}
-			} else {
-				e.size = e.cp.size()
-				c.bytes += e.size
-				c.evict()
-			}
-			c.mu.Unlock()
-			close(e.done)
-			return e.cp, e.err
-		}
-		e.used = c.clock
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			if e.err == nil {
-				return e.cp, nil
-			}
-			// The builder failed; loop and retry under our own context.
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// evict drops the least recently requested completed entries until the
-// completed entries fit the budget. c.mu must be held.
-func (c *CheckpointCache) evict() {
-	for c.bytes > c.budget {
-		var oldKey cpKey
-		var old *cpEntry
-		for k, e := range c.m {
-			if e.size > 0 && (old == nil || e.used < old.used) {
-				oldKey, old = k, e
-			}
-		}
-		if old == nil {
-			return
-		}
-		delete(c.m, oldKey)
-		c.bytes -= old.size
-		c.evictions++
-	}
 }

@@ -2,7 +2,6 @@ package sample
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
 
 	"aurora/internal/asm"
@@ -270,139 +269,5 @@ func TestReplayZeroAlloc(t *testing.T) {
 				t.Fatal("drained before the measured span ended")
 			}
 		})
-	}
-}
-
-// TestCheckpointCacheEvictsOldest: with a budget that holds two of three
-// checkpoints, the least recently requested one is dropped, a request for
-// it rebuilds (and is counted), and the rebuilt checkpoint replays to a
-// byte-identical report.
-func TestCheckpointCacheEvictsOldest(t *testing.T) {
-	ctx := context.Background()
-	p := testParams()
-	li, espresso := getWorkload(t, "li"), getWorkload(t, "espresso")
-	type req struct {
-		w      *workloads.Workload
-		budget uint64
-	}
-	a, b, c := req{li, 60_000}, req{li, 90_000}, req{espresso, 60_000}
-
-	var sizes []int64
-	for _, r := range []req{a, b, c} {
-		cp, err := NewCheckpoint(ctx, r.w, r.budget, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, cp.size())
-	}
-	budget := sizes[0] + sizes[1] + sizes[2] - min(sizes[0], sizes[1], sizes[2])
-	cache := newCheckpointCache(budget)
-	get := func(r req) *Checkpoint {
-		t.Helper()
-		cp, err := cache.Get(ctx, r.w, r.budget, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cp
-	}
-	has := func(r req) bool {
-		cache.mu.Lock()
-		defer cache.mu.Unlock()
-		_, ok := cache.m[cpKey{workload: r.w.Name, warmUp: p.WarmUp, interval: p.Interval, window: p.Window, budget: r.budget}]
-		return ok
-	}
-
-	first := get(a)
-	get(b)
-	if get(a) != first {
-		t.Fatal("a cached checkpoint was rebuilt within the budget")
-	}
-	get(c) // over budget: b is now the least recently requested
-	if st := cache.Stats(); st.Builds != 3 || st.Evictions != 1 {
-		t.Errorf("after three keys: %+v, want 3 builds and 1 eviction", st)
-	}
-	if !has(a) || has(b) || !has(c) {
-		t.Errorf("cached after evicting: a %v, b %v, c %v; want a and c", has(a), has(b), has(c))
-	}
-
-	get(b) // rebuilds b and drops a, now the oldest
-	if st := cache.Stats(); st.Builds != 4 || st.Evictions != 2 {
-		t.Errorf("after the rebuild: %+v, want 4 builds and 2 evictions", st)
-	}
-	rebuilt := get(a)
-	if rebuilt == first {
-		t.Fatal("the evicted checkpoint was served again instead of rebuilt")
-	}
-	if st := cache.Stats(); st.Builds != 5 || st.Evictions != 3 {
-		t.Errorf("after rebuilding a: %+v, want 5 builds and 3 evictions", st)
-	}
-	// The job still holding the evicted checkpoint replays it unchanged.
-	want, err := first.Run(ctx, core.Baseline(), a.budget, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rebuilt.Run(ctx, core.Baseline(), a.budget, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wj, _ := json.Marshal(want)
-	gj, _ := json.Marshal(got)
-	if string(gj) != string(wj) {
-		t.Errorf("rebuilt checkpoint's report differs:\nrebuilt:  %s\noriginal: %s", gj, wj)
-	}
-}
-
-// TestCheckpointCacheKeepsInFlight: eviction passes over a build in flight,
-// however old its request.
-func TestCheckpointCacheKeepsInFlight(t *testing.T) {
-	cache := newCheckpointCache(1)
-	building := cpKey{workload: "building"}
-	cache.m[building] = &cpEntry{done: make(chan struct{})}
-	if _, err := cache.Get(context.Background(), getWorkload(t, "li"), 60_000, testParams()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cache.m[building]; !ok {
-		t.Error("an in-flight build was evicted")
-	}
-	if st := cache.Stats(); st.Evictions != 1 || len(cache.m) != 1 {
-		t.Errorf("%+v with %d entries left; want the one completed entry evicted", st, len(cache.m))
-	}
-}
-
-// TestCheckpointCacheConcurrentEviction: requesters racing over more keys
-// than the budget holds each get the checkpoint of the key they asked for,
-// while builds, hits and evictions interleave. Run it under -race.
-func TestCheckpointCacheConcurrentEviction(t *testing.T) {
-	ctx := context.Background()
-	p := testParams()
-	w := getWorkload(t, "li")
-	one, err := NewCheckpoint(ctx, w, 40_000, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := newCheckpointCache(2 * one.size())
-	budgets := []uint64{40_000, 45_000, 50_000, 55_000}
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 12; i++ {
-				b := budgets[(g+i)%len(budgets)]
-				cp, err := cache.Get(ctx, w, b, p)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !cp.Matches(w.Name, b, p) {
-					t.Errorf("requested budget %d, got a checkpoint of budget %d", b, cp.Budget)
-				}
-			}
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if st := cache.Stats(); st.Evictions == 0 || st.Builds < uint64(len(budgets)) {
-		t.Errorf("%+v: want every key built and some evicted", st)
 	}
 }

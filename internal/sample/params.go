@@ -107,6 +107,18 @@ func (p Params) MinBudget(windows uint64) uint64 {
 	return p.WarmUp + (windows-1)*p.Interval + p.Window
 }
 
+// CheckBudget rejects an explicit budget too short for the two complete
+// windows an estimate needs. A zero budget runs the workload to its default
+// length and is not checked here.
+func (p Params) CheckBudget(budget uint64) error {
+	if need := p.MinBudget(2); budget != 0 && budget < need {
+		p = p.Normalize()
+		return fmt.Errorf("budget %d is below the %d instructions a sampled estimate's 2 windows need (warm-up %d, interval %d, window %d)",
+			budget, need, p.WarmUp, p.Interval, p.Window)
+	}
+	return nil
+}
+
 // Key renders the normalized parameters as a canonical string — the sampled
 // discriminator of memo and result-store keys. It is versioned: a change to
 // the sampling algorithm that keeps Params unchanged must bump the prefix,

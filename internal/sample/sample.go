@@ -59,11 +59,8 @@ type Report struct {
 // they shape the estimator, not the capture.)
 func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p Params) (*Report, error) {
 	p = p.Normalize()
-	if !cp.Matches(cp.Workload, budget, p) {
-		return nil, fmt.Errorf(
-			"sample: checkpoint %s (warm-up %d, interval %d, window %d, budget %d) does not match requested warm-up %d, interval %d, window %d, budget %d",
-			cp.Workload, cp.WarmUp, cp.Interval, cp.Window, cp.Budget,
-			p.WarmUp, p.Interval, p.Window, budget)
+	if want := p.CaptureKey(cp.Workload, budget); cp.CaptureKey != want {
+		return nil, fmt.Errorf("sample: checkpoint %+v does not match the requested %+v", cp.CaptureKey, want)
 	}
 	if lb := cfg.Normalize().LineBytes; lb < warmDedupBlock {
 		return nil, fmt.Errorf(
